@@ -14,13 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .exactlin import RatMatrix, rat_str
+from .exactlin import InvariantViolation, RatMatrix, rat_str
 from .spectral import SpectralError, matrix_from_json, rho_extended
 from .quiver import (QuiverError, classify_underlying_graph, cycle_number,
                      quiver_from_json, quiver_fpdim, quiver_to_dot)
@@ -37,23 +36,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_INVARIANT = 4
-
-
-class InvariantViolation(AssertionError):
-    """Raised when an internal consistency check fails; maps to exit 4."""
-
-
-def _threads_cap() -> int:
-    """Parallelism cap from FPROOT_THREADS; scans currently run on a single
-    thread, which always respects the cap."""
-    raw = os.environ.get("FPROOT_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SpectralError(f"FPROOT_THREADS={raw!r} is not an integer")
-    if cap < 1:
-        raise SpectralError("FPROOT_THREADS must be >= 1")
-    return cap
 
 
 def _emit(payload, out_path, fmt="json"):
@@ -104,6 +86,10 @@ def cmd_quiver(args) -> int:
     return EXIT_OK
 
 
+# the sampler's entries, built once: Fractions are immutable and shared
+_SMALL = {k: Fraction(k) for k in range(-2, 3)}
+
+
 def _random_representation(alg, dimvec, rng):
     """One random sample at a dimension vector: each arrow matrix is either
     zero (often the only way to satisfy the relations) or small random."""
@@ -114,7 +100,7 @@ def _random_representation(alg, dimvec, rng):
             maps[a.label] = RatMatrix.zeros(r, c)
         else:
             maps[a.label] = RatMatrix(
-                [[Fraction(rng.randint(-2, 2)) for _ in range(c)]
+                [[_SMALL[rng.randint(-2, 2)] for _ in range(c)]
                  for _ in range(r)], cols=c)
     try:
         return Representation(alg, dimvec, maps, check=True)
@@ -182,7 +168,6 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
 
 
 def cmd_fp_scan(args) -> int:
-    _threads_cap()
     with open(args.algebra) as fh:
         alg = algebra_from_json(fh.read())
     cands, truncated = scan_candidates(alg, args.budget_dim, args.seed,

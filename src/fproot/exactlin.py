@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Everything in this module is computed with `fractions.Fraction`; no floating
-point enters or leaves.  This matters because downstream brick tests ask for
-statements like ``dim Hom = 1`` which are integer facts and must not depend
-on tolerances.
+Everything in this module is exact; no floating point enters or leaves.  This
+matters because downstream brick tests ask for statements like ``dim Hom = 1``
+which are integer facts and must not depend on tolerances.  Row reduction and
+kernels are computed with `fractions.Fraction`.  Rank alone is computed on
+integers: each row is scaled by the lcm of its denominators, and fraction-free
+elimination keeps every row primitive (its entries have gcd 1), so no
+`Fraction` is built and the result is still exact.
 
 Matrices are dense and small (desk scale); no attempt is made at sparsity.
 All functions are pure and all matrices immutable, so everything here is safe
@@ -13,7 +16,16 @@ to call concurrently.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_FRACTION_ONLY = frozenset({Fraction})
+
+
+class InvariantViolation(AssertionError):
+    """Raised when an internal consistency check fails; the CLI maps it to
+    exit 4.  Defined here, in the bottom layer, so every layer can raise it."""
 
 
 def rat(x) -> Fraction:
@@ -25,6 +37,13 @@ def rat(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
+
+
+def _rat_row(row) -> tuple:
+    """row as a tuple of Fractions; a row that holds only Fractions is kept
+    as it is, without a per-entry call."""
+    row = tuple(row)
+    return row if _FRACTION_ONLY.issuperset(map(type, row)) else tuple(map(rat, row))
 
 
 def rat_str(x: Fraction) -> str:
@@ -39,7 +58,7 @@ class RatMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable], cols: Optional[int] = None):
-        rows = tuple(tuple(rat(x) for x in row) for row in data)
+        rows = tuple(map(_rat_row, data))
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -57,18 +76,26 @@ class RatMatrix:
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("RatMatrix is immutable")
 
+    @staticmethod
+    def _wrap(data, cols: int) -> "RatMatrix":
+        """Trusted constructor: data is already a sequence of equal-length
+        sequences of Fractions (the output of this class's own arithmetic),
+        so it is stored without re-coercing or re-checking any entry."""
+        m = object.__new__(RatMatrix)
+        object.__setattr__(m, "rows", len(data))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "data", tuple(map(tuple, data)))
+        return m
+
     # -- constructors -------------------------------------------------
     @staticmethod
     def zeros(rows: int, cols: int) -> "RatMatrix":
-        z = Fraction(0)
-        return RatMatrix([[z] * cols for _ in range(rows)], cols=cols)
+        return RatMatrix._wrap([(_ZERO,) * cols] * rows, cols)
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix(
-            [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)],
-            cols=n,
-        )
+        return RatMatrix._wrap(
+            [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], n)
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence], rows: Optional[int] = None) -> "RatMatrix":
@@ -105,55 +132,48 @@ class RatMatrix:
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        od = other.data
+        nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
         out = []
         for r in self.data:
-            orow = [Fraction(0)] * other.cols
-            for k, a in enumerate(r):
-                if a:
-                    ok = od[k]
-                    for j in range(other.cols):
-                        if ok[j]:
-                            orow[j] += a * ok[j]
+            orow = [_ZERO] * other.cols
+            for a, nz in zip(r, nonzero):
+                if nz and a:
+                    for j, b in nz:
+                        orow[j] += a * b
             out.append(orow)
-        return RatMatrix(out, cols=other.cols)
+        return RatMatrix._wrap(out, other.cols)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in +")
-        return RatMatrix(
+        return RatMatrix._wrap(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            cols=self.cols,
-        )
+            self.cols)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in -")
-        return RatMatrix(
+        return RatMatrix._wrap(
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            cols=self.cols,
-        )
+            self.cols)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix([[-a for a in r] for r in self.data], cols=self.cols)
+        return RatMatrix._wrap([[-a for a in r] for r in self.data], self.cols)
 
     def scale(self, c) -> "RatMatrix":
         c = rat(c)
-        return RatMatrix([[c * a for a in r] for r in self.data], cols=self.cols)
+        return RatMatrix._wrap([[c * a for a in r] for r in self.data], self.cols)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        return RatMatrix._wrap(list(zip(*self.data)) if self.rows else
+                               [()] * self.cols, self.rows)
 
     def hstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return RatMatrix(
+        return RatMatrix._wrap(
             [r1 + r2 for r1, r2 in zip(self.data, other.data)],
-            cols=self.cols + other.cols,
-        )
+            self.cols + other.cols)
 
     # -- predicates ---------------------------------------------------
     @property
@@ -212,32 +232,85 @@ def rref(m: RatMatrix):
     """
     rows = [list(r) for r in m.data]
     pivots = _rref_rows(rows, m.cols)
-    return RatMatrix(rows, cols=m.cols), tuple(pivots)
+    return RatMatrix._wrap(rows, m.cols), tuple(pivots)
+
+
+def _primitive(row):
+    """row divided by the gcd of its entries, or None for a zero row."""
+    g = gcd(*row)
+    if not g:
+        return None
+    return row if g == 1 else [x // g for x in row]
+
+
+def rank_of_rows(rows: Iterable[Sequence]) -> int:
+    """Exact rank of the rational rows (ints or Fractions).
+
+    Each row is scaled by the lcm of its denominators to an integer row.
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) then clears
+    each pivot column from the remaining rows by cross-multiplication, and
+    divides every row by the gcd of its entries, which keeps the integers
+    small.  No Fraction is built.
+    """
+    work = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        prim = _primitive([x.numerator * (den // x.denominator) for x in row])
+        if prim is not None:
+            work.append(prim)
+    r = 0
+    for c in range(len(work[0]) if work else 0):
+        for i, pivot in enumerate(work):
+            if pivot[c]:
+                break
+        else:
+            continue
+        del work[i]
+        r += 1
+        a = pivot[c]
+        rest = []
+        for row in work:
+            b = row[c]
+            if b:
+                g = gcd(a, b)
+                row = _primitive([a // g * x - b // g * y for x, y in zip(row, pivot)])
+                if row is None:
+                    continue
+            rest.append(row)
+        work = rest
+        if not work:
+            break
+    return r
 
 
 def rank(m: RatMatrix) -> int:
-    return len(rref(m)[1])
+    return rank_of_rows(m.data)
 
 
-def nullspace_basis(m: RatMatrix):
-    """Basis of {v : m v = 0} as a list of column matrices.
+def nullspace(m: RatMatrix):
+    """Kernel of m as (vectors, free_columns).
 
-    The basis is in the standard rref form: the vector attached to free
-    column f has entry 1 at f and 0 at every other free column, so the
-    coordinates of any kernel vector in this basis can be read off its
-    values at the free columns.
+    Each vector is a list of Fractions in the standard rref form: the vector
+    attached to free column f has entry 1 at f and 0 at every other free
+    column, so the coordinates of any kernel vector in this basis can be read
+    off its values at the free columns.
     """
     R, pivots = rref(m)
     pivset = set(pivots)
     free = [j for j in range(m.cols) if j not in pivset]
-    basis = []
+    vectors = []
     for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
+        v = [_ZERO] * m.cols
+        v[f] = _ONE
         for i, p in enumerate(pivots):
             v[p] = -R.data[i][f]
-        basis.append(RatMatrix.column(v))
-    return basis
+        vectors.append(v)
+    return vectors, free
+
+
+def nullspace_basis(m: RatMatrix):
+    """Basis of {v : m v = 0} as a list of column matrices (see nullspace)."""
+    return [RatMatrix._wrap([[x] for x in v], 1) for v in nullspace(m)[0]]
 
 
 def solve(m: RatMatrix, b: RatMatrix) -> Optional[RatMatrix]:
@@ -247,20 +320,10 @@ def solve(m: RatMatrix, b: RatMatrix) -> Optional[RatMatrix]:
     """
     if b.cols != 1 or b.rows != m.rows:
         raise ValueError(f"right-hand side shape {b.shape} does not match {m.shape}")
-    aug = m.hstack(b)
-    R, pivots = _rref_aug(aug)
-    for i in range(len(pivots), m.rows):
-        if R.data[i][m.cols]:
-            return None
+    R, pivots = rref(m.hstack(b))
     if pivots and pivots[-1] == m.cols:
         return None
-    x = [Fraction(0)] * m.cols
+    x = [_ZERO] * m.cols
     for i, p in enumerate(pivots):
         x[p] = R.data[i][m.cols]
-    return RatMatrix.column(x)
-
-
-def _rref_aug(aug: RatMatrix):
-    rows = [list(r) for r in aug.data]
-    pivots = _rref_rows(rows, aug.cols)
-    return RatMatrix(rows, cols=aug.cols), tuple(pivots)
+    return RatMatrix._wrap([[v] for v in x], 1)

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactlin import RatMatrix, nullspace_basis, rank, rat, rat_str, rref
+from .exactlin import (InvariantViolation, RatMatrix, nullspace,
+                       nullspace_basis, rank, rank_of_rows, rat, rat_str, rref)
 from .algebra import AlgebraError, BoundAlgebra, Path
 from .quiver import classify_underlying_graph, positive_roots
 
@@ -63,14 +64,19 @@ class Representation:
         raise AttributeError("Representation is immutable")
 
     def _check_relations(self):
+        """Every relation sum_k c_k p_k must act as zero; it is checked one
+        basis vector of the source at a time, without path matrices."""
         for rel in self.algebra.relations:
-            src, tgt = rel[0][1].source, rel[0][1].target
-            acc = RatMatrix.zeros(self.dimvec[tgt], self.dimvec[src])
-            for coeff, p in rel:
-                acc = acc + self.path_matrix(p).scale(coeff)
-            if not acc.is_zero():
-                raise RepresentationError(
-                    f"relation {rel} does not vanish on {self.name}")
+            p0 = rel[0][1]
+            for j in range(self.dimvec[p0.source]):
+                acc = [0] * self.dimvec[p0.target]
+                for coeff, p in rel:
+                    for i, x in enumerate(self.path_column(p, j)):
+                        if x:
+                            acc[i] += coeff * x
+                if any(acc):
+                    raise RepresentationError(
+                        f"relation {rel} does not vanish on {self.name}")
 
     def path_matrix(self, p: Path) -> RatMatrix:
         """Matrix of a path acting V_source -> V_target (identity if trivial)."""
@@ -81,6 +87,22 @@ class Representation:
             step = self.maps[label]
             m = step if m is None else step @ m
         return m
+
+    def path_column(self, p: Path, j: int) -> list:
+        """Column j of path_matrix(p): the path applied to the j-th basis
+        vector of V_source one arrow at a time, skipping zero entries (the
+        entries are Fractions or the int 0)."""
+        if not p.arrows:
+            col = [Fraction(0)] * self.dimvec[p.source]
+            col[j] = Fraction(1)
+            return col
+        *rest, first = p.arrows
+        col = [row[j] for row in self.maps[first].data]
+        for label in reversed(rest):
+            nz = [(k, x) for k, x in enumerate(col) if x]
+            col = [sum(row[k] * x for k, x in nz if row[k])
+                   for row in self.maps[label].data]
+        return col
 
     @property
     def total_dim(self) -> int:
@@ -103,6 +125,8 @@ class Representation:
 
 def simple(algebra: BoundAlgebra, v) -> Representation:
     v = str(v)
+    if v not in algebra.quiver.vertices:
+        raise AlgebraError(f"unknown vertex {v!r}")
     return Representation(algebra, {v: 1}, {}, name=f"S{v}")
 
 
@@ -144,8 +168,9 @@ def projective_cover_multiplicities(m: Representation) -> Dict[str, int]:
         for a in m.algebra.quiver.arrows_into(w):
             mat = m.maps[a.label]
             cols.extend(mat.col(j) for j in range(mat.cols))
-        rad_rank = rank(RatMatrix.from_columns(cols, rows=m.dimvec[w])) if cols else 0
-        tops[w] = m.dimvec[w] - rad_rank
+        # the rank of the radical's spanning columns is the rank of the
+        # matrix with those columns
+        tops[w] = m.dimvec[w] - rank_of_rows(cols)
     return tops
 
 
@@ -168,8 +193,13 @@ class HomSpace:
     dim: int
 
 
-def hom(m: Representation, n: Representation) -> HomSpace:
-    """Solve the intertwiner system f_t M_a = N_a f_s exactly."""
+def _hom_system(m: Representation, n: Representation):
+    """The intertwiner equations f_t M_a = N_a f_s as (rows, total, offsets).
+
+    The unknowns are the entries of every f_v (dim n_v x dim m_v, row-major)
+    stacked by vertex from offsets[v]; total counts them.  Each row holds one
+    equation's coefficients; rows that are identically zero are dropped.
+    """
     if m.algebra is not n.algebra:
         raise RepresentationError("hom needs two modules over the same algebra")
     q = m.algebra.quiver
@@ -182,38 +212,47 @@ def hom(m: Representation, n: Representation) -> HomSpace:
     rows = []
     for a in q.arrows:
         s, t = a.source, a.target
-        Ma, Na = m.maps[a.label], n.maps[a.label]
+        Ma, Na = m.maps[a.label].data, n.maps[a.label].data
+        mt, ms, ot, os_ = m.dimvec[t], m.dimvec[s], offsets[t], offsets[s]
         for i in range(n.dimvec[t]):
-            for j in range(m.dimvec[s]):
-                row = [Fraction(0)] * total
-                for k in range(m.dimvec[t]):
-                    if Ma.data[k][j]:
-                        row[offsets[t] + i * m.dimvec[t] + k] += Ma.data[k][j]
-                for l in range(n.dimvec[s]):
-                    if Na.data[i][l]:
-                        row[offsets[s] + l * m.dimvec[s] + j] -= Na.data[i][l]
+            Ni = Na[i]
+            for j in range(ms):
+                row = [0] * total
+                for k in range(mt):
+                    if Ma[k][j]:
+                        row[ot + i * mt + k] += Ma[k][j]
+                for l, x in enumerate(Ni):
+                    if x:
+                        row[os_ + l * ms + j] -= x
                 if any(row):
                     rows.append(row)
+    return rows, total, offsets
 
+
+def hom(m: Representation, n: Representation) -> HomSpace:
+    """Solve the intertwiner system f_t M_a = N_a f_s exactly."""
+    rows, total, offsets = _hom_system(m, n)
     if rows:
-        kernel = nullspace_basis(RatMatrix(rows, cols=total))
+        kernel = [b.col(0) for b in nullspace_basis(RatMatrix(rows, cols=total))]
     else:
-        kernel = [RatMatrix.column([Fraction(1 if i == k else 0) for i in range(total)])
+        kernel = [[Fraction(1 if i == k else 0) for i in range(total)]
                   for k in range(total)]
     basis = []
     for vec in kernel:
         fs = {}
-        for v in q.vertices:
-            r, c = n.dimvec[v], m.dimvec[v]
-            block = [[vec.data[offsets[v] + i * c + j][0] for j in range(c)]
-                     for i in range(r)]
-            fs[v] = RatMatrix(block, cols=c)
+        for v in m.algebra.quiver.vertices:
+            r, c, o = n.dimvec[v], m.dimvec[v], offsets[v]
+            fs[v] = RatMatrix([vec[o + i * c:o + (i + 1) * c] for i in range(r)],
+                              cols=c)
         basis.append(fs)
     return HomSpace(m, n, tuple(basis), len(kernel))
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
-    return hom(m, n).dim
+    """dim Hom(m, n) as the nullity of the intertwiner system; only its rank
+    is computed, on integers, and no basis is built."""
+    rows, total, _ = _hom_system(m, n)
+    return total - rank_of_rows(rows)
 
 
 def is_brick(m: Representation) -> bool:
@@ -225,8 +264,11 @@ def is_brick(m: Representation) -> bool:
 
 def is_isomorphic_brick(m: Representation, n: Representation) -> bool:
     """Exact isomorphism test for two bricks: they are isomorphic iff some
-    composite of a map each way is a nonzero endomorphism."""
+    composite of a map each way is a nonzero endomorphism.  When either Hom
+    space is zero there is no such composite, and no basis is built."""
     if m.dimvec != n.dimvec:
+        return False
+    if hom_dim(m, n) == 0 or hom_dim(n, m) == 0:
         return False
     fwd, bwd = hom(m, n), hom(n, m)
     for f in fwd.basis:
@@ -300,26 +342,6 @@ class Resolution:
         return [self.multiplicities(i) for i in range(len(self.steps))]
 
 
-def _kernel_data(mat: RatMatrix):
-    """Nullspace basis columns plus their free-column positions.
-
-    The rref form guarantees that basis vector k has 1 at free column k and 0
-    at the other free columns, so coordinates of any kernel vector in this
-    basis are its values at the free columns.
-    """
-    R, pivots = rref(mat)
-    pivset = set(pivots)
-    free = [j for j in range(mat.cols) if j not in pivset]
-    cols = []
-    for f in free:
-        v = [Fraction(0)] * mat.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -R.data[i][f]
-        cols.append(v)
-    return cols, free
-
-
 def _projective_of_multiset(alg: BoundAlgebra, gens: List[str]):
     """Basis layout of directsum_i P_{gens[i]} grouped by vertex."""
     basis: Dict[str, List[Tuple[int, Path]]] = {v: [] for v in alg.quiver.vertices}
@@ -345,7 +367,8 @@ def minimal_resolution(m: Representation, depth: int) -> Resolution:
     Each step is the projective cover of the previous syzygy; the syzygy is
     carried along as an explicit subrepresentation (nullspace bases per
     vertex), which keeps every differential exact.  Minimality (differential
-    image inside the radical) is asserted at every step.
+    image inside the radical) is checked at every step and raises
+    InvariantViolation when it fails.
     """
     if depth < 0:
         raise RepresentationError("depth must be >= 0")
@@ -388,9 +411,7 @@ def minimal_resolution(m: Representation, depth: int) -> Resolution:
         for w in q.vertices:
             cols = []
             for (copy, p) in basis[w]:
-                v, j = lift_cols[copy]
-                pm = current.path_matrix(p)
-                cols.append(tuple(pm.data[i][j] for i in range(pm.rows)))
+                cols.append(current.path_column(p, lift_cols[copy][1]))
             phi[w] = RatMatrix.from_columns(cols, rows=current.dimvec[w]) \
                 if cols else RatMatrix.zeros(current.dimvec[w], 0)
 
@@ -407,9 +428,9 @@ def minimal_resolution(m: Representation, depth: int) -> Resolution:
                     if img[k]:
                         entry[bp] = img[k]
                 differential.append(entry)
-                for (pcopy, ppath), c in entry.items():
-                    assert len(ppath) > 0, \
-                        "minimality violated: differential leaves the radical"
+                if any(len(ppath) == 0 for _, ppath in entry):
+                    raise InvariantViolation(
+                        "minimality violated: differential leaves the radical")
 
         steps.append(ResolutionStep(gens, basis, differential))
 
@@ -417,7 +438,7 @@ def minimal_resolution(m: Representation, depth: int) -> Resolution:
         new_embed = {}
         free_rows = {}
         for w in q.vertices:
-            cols, free = _kernel_data(phi[w])
+            cols, free = nullspace(phi[w])
             new_embed[w] = RatMatrix.from_columns(cols, rows=len(basis[w]))
             free_rows[w] = free
         new_dim = {w: new_embed[w].cols for w in q.vertices}

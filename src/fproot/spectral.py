@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exactlin import RatMatrix, rat, rat_str
+from .exactlin import InvariantViolation, RatMatrix, rat, rat_str
 
 INF = math.inf
 NEG_INF = -math.inf
@@ -210,7 +210,8 @@ def squarefree_part(p: Sequence[Fraction]) -> List[Fraction]:
         return list(p)
     # exact division p / g
     q, r = _poly_divmod(p, g)
-    assert not any(r), "squarefree division must be exact"
+    if any(r):
+        raise InvariantViolation("squarefree division must be exact")
     return q
 
 

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 import math
 import subprocess
 import sys
@@ -197,3 +198,27 @@ def test_invariant_violation_exit_code():
 
     ns = argparse.Namespace(func=boom)
     assert dispatch(ns) == EXIT_INVARIANT
+
+
+def test_resolve_unknown_simple_exit_2(sqrt2_file):
+    code, out, err = run_cli(["resolve", sqrt2_file, "--simple", "9",
+                              "--depth", "2"])
+    assert code == 2 and out == ""
+    assert "unknown vertex '9'" in err
+
+
+def test_squarefree_division_check_exit_4(tmp_path, monkeypatch, capsys):
+    from fproot import spectral
+    from fproot.cli import EXIT_INVARIANT
+
+    def leaves_a_remainder(a, b):
+        q, r = real_divmod(a, b)
+        return q, [Fraction(1)]
+
+    real_divmod = spectral._poly_divmod
+    monkeypatch.setattr(spectral, "_poly_divmod", leaves_a_remainder)
+    f = tmp_path / "m.json"
+    # K4 adjacency: irreducible, characteristic polynomial (x - 3)(x + 1)^3
+    f.write_text('[[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]')
+    assert run(["spectral", str(f)]) == EXIT_INVARIANT
+    assert "squarefree division must be exact" in capsys.readouterr().err

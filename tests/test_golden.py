@@ -1,0 +1,34 @@
+"""Cross-version golden outputs: the full stdout of fixed CLI runs, recorded
+once and compared byte for byte.
+
+`test_fp_scan_deterministic` compares two runs of the same code; these files
+pin the output across changes to the code, so an optimisation that alters a
+single byte of a report (a candidate name, a witness, a float) fails here.
+Re-record a file only for a change that is meant to alter the output.
+"""
+
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+GOLDEN = [
+    (["fp-scan", "sqrt2_algebra.json", "--budget-dim", "4", "--seed", "3"],
+     "sqrt2_fp_scan_dim4_seed3.out"),
+    (["fp-scan", "kronecker_algebra.json", "--budget-dim", "4", "--seed", "3"],
+     "kronecker_fp_scan_dim4_seed3.out"),
+    (["resolve", "sqrt2_algebra.json", "--simple", "1", "--depth", "6"],
+     "sqrt2_resolve_s1_depth6.out"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN, ids=[g[1] for g in GOLDEN])
+def test_cli_output_is_byte_identical(argv, expected):
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "fproot.cli"] + argv,
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (DATA / expected).read_bytes()

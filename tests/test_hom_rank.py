@@ -1,0 +1,252 @@
+"""Property tests for the rank-only Hom path.
+
+`hom_dim` counts the nullity of the intertwiner system with integer
+fraction-free elimination, while `hom` builds the kernel basis with
+`Fraction` Gauss-Jordan; the two must agree on every module pair.  The same
+goes for `rank` against the pivots of `rref`, for the relation check against
+the sum of path matrices, and for `is_isomorphic_brick` against the
+basis-only test it screens.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from fproot.algebra import (Path, build_algebra, dual_numbers_algebra,
+                            kronecker_algebra, local_two_loop_algebra,
+                            sqrt2_algebra)
+from fproot.exactlin import RatMatrix, rank, rank_of_rows, rref, solve
+from fproot.quiver import Quiver, path_quiver
+from fproot.repmod import (Representation, RepresentationError, hom, hom_dim,
+                           is_isomorphic_brick)
+
+
+def _commutative_square():
+    q = Quiver(["1", "2", "3", "4"],
+               [("a1", "1", "2"), ("a2", "2", "4"),
+                ("b1", "1", "3"), ("b2", "3", "4")])
+    return build_algebra(q, [[(1, ("a2", "a1")), (-1, ("b2", "b1"))]])
+
+
+ALGEBRAS = {
+    "sqrt2": sqrt2_algebra(),            # monomial relations of length 2
+    "kronecker": kronecker_algebra(),    # no relations
+    "dual": dual_numbers_algebra(),      # a loop, x^2 = 0
+    "two_loop": local_two_loop_algebra(2, 2),
+    "square": _commutative_square(),     # a two-term relation
+    "a4": build_algebra(path_quiver(4), [[(1, ("a3", "a2", "a1"))]]),  # length 3
+}
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+# -- rank ---------------------------------------------------------------------
+
+huge_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+    st.integers(min_value=1, max_value=10 ** 24))
+
+entries = st.one_of(st.just(Fraction(0)), small_rationals, huge_rationals)
+
+
+@st.composite
+def fraction_matrices(draw):
+    r = draw(st.integers(min_value=0, max_value=6))
+    c = draw(st.integers(min_value=0, max_value=6))
+    data = draw(st.lists(st.lists(entries, min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    if r and draw(st.booleans()):  # a repeated row lowers the rank
+        data.append(list(data[draw(st.integers(0, r - 1))]))
+    return RatMatrix(data, cols=c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_matrices())
+def test_rank_matches_rref_pivots(m):
+    assert rank(m) == len(rref(m)[1])
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 4), (4, 0), (3, 3)])
+def test_rank_of_empty_and_zero_matrices(rows, cols):
+    assert rank(RatMatrix.zeros(rows, cols)) == 0
+
+
+def test_rank_of_rows_mixes_ints_and_fractions():
+    rows = [[1, Fraction(1, 3), 0], [3, 1, 0], [0, 0, Fraction(-7, 10 ** 20)]]
+    assert rank_of_rows(rows) == 2
+    assert rank_of_rows([]) == 0
+
+
+# -- random modules -------------------------------------------------------------
+
+def _inverse(p: RatMatrix) -> RatMatrix:
+    n = p.rows
+    cols = [solve(p, RatMatrix.column([1 if i == j else 0 for i in range(n)]))
+            for j in range(n)]
+    return RatMatrix.from_columns([c.col(0) for c in cols], rows=n)
+
+
+@st.composite
+def invertibles(draw, n):
+    """A dense invertible matrix: lower times upper unitriangular."""
+    def tri(lower):
+        return RatMatrix([[Fraction(1) if i == j else
+                           (draw(small_rationals) if (i > j) == lower else Fraction(0))
+                           for j in range(n)] for i in range(n)], cols=n)
+    return tri(True) @ tri(False)
+
+
+def _conjugate(m: Representation, ps) -> Representation:
+    """The module isomorphic to m through the vertex maps ps."""
+    maps = {}
+    for a in m.algebra.quiver.arrows:
+        maps[a.label] = ps[a.target] @ m.maps[a.label] @ _inverse(ps[a.source])
+    return Representation(m.algebra, m.dimvec, maps, name=f"conj({m.name})")
+
+
+@st.composite
+def arrow_matrices(draw, r, c):
+    kind = draw(st.sampled_from(["zero", "random", "upper"]))
+    if kind == "zero":
+        return RatMatrix.zeros(r, c)
+    # "upper" is strictly upper triangular, nilpotent for square loops
+    return RatMatrix([[draw(small_rationals) if kind == "random" or j > i
+                       else Fraction(0) for j in range(c)] for i in range(r)],
+                     cols=c)
+
+
+@st.composite
+def arrow_maps(draw, alg, dimvec):
+    """Arrow matrices at dimvec; on the commutative square both paths may be
+    given the same matrices, so that its relation holds with nonzero terms."""
+    maps = {a.label: draw(arrow_matrices(dimvec[a.target], dimvec[a.source]))
+            for a in alg.quiver.arrows}
+    if alg is ALGEBRAS["square"] and dimvec["2"] == dimvec["3"] \
+            and draw(st.booleans()):
+        maps["b1"], maps["b2"] = maps["a1"], maps["a2"]
+    return maps
+
+
+@st.composite
+def modules(draw, alg, dimvec=None):
+    """A module over alg with dimensions 0..2 per vertex (zero vertices
+    included), sampled structurally and then moved by a random change of
+    basis, so the arrow matrices are dense with p/q entries."""
+    if dimvec is None:
+        dimvec = {v: draw(st.integers(min_value=0, max_value=2))
+                  for v in alg.quiver.vertices}
+    try:
+        m = Representation(alg, dimvec, draw(arrow_maps(alg, dimvec)))
+    except RepresentationError:
+        assume(False)
+    return _conjugate(m, {v: draw(invertibles(d)) for v, d in dimvec.items()})
+
+
+@st.composite
+def module_pairs(draw):
+    alg = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
+    m = draw(modules(alg))
+    if draw(st.booleans()):
+        return m, draw(modules(alg, dict(m.dimvec)))
+    return m, draw(modules(alg))
+
+
+@settings(max_examples=150, deadline=None)
+@given(module_pairs())
+def test_hom_dim_matches_hom_basis(pair):
+    m, n = pair
+    h = hom(m, n)
+    assert hom_dim(m, n) == h.dim == len(h.basis)
+    for f in h.basis:  # each basis element is an intertwiner
+        for a in m.algebra.quiver.arrows:
+            assert f[a.target] @ m.maps[a.label] == n.maps[a.label] @ f[a.source]
+
+
+def _isomorphic_by_bases(m, n):
+    """The basis-only brick isomorphism test, without the Hom-dimension
+    screen."""
+    if m.dimvec != n.dimvec:
+        return False
+    for f in hom(m, n).basis:
+        for g in hom(n, m).basis:
+            for v in m.algebra.quiver.vertices:
+                if m.dimvec[v] and not (g[v] @ f[v]).is_zero():
+                    return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(module_pairs())
+def test_is_isomorphic_brick_matches_basis_test(pair):
+    m, n = pair
+    assert is_isomorphic_brick(m, n) == _isomorphic_by_bases(m, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_is_isomorphic_brick_on_conjugate_pairs(data):
+    alg = ALGEBRAS[data.draw(st.sampled_from(sorted(ALGEBRAS)))]
+    m = data.draw(modules(alg))
+    n = _conjugate(m, {v: data.draw(invertibles(d)) for v, d in m.dimvec.items()})
+    assert is_isomorphic_brick(m, n) == _isomorphic_by_bases(m, n)
+
+
+# -- relation check and path columns ------------------------------------------
+
+@st.composite
+def unchecked_modules(draw):
+    alg = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
+    dimvec = {v: draw(st.integers(min_value=0, max_value=2))
+              for v in alg.quiver.vertices}
+    return Representation(alg, dimvec, draw(arrow_maps(alg, dimvec)), check=False)
+
+
+def _relations_vanish_by_matrices(m):
+    for rel in m.algebra.relations:
+        p0 = rel[0][1]
+        acc = RatMatrix.zeros(m.dimvec[p0.target], m.dimvec[p0.source])
+        for coeff, p in rel:
+            acc = acc + m.path_matrix(p).scale(coeff)
+        if not acc.is_zero():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("b1, b2, holds", [(2, 3, True), (3, 2, True),
+                                           (2, -3, False), (0, 0, False)])
+def test_relation_check_weighs_each_term(b1, b2, holds):
+    """a2 a1 - b2 b1 = 0 with a1 = 2, a2 = 3 holds only when b2 b1 = 6."""
+    maps = {"a1": [[2]], "a2": [[3]], "b1": [[b1]], "b2": [[b2]]}
+    m = Representation(ALGEBRAS["square"], {v: 1 for v in "1234"},
+                       {k: RatMatrix(v) for k, v in maps.items()}, check=False)
+    assert _relations_vanish_by_matrices(m) == holds
+    if holds:
+        Representation(m.algebra, m.dimvec, m.maps)
+    else:
+        with pytest.raises(RepresentationError):
+            Representation(m.algebra, m.dimvec, m.maps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unchecked_modules())
+def test_relation_check_matches_path_matrix_sum(m):
+    try:
+        Representation(m.algebra, m.dimvec, m.maps)
+        accepted = True
+    except RepresentationError:
+        accepted = False
+    assert accepted == _relations_vanish_by_matrices(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unchecked_modules())
+def test_path_column_matches_path_matrix(m):
+    trivial = [Path((), v, v) for v in m.algebra.quiver.vertices]
+    arrows = [Path((a.label,), a.source, a.target) for a in m.algebra.quiver.arrows]
+    for p in trivial + arrows + [p for rel in m.algebra.relations for _, p in rel]:
+        pm = m.path_matrix(p)
+        for j in range(pm.cols):
+            assert tuple(m.path_column(p, j)) == pm.col(j)
