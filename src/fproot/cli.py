@@ -2,8 +2,8 @@
 
 Subcommands: spectral, quiver, fp-scan, resolve, tables.  All machine output
 is JSON (or CSV/DOT where stated), deterministic for a fixed seed: rationals
-travel as 'p/q' strings, floats appear only in estimate fields, and keys are
-sorted before serialization.
+travel as 'p/q' strings, floats appear only in estimate fields (a non-finite
+one as null), and keys are sorted before serialization.
 
 Exit codes: 0 success, 2 parse error, 3 budget exhaustion with partial
 output, 4 internal invariant violation.
@@ -38,9 +38,22 @@ EXIT_BUDGET = 3
 EXIT_INVARIANT = 4
 
 
+def _strict(x):
+    """x with every non-finite float replaced by None, so that it serializes
+    as strict JSON (null instead of a bare Infinity or NaN)."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict(v) for v in x]
+    return x
+
+
 def _emit(payload, out_path, fmt="json"):
     if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(_strict(payload), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
     else:
         text = payload
     if out_path:

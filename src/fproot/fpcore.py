@@ -172,31 +172,6 @@ def _brick_subsets(hom_matrix: RatMatrix, max_size: int):
     return out
 
 
-def fpdim_n(n: int, candidates: Sequence, assignment: Assignment,
-            power: int = 1) -> SpectralValue:
-    """sup of the spectral radius over all n-element brick subsets of the
-    candidates (0 when there are none)."""
-    value, _ = fpdim_n_with_witness(n, candidates, assignment, power)
-    return value
-
-
-def fpdim_n_with_witness(n: int, candidates: Sequence, assignment: Assignment,
-                         power: int = 1):
-    if n < 1:
-        raise ValueError("set size must be >= 1")
-    h = assignment.matrix(candidates, 0)
-    best = SpectralValue(0.0, True, 0.0)
-    witness: Tuple = ()
-    for idx in _brick_subsets(h, n):
-        if len(idx) != n:
-            continue
-        sub = [candidates[i] for i in idx]
-        r = rho_nonnegative_via_scc(assignment.matrix(sub, power))
-        if r.value > best.value:
-            best, witness = r, tuple(sub)
-    return best, witness
-
-
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -318,10 +293,16 @@ class FpReport:
         return buf.getvalue()
 
 
-def fp_report(candidates: Sequence, assignment: Assignment,
-              budgets: FpBudgets = FpBudgets(), truncated: bool = False) -> FpReport:
-    """Fill the full grid fpdim^n(sigma^m) for n <= max_set_size and
-    m <= max_power over the given candidates.
+def _fill_grid(subsets: Sequence[tuple], matrix: Callable, witness: Callable,
+               max_size: int, budgets: FpBudgets, assignment_name: str,
+               candidate_names: List[str], truncated: bool = False) -> FpReport:
+    """Fill the grid fpdim^n(sigma^m) for n <= max_size and
+    m <= budgets.max_power over the given brick subsets, plus aggregates.
+
+    matrix(subset, m) is the subset's adjacency at power m as a tuple of
+    integer rows, and witness(subset) names its members.  Each cell keeps the
+    first subset of its size with the largest radius; a size without subsets
+    gets a certified 0 and no witness.
 
     Aggregates: fpdim is the best value in the power-1 column; the
     stabilization index is the least set size at which the running max of
@@ -330,48 +311,30 @@ def fp_report(candidates: Sequence, assignment: Assignment,
     fpgldim_window is the largest power with a nonzero column, a windowed
     view of sup{m >= 0 : fpdim(sigma^m) != 0}.
     """
-    N = min(budgets.max_set_size, len(candidates))
-    M = budgets.max_power
-    h = assignment.matrix(candidates, 0)
-    subsets = _brick_subsets(h, N)
-
+    N, M = max_size, budgets.max_power
     cells: Dict[Tuple[int, int], FpCell] = {}
+    rho_cache: Dict[tuple, SpectralValue] = {}
     for m in range(M + 1):
-        mats = assignment.matrix(candidates, m)
-        best: Dict[int, Tuple[SpectralValue, Tuple]] = {
+        best: Dict[int, Tuple[SpectralValue, tuple]] = {
             n: (SpectralValue(0.0, True, 0.0), ()) for n in range(1, N + 1)}
-        rho_cache: Dict[tuple, SpectralValue] = {}
-        for idx in subsets:
-            n = len(idx)
-            sub = tuple(tuple(int(mats.data[i][j]) for j in idx) for i in idx)
-            r = rho_cache.get(sub)
+        for sub in subsets:
+            rows = matrix(sub, m)
+            r = rho_cache.get(rows)
             if r is None:
-                r = rho_nonnegative_via_scc(RatMatrix(sub, cols=n))
-                rho_cache[sub] = r
-            if r.value > best[n][0].value:
-                best[n] = (r, tuple(candidates[i] for i in idx))
-        for n in range(1, N + 1):
-            val, wit = best[n]
-            cells[(n, m)] = FpCell(n, m, val,
-                                   tuple(getattr(x, "name", str(x)) for x in wit))
+                r = rho_nonnegative_via_scc(RatMatrix(rows, cols=len(rows)))
+                rho_cache[rows] = r
+            if r.value > best[len(rows)][0].value:
+                best[len(rows)] = (r, sub)
+        for n, (val, sub) in best.items():
+            cells[(n, m)] = FpCell(n, m, val, witness(sub))
 
     col1 = [cells[(n, 1)].value.value for n in range(1, N + 1)] if M >= 1 else []
-    fpdim = max(col1) if col1 else 0.0
-    si = None
-    if col1:
-        running = -1.0
-        for n, v in enumerate(col1, start=1):
-            running = max(running, v)
-            if abs(running - fpdim) <= 1e-12:
-                si = n
-                break
-
-    fpgldim_window = None
+    fpdim = max(col1, default=0.0)
+    # the running max first reaches fpdim at the first value that does
+    si = next((n for n, v in enumerate(col1, start=1)
+               if abs(v - fpdim) <= 1e-12), None)
     nonzero_powers = [m for m in range(M + 1)
                       if any(cells[(n, m)].value.value > 1e-9 for n in range(1, N + 1))]
-    if nonzero_powers:
-        fpgldim_window = max(nonzero_powers)
-
     growth = None
     if M >= 4:
         seq = [max(cells[(n, m)].value.value for n in range(1, N + 1))
@@ -379,16 +342,51 @@ def fp_report(candidates: Sequence, assignment: Assignment,
         growth = growth_analyze(seq, start_index=1)
 
     return FpReport(
-        assignment_name=assignment.name,
-        candidate_names=[getattr(c, "name", str(c)) for c in candidates],
+        assignment_name=assignment_name,
+        candidate_names=candidate_names,
         budgets=budgets,
         cells=cells,
         fpdim=fpdim,
         stabilization_index=si,
-        fpgldim_window=fpgldim_window,
+        fpgldim_window=max(nonzero_powers, default=None),
         growth=growth,
         truncated=truncated,
     )
+
+
+def fp_report(candidates: Sequence, assignment: Assignment,
+              budgets: FpBudgets = FpBudgets(), truncated: bool = False) -> FpReport:
+    """Fill the full grid fpdim^n(sigma^m) for n <= max_set_size and
+    m <= max_power over the brick subsets of the given candidates (see
+    _fill_grid for the aggregates)."""
+    N = min(budgets.max_set_size, len(candidates))
+    h = assignment.matrix(candidates, 0)
+    mats = [h.data] + [assignment.matrix(candidates, m).data
+                       for m in range(1, budgets.max_power + 1)]
+
+    def matrix(idx, m):
+        return tuple(tuple(int(mats[m][i][j]) for j in idx) for i in idx)
+
+    def witness(idx):
+        return tuple(getattr(candidates[i], "name", str(candidates[i]))
+                     for i in idx)
+
+    return _fill_grid(_brick_subsets(h, N), matrix, witness, N, budgets,
+                      assignment.name,
+                      [getattr(c, "name", str(c)) for c in candidates],
+                      truncated)
+
+
+def fpdim_n(n: int, candidates: Sequence, assignment: Assignment,
+            power: int = 1) -> SpectralValue:
+    """sup of the spectral radius over all n-element brick subsets of the
+    candidates (0 when there are none)."""
+    if n < 1:
+        raise ValueError("set size must be >= 1")
+    report = fp_report(candidates, assignment,
+                       FpBudgets(max_set_size=n, max_power=power))
+    cell = report.cells.get((n, power))
+    return cell.value if cell else SpectralValue(0.0, True, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -530,77 +528,21 @@ def homtable_fp(table: HomTableCategory, shift: int,
 
     f = table.difference
     N = budgets.max_set_size
-    M = budgets.max_power
-    width = table.hi - table.lo
     # a capped gap makes every probed argument land outside the band
-    probe = table.band + abs(shift) * M + 1
-    pats = _gap_patterns(N, probe, width)
+    probe = table.band + abs(shift) * budgets.max_power + 1
 
-    def positions(pat):
+    bricks = []
+    for pat in _gap_patterns(N, probe, table.hi - table.lo):
         pos = [0]
         for g in pat:
             pos.append(pos[-1] + g)
-        return pos
-
-    def is_brick_pattern(pat) -> bool:
-        if f(0) != 1:
-            return False
-        pos = positions(pat)
-        for a in range(len(pos)):
-            for b in range(len(pos)):
-                if a != b and f(pos[b] - pos[a]) != 0:
-                    return False
-        return True
-
-    brick_pats = [p for p in pats if is_brick_pattern(p)]
-
-    cells: Dict[Tuple[int, int], FpCell] = {}
-    rho_cache: Dict[tuple, SpectralValue] = {}
-    for m in range(M + 1):
-        best: Dict[int, Tuple[SpectralValue, tuple]] = {
-            n: (SpectralValue(0.0, True, 0.0), ()) for n in range(1, N + 1)}
-        for pat in brick_pats:
-            pos = positions(pat)
-            n = len(pos)
-            rows = tuple(tuple(f(pos[b] - pos[a] + shift * m) for b in range(n))
-                         for a in range(n))
-            r = rho_cache.get(rows)
-            if r is None:
-                r = rho_nonnegative_via_scc(RatMatrix(rows, cols=n))
-                rho_cache[rows] = r
-            if r.value > best[n][0].value:
-                best[n] = (r, tuple(table.lo + p for p in pos))
-        for n in range(1, N + 1):
-            val, wit = best[n]
-            cells[(n, m)] = FpCell(n, m, val, tuple(f"A({i})" for i in wit))
-
-    col1 = [cells[(n, 1)].value.value for n in range(1, N + 1)] if M >= 1 else []
-    fpdim = max(col1) if col1 else 0.0
-    si = None
-    if col1:
-        running = -1.0
-        for n, v in enumerate(col1, start=1):
-            running = max(running, v)
-            if abs(running - fpdim) <= 1e-12:
-                si = n
-                break
-    growth = None
-    if M >= 4:
-        seq = [max(cells[(n, m)].value.value for n in range(1, N + 1))
-               for m in range(1, M + 1)]
-        growth = growth_analyze(seq, start_index=1)
-    nonzero_powers = [m for m in range(M + 1)
-                      if any(cells[(n, m)].value.value > 1e-9 for n in range(1, N + 1))]
-    return FpReport(
-        assignment_name=f"shift{shift:+d}",
-        candidate_names=[f"A({i})" for i in table.objects()],
-        budgets=budgets,
-        cells=cells,
-        fpdim=fpdim,
-        stabilization_index=si,
-        fpgldim_window=max(nonzero_powers) if nonzero_powers else None,
-        growth=growth,
-    )
+        if f(0) == 1 and all(f(b - a) == 0 for a in pos for b in pos if a != b):
+            bricks.append(pos)
+    return _fill_grid(
+        bricks,
+        lambda pos, m: tuple(tuple(f(b - a + shift * m) for b in pos) for a in pos),
+        lambda pos: tuple(f"A({table.lo + p})" for p in pos),
+        N, budgets, f"shift{shift:+d}", [f"A({i})" for i in table.objects()])
 
 
 # ---------------------------------------------------------------------------
@@ -709,9 +651,7 @@ def fpc_vs_cx_check(alg: BoundAlgebra, depth: int = 10,
     sims = repmod.simples(alg)
     rep = fp_report(sims, ext_assignment(alg),
                     FpBudgets(max_set_size=len(sims), max_power=depth))
-    seq = [max(rep.cells[(n, m)].value.value for n in range(1, len(sims) + 1))
-           for m in range(1, depth + 1)]
-    fpc, _, _ = _capped_growth_summary(seq)
+    fpc, _, _ = _capped_growth_summary(rep.growth.values)
     if math.isinf(fpc) and math.isinf(comp.cx_estimate):
         holds, gap = True, 0.0
     else:

@@ -134,6 +134,25 @@ def simples(algebra: BoundAlgebra) -> List[Representation]:
     return [simple(algebra, v) for v in algebra.quiver.vertices]
 
 
+def _projective_of_multiset(alg: BoundAlgebra, gens: List[str]):
+    """Basis layout of directsum_i P_{gens[i]} grouped by vertex."""
+    basis: Dict[str, List[Tuple[int, Path]]] = {v: [] for v in alg.quiver.vertices}
+    for i, v in enumerate(gens):
+        for p in alg.basis_with_source(v):
+            basis[p.target].append((i, p))
+    return basis
+
+
+def _projective_arrow_matrix(alg: BoundAlgebra, basis, a) -> RatMatrix:
+    src, tgt = basis[a.source], basis[a.target]
+    index = {bp: k for k, bp in enumerate(tgt)}
+    m = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
+    for j, (copy, p) in enumerate(src):
+        for tp, c in alg.left_multiply(a.label, p).items():
+            m[index[(copy, tp)]][j] = c
+    return RatMatrix(m, cols=len(src))
+
+
 def projective(algebra: BoundAlgebra, v) -> Representation:
     """The projective cover of the simple at v, realized on the basis paths
     with source v; an arrow acts by left multiplication reduced modulo the
@@ -141,37 +160,25 @@ def projective(algebra: BoundAlgebra, v) -> Representation:
     v = str(v)
     if v not in algebra.quiver.vertices:
         raise AlgebraError(f"unknown vertex {v!r}")
-    paths = algebra.basis_with_source(v)
-    by_vertex: Dict[str, List[Path]] = {w: [] for w in algebra.quiver.vertices}
-    for p in paths:
-        by_vertex[p.target].append(p)
-    index = {w: {p: i for i, p in enumerate(ps)} for w, ps in by_vertex.items()}
-    dimvec = {w: len(ps) for w, ps in by_vertex.items()}
-    maps = {}
-    for a in algebra.quiver.arrows:
-        rows, cols = dimvec[a.target], dimvec[a.source]
-        m = [[Fraction(0)] * cols for _ in range(rows)]
-        for p in by_vertex[a.source]:
-            j = index[a.source][p]
-            for tp, c in algebra.left_multiply(a.label, p).items():
-                m[index[a.target][tp]][j] = c
-        maps[a.label] = RatMatrix(m, cols=cols)
-    return Representation(algebra, dimvec, maps, name=f"P{v}")
+    basis = _projective_of_multiset(algebra, [v])
+    maps = {a.label: _projective_arrow_matrix(algebra, basis, a)
+            for a in algebra.quiver.arrows}
+    return Representation(algebra, {w: len(b) for w, b in basis.items()}, maps,
+                          name=f"P{v}")
+
+
+def _radical_columns(m: Representation, w: str) -> list:
+    """The columns of every arrow map into w; they span the radical of m
+    at w."""
+    return [col for a in m.algebra.quiver.arrows_into(w)
+            for col in m.maps[a.label].transpose().data]
 
 
 def projective_cover_multiplicities(m: Representation) -> Dict[str, int]:
     """Multiplicity of each P_v in the projective cover, i.e. dim of the top
     at each vertex."""
-    tops = {}
-    for w in m.algebra.quiver.vertices:
-        cols = []
-        for a in m.algebra.quiver.arrows_into(w):
-            mat = m.maps[a.label]
-            cols.extend(mat.col(j) for j in range(mat.cols))
-        # the rank of the radical's spanning columns is the rank of the
-        # matrix with those columns
-        tops[w] = m.dimvec[w] - rank_of_rows(cols)
-    return tops
+    return {w: m.dimvec[w] - rank_of_rows(_radical_columns(m, w))
+            for w in m.algebra.quiver.vertices}
 
 
 def dual_representation(m: Representation, op_algebra: BoundAlgebra) -> Representation:
@@ -342,25 +349,6 @@ class Resolution:
         return [self.multiplicities(i) for i in range(len(self.steps))]
 
 
-def _projective_of_multiset(alg: BoundAlgebra, gens: List[str]):
-    """Basis layout of directsum_i P_{gens[i]} grouped by vertex."""
-    basis: Dict[str, List[Tuple[int, Path]]] = {v: [] for v in alg.quiver.vertices}
-    for i, v in enumerate(gens):
-        for p in alg.basis_with_source(v):
-            basis[p.target].append((i, p))
-    return basis
-
-
-def _projective_arrow_matrix(alg: BoundAlgebra, basis, a) -> RatMatrix:
-    src, tgt = basis[a.source], basis[a.target]
-    index = {bp: k for k, bp in enumerate(tgt)}
-    m = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
-    for j, (copy, p) in enumerate(src):
-        for tp, c in alg.left_multiply(a.label, p).items():
-            m[index[(copy, tp)]][j] = c
-    return RatMatrix(m, cols=len(src))
-
-
 def minimal_resolution(m: Representation, depth: int) -> Resolution:
     """Minimal projective resolution of m to the requested depth.
 
@@ -381,28 +369,21 @@ def minimal_resolution(m: Representation, depth: int) -> Resolution:
     length = None
 
     for step_idx in range(depth + 1):
-        tops = projective_cover_multiplicities(current)
-        if all(t == 0 for t in tops.values()):
-            length = step_idx - 1
-            break
-
+        # each basis vector outside the pivots of the radical lifts one
+        # generator of the top
         gens: List[str] = []
         lift_cols: List[Tuple[str, int]] = []
         for v in q.vertices:
-            if not tops[v]:
-                continue
-            cols = []
-            for a in q.arrows_into(v):
-                mat = current.maps[a.label]
-                cols.extend(mat.col(j) for j in range(mat.cols))
-            rad = RatMatrix.from_columns(cols, rows=current.dimvec[v]) \
-                if cols else RatMatrix.zeros(current.dimvec[v], 0)
-            _, pivots = rref(rad.transpose())
+            _, pivots = rref(RatMatrix(_radical_columns(current, v),
+                                       cols=current.dimvec[v]))
             covered = set(pivots)
             for j in range(current.dimvec[v]):
                 if j not in covered:
                     gens.append(v)
                     lift_cols.append((v, j))
+        if not gens:
+            length = step_idx - 1
+            break
 
         basis = _projective_of_multiset(alg, gens)
 
@@ -711,10 +692,15 @@ def module_from_json(alg: BoundAlgebra, text: str) -> Representation:
         raise RepresentationError(f"invalid JSON: {e}") from e
     try:
         dimvec = {str(k): int(v) for k, v in raw["dimvec"].items()}
-    except (KeyError, TypeError, ValueError) as e:
+        arrow_rows = raw.get("maps", {}).items()
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise RepresentationError(f"malformed module file: {e}") from e
     maps = {}
-    for label, rows in raw.get("maps", {}).items():
-        maps[label] = RatMatrix([[rat(x) for x in row] for row in rows],
-                                cols=len(rows[0]) if rows else 0)
+    for label, rows in arrow_rows:
+        try:
+            maps[label] = RatMatrix([[rat(x) for x in row] for row in rows],
+                                    cols=len(rows[0]) if rows else 0)
+        except (TypeError, ValueError, ZeroDivisionError) as e:
+            raise RepresentationError(
+                f"malformed map for arrow {label!r}: {e}") from e
     return Representation(alg, dimvec, maps, name=raw.get("name", ""))

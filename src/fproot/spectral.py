@@ -122,8 +122,8 @@ class ExtendedMatrix:
 def matrix_from_json(text: str) -> ExtendedMatrix:
     """Parse the JSON array-of-arrays matrix format.
 
-    Entries may be numbers, 'p/q' strings, 'inf' or '-inf'.  Errors name the
-    offending entry.
+    Entries may be finite numbers, 'p/q' strings, 'inf' or '-inf'.  Errors
+    name the offending entry.
     """
     try:
         raw = json.loads(text)
@@ -133,6 +133,11 @@ def matrix_from_json(text: str) -> ExtendedMatrix:
         raise SpectralError("matrix file must be a JSON array of arrays")
     for i, row in enumerate(raw):
         for j, x in enumerate(row):
+            # an overflowing number (1e400) or a bare NaN/Infinity constant
+            if isinstance(x, float) and not math.isfinite(x):
+                raise SpectralError(
+                    f"non-finite number at row {i}, column {j}; write an "
+                    "infinite entry as \"inf\" or \"-inf\"")
             try:
                 _entry(x)
             except (ValueError, TypeError, ZeroDivisionError):
@@ -430,15 +435,9 @@ def rho_nonnegative_via_scc(m: RatMatrix) -> SpectralValue:
     """
     n = m.rows
     edges = [(i, j) for i in range(n) for j in range(n) if m.data[i][j]]
-    comps = strongly_connected_components(n, edges)
-    best = SpectralValue(0.0, True, 0.0)
-    for comp in comps:
-        sub = RatMatrix([[m.data[i][j] for j in comp] for i in comp], cols=len(comp))
-        r = rho(sub)
-        best = SpectralValue(max(best.value, r.value),
-                             best.certified and r.certified,
-                             max(best.tolerance, r.tolerance))
-    return best
+    return rho_block_lower_triangular(
+        [RatMatrix([[m.data[i][j] for j in comp] for i in comp], cols=len(comp))
+         for comp in strongly_connected_components(n, edges)])
 
 
 # ---------------------------------------------------------------------------
@@ -505,19 +504,10 @@ def rho_extended(m: ExtendedMatrix) -> SpectralValue:
                     return SpectralValue(INF, True, 0.0)
                 return _grid_estimate(m)  # -inf on a cycle: no exact reduction
 
-    best = SpectralValue(0.0, True, 0.0)
-    for comp in comps:
-        sub = RatMatrix(
-            [[(m.entries[i][j] if not isinstance(m.entries[i][j], float) else 0)
-              if comp_of[i] == comp_of[j] else 0
-              for j in comp] for i in comp],
-            cols=len(comp),
-        )
-        r = rho(sub)
-        best = SpectralValue(max(best.value, r.value),
-                             best.certified and r.certified,
-                             max(best.tolerance, r.tolerance))
-    return best
+    # no infinite entry is left inside a component
+    return rho_block_lower_triangular(
+        [RatMatrix([[m.entries[i][j] for j in comp] for i in comp], cols=len(comp))
+         for comp in comps])
 
 
 def rho_block_lower_triangular(blocks: Sequence) -> SpectralValue:

@@ -1,0 +1,26 @@
+"""The benchmark tracer (bench/spans.py) patches fproot functions by name.
+Every name it lists must resolve on the package, or `bench/run.py --trace 1`
+breaks; this fails first when a refactor removes or renames one of them."""
+
+import importlib
+import pathlib
+
+SPANS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def _wrapped():
+    # executed from its source text, so no bytecode is written under bench/
+    ns = {"__name__": "bench_spans"}
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), ns)
+    return ns["WRAPPED"]
+
+
+def test_every_traced_name_resolves():
+    wrapped = _wrapped()
+    assert wrapped
+    for modname, attr, *_ in wrapped:
+        obj = importlib.import_module(f"fproot.{modname}")
+        for part in attr.split("."):
+            assert hasattr(obj, part), f"fproot.{modname}.{attr} is gone"
+            obj = getattr(obj, part)
+        assert callable(obj), f"fproot.{modname}.{attr} is not callable"

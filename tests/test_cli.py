@@ -58,6 +58,28 @@ def test_spectral_parse_error_exit_2(tmp_path):
     assert "row 0, column 1" in err
 
 
+def _reject_constant(name):
+    raise ValueError(f"stdout holds the non-JSON constant {name}")
+
+
+def test_spectral_infinite_radius_is_strict_json(tmp_path):
+    f = tmp_path / "m.json"
+    f.write_text('[["inf"]]')
+    code, out, _ = run_cli(["spectral", str(f)])
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["rho"] is None and payload["certified"] is True
+
+
+@pytest.mark.parametrize("entry", ["1e400", "-1e400", "NaN", "Infinity"])
+def test_spectral_non_finite_number_exit_2(tmp_path, entry):
+    f = tmp_path / "m.json"
+    f.write_text(f"[[{entry}, 1], [0, 2]]")
+    code, out, err = run_cli(["spectral", str(f)])
+    assert code == 2 and out == ""
+    assert "row 0, column 0" in err
+
+
 def test_quiver_subcommands(tmp_path):
     f = tmp_path / "k2.json"
     f.write_text(quiver_to_json(kronecker_quiver()))
@@ -154,6 +176,20 @@ def test_resolve_relation_violation_exit_2(tmp_path, sqrt2_file):
     code, _, err = run_cli(["resolve", sqrt2_file, "--module", str(mf)])
     assert code == 2
     assert "relation" in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"dimvec": {"1": 2, "2": 1}, "maps": {"a": [["1"], ["1", "2"]]}}, "arrow 'a'"),
+    ({"dimvec": {"1": 1, "2": 1}, "maps": {"a": [["1/0"]]}}, "arrow 'a'"),
+    ({"dimvec": [1, 1]}, "malformed module file"),
+    ({"dimvec": {"1": 1, "2": 1}, "maps": [[["1"]]]}, "malformed module file"),
+], ids=["ragged_rows", "zero_denominator", "dimvec_list", "maps_list"])
+def test_resolve_malformed_module_exit_2(tmp_path, sqrt2_file, doc, message):
+    mf = tmp_path / "bad.json"
+    mf.write_text(json.dumps(doc))
+    code, out, err = run_cli(["resolve", sqrt2_file, "--module", str(mf)])
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
 
 
 def test_tables_subcommand():

@@ -16,7 +16,7 @@ from fproot.fpcore import (Assignment, BrickSet, BrickSetViolation, FpBudgets,
 from fproot.quiver import dynkin_quiver, is_acyclic, path_quiver
 from fproot.repmod import (dynkin_indecomposables, projective, regular_brick,
                            simple, simples, sqrt2_brick_catalogue)
-from fproot.spectral import rho
+from fproot.spectral import SpectralValue, rho
 
 SQRT2 = math.sqrt(2.0)
 
@@ -99,6 +99,16 @@ def test_fpdim_empty_when_no_brick_sets(A, EA):
     p2 = projective(A, "2")
     # no valid pair inside {S1, P2}
     assert fpdim_n(2, [s1, p2], EA).value == 0.0
+
+
+def test_fpdim_n_is_the_report_cell(A, EA):
+    cands = sqrt2_brick_catalogue(A, lambda_count=3, family_depth=1)
+    rep = fp_report(cands, EA, FpBudgets(max_set_size=len(cands), max_power=2))
+    for power in (1, 2):
+        for n in range(1, len(cands) + 1):
+            assert fpdim_n(n, cands, EA, power) == rep.value(n, power)
+        assert fpdim_n(len(cands) + 1, cands, EA, power) == \
+            SpectralValue(0.0, True, 0.0)
 
 
 # -- reports -------------------------------------------------------------------
@@ -232,10 +242,15 @@ def test_homtable_generic_path_agrees_with_pattern_path():
     banded = table_from_difference(-6, 6, profile, band=1)
     generic = HomTableCategory(-6, 6, lambda i, j: profile(j - i))
     for power in (-1, 0, 1, 2):
-        r1 = homtable_fp(banded, power, FpBudgets(max_set_size=3, max_power=1))
-        r2 = homtable_fp(generic, power, FpBudgets(max_set_size=3, max_power=1))
+        r1 = homtable_fp(banded, power, FpBudgets(max_set_size=3, max_power=4))
+        r2 = homtable_fp(generic, power, FpBudgets(max_set_size=3, max_power=4))
         for n in range(1, 4):
-            assert abs(r1.value(n, 1).value - r2.value(n, 1).value) <= 1e-12
+            for m in range(5):
+                assert abs(r1.value(n, m).value - r2.value(n, m).value) <= 1e-12
+                assert r1.cells[(n, m)].witness == r2.cells[(n, m)].witness
+        assert r1.fpgldim_window == r2.fpgldim_window
+        assert r1.growth.window == r2.growth.window
+        assert r1.growth.values == pytest.approx(r2.growth.values, abs=1e-12)
 
 
 def test_homtable_witnesses_are_gapped():
