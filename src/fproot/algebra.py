@@ -348,10 +348,13 @@ def algebra_from_json(text: str) -> BoundAlgebra:
                    [(x["label"], x["from"], x["to"]) for x in raw.get("arrows", [])])
     except (KeyError, TypeError, QuiverError) as e:
         raise AlgebraError(f"malformed algebra file: {e}") from e
-    rels = []
-    for rel in raw.get("relations", []):
+    rels = raw.get("relations", [])
+    if not isinstance(rels, list):
+        raise AlgebraError(f"malformed relations {rels!r}: not a list")
+    parsed = []
+    for rel in rels:
         try:
-            rels.append([(term["coeff"], tuple(term["path"])) for term in rel])
-        except (KeyError, TypeError) as e:
+            parsed.append([(rat(term["coeff"]), tuple(term["path"])) for term in rel])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
             raise AlgebraError(f"malformed relation {rel!r}: {e}") from e
-    return BoundAlgebra(q, rels)
+    return BoundAlgebra(q, parsed)

@@ -28,8 +28,7 @@ from . import repmod
 from .repmod import (Representation, RepresentationError, hom_dim, is_brick,
                      is_isomorphic_brick, minimal_resolution, module_from_json,
                      simple, simples)
-from .fpcore import (ExtCalculator, FpBudgets, complexity_estimate,
-                     ext_assignment, fp_report)
+from .fpcore import FpBudgets, complexity_estimate, ext_assignment, fp_report
 from .tables import surface_grid_csv
 
 EXIT_OK = 0
@@ -213,25 +212,22 @@ def cmd_resolve(args) -> int:
     else:
         raise AlgebraError("resolve needs --module FILE or --simple VERTEX")
     res = minimal_resolution(m, args.depth)
-    pattern = [{v: k for v, k in res.multiplicities(i).items() if k}
-               for i in range(len(res.steps))]
-    table = repmod.ext_simple_table(alg, args.depth)
     comp = complexity_estimate(alg, max(args.depth, 4))
-    calc = ExtCalculator(alg)
+    # res is minimal, so dim Ext^i(M, S_v) is the multiplicity of P_v in P_i
     ext_to_simples = {
-        v: [calc.ext(i, m, simple(alg, v)) for i in range(args.depth + 1)]
+        v: [res.multiplicities(i).get(v, 0) for i in range(args.depth + 1)]
         for v in alg.quiver.vertices}
     payload = {
         "tool": {"name": "fproot", "version": __version__},
         "module": m.name,
         "depth": args.depth,
         "resolution": {
-            "multiplicities": pattern,
+            "multiplicities": res.multiplicity_pattern(),
             "finite_length": res.length,
         },
         "ext_module_to_simples": ext_to_simples,
-        "ext_simple_pairs": {f"{i}->{j}": dims
-                             for (i, j), dims in sorted(table.items())},
+        "ext_simple_pairs": {f"{i}->{j}": dims[:args.depth + 1]
+                             for (i, j), dims in sorted(comp.ext_table.items())},
         "complexity": {"estimate": comp.cx_estimate,
                        "curvature": comp.fpv_estimate,
                        "agc_holds": comp.agc.holds},

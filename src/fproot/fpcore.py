@@ -26,7 +26,8 @@ from .spectral import SpectralValue, rho_nonnegative_via_scc
 from .quiver import Quiver, quiver_fpdim
 from .algebra import BoundAlgebra
 from . import repmod
-from .repmod import Representation, ext_from_resolution, minimal_resolution
+from .repmod import (Representation, Resolution, ext_from_resolution,
+                     resolution_steps)
 
 __version_tag__ = "fproot"
 
@@ -63,25 +64,28 @@ class Assignment:
 class ExtCalculator:
     """Memoized Ext dimensions over one algebra.
 
-    Minimal resolutions are cached per module identity and reused across all
-    requested degrees; the cache is only ever extended, so concurrent readers
-    are safe as long as writes stay single-threaded (the CLI is sequential).
+    Each module is resolved once: its minimal resolution is cached per module
+    identity and extended in place, step by step, when a higher degree asks
+    for more of it.  Writes must stay single-threaded (the CLI is sequential).
     """
 
     def __init__(self, algebra: BoundAlgebra):
         self.algebra = algebra
         # keyed by the module objects (identity hash); the dict keeps them
-        # alive, so keys are never recycled
-        self._res: Dict[Representation, object] = {}
+        # alive, so keys are never recycled.  Values: (resolution, its steps)
+        self._res: Dict[Representation, tuple] = {}
         self._dims: Dict[tuple, int] = {}
 
-    def resolution(self, m: Representation, depth: int):
-        res = self._res.get(m)
-        if res is not None and (res.length is not None
-                                or len(res.steps) >= depth + 1):
-            return res
-        res = minimal_resolution(m, depth)
-        self._res[m] = res
+    def resolution(self, m: Representation, depth: int) -> Resolution:
+        if m not in self._res:
+            self._res[m] = (Resolution(m, [], None), resolution_steps(m))
+        res, steps = self._res[m]
+        while res.length is None and len(res.steps) < depth + 1:
+            step = next(steps, None)
+            if step is None:
+                res.length = len(res.steps) - 1
+            else:
+                res.steps.append(step)
         return res
 
     def ext(self, power: int, m: Representation, n: Representation) -> int:
@@ -95,9 +99,9 @@ class ExtCalculator:
         return self._dims[key]
 
 
-def ext_assignment(algebra: BoundAlgebra, calculator: Optional[ExtCalculator] = None) -> Assignment:
+def ext_assignment(algebra: BoundAlgebra) -> Assignment:
     """The assignment family (X, Y) -> dim Ext^power(X, Y), power 0 = Hom."""
-    calc = calculator or ExtCalculator(algebra)
+    calc = ExtCalculator(algebra)
     return Assignment("Ext", lambda x, y, p: calc.ext(p, x, y))
 
 

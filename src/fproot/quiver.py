@@ -472,11 +472,12 @@ def quiver_from_json(text: str) -> Quiver:
     except json.JSONDecodeError as e:
         raise QuiverError(f"invalid JSON: {e}") from e
     try:
-        vertices = raw["vertices"]
-        arrows = [(a["label"], a["from"], a["to"]) for a in raw.get("arrows", [])]
-    except (KeyError, TypeError) as e:
+        return Quiver(raw["vertices"],
+                      [(a["label"], a["from"], a["to"]) for a in raw.get("arrows", [])])
+    except KeyError as e:
         raise QuiverError(f"malformed quiver file: missing {e}") from e
-    return Quiver(vertices, arrows)
+    except TypeError as e:
+        raise QuiverError(f"malformed quiver file: {e}") from e
 
 
 def quiver_to_dot(q: Quiver) -> str:

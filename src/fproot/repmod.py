@@ -17,7 +17,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import count, islice
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exactlin import (InvariantViolation, RatMatrix, nullspace,
                        nullspace_basis, rank, rank_of_rows, rat, rat_str, rref)
@@ -349,8 +350,9 @@ class Resolution:
         return [self.multiplicities(i) for i in range(len(self.steps))]
 
 
-def minimal_resolution(m: Representation, depth: int) -> Resolution:
-    """Minimal projective resolution of m to the requested depth.
+def resolution_steps(m: Representation) -> Iterator[ResolutionStep]:
+    """The steps of the minimal projective resolution of m, one at a time,
+    ending after the last nonzero step.
 
     Each step is the projective cover of the previous syzygy; the syzygy is
     carried along as an explicit subrepresentation (nullspace bases per
@@ -358,17 +360,13 @@ def minimal_resolution(m: Representation, depth: int) -> Resolution:
     image inside the radical) is checked at every step and raises
     InvariantViolation when it fails.
     """
-    if depth < 0:
-        raise RepresentationError("depth must be >= 0")
     alg = m.algebra
     q = alg.quiver
-    steps: List[ResolutionStep] = []
     current = m
     embed: Optional[Dict[str, RatMatrix]] = None  # syzygy basis inside previous P
     prev_basis = None
-    length = None
 
-    for step_idx in range(depth + 1):
+    for step_idx in count():
         # each basis vector outside the pivots of the radical lifts one
         # generator of the top
         gens: List[str] = []
@@ -382,8 +380,7 @@ def minimal_resolution(m: Representation, depth: int) -> Resolution:
                     gens.append(v)
                     lift_cols.append((v, j))
         if not gens:
-            length = step_idx - 1
-            break
+            return
 
         basis = _projective_of_multiset(alg, gens)
 
@@ -413,7 +410,7 @@ def minimal_resolution(m: Representation, depth: int) -> Resolution:
                     raise InvariantViolation(
                         "minimality violated: differential leaves the radical")
 
-        steps.append(ResolutionStep(gens, basis, differential))
+        yield ResolutionStep(gens, basis, differential)
 
         # syzygy = ker(phi) with arrow maps restricted from the projective
         new_embed = {}
@@ -439,7 +436,15 @@ def minimal_resolution(m: Representation, depth: int) -> Resolution:
                                  name=f"syzygy{step_idx + 1}({m.name})",
                                  check=False)
 
-    return Resolution(m, steps, length)
+
+def minimal_resolution(m: Representation, depth: int) -> Resolution:
+    """Minimal projective resolution of m to the requested depth: the first
+    depth + 1 steps of resolution_steps(m).  The length is known once the
+    steps run out within them."""
+    if depth < 0:
+        raise RepresentationError("depth must be >= 0")
+    steps = list(islice(resolution_steps(m), depth + 1))
+    return Resolution(m, steps, len(steps) - 1 if len(steps) <= depth else None)
 
 
 def ext(i: int, m: Representation, n: Representation) -> int:
@@ -450,10 +455,6 @@ def ext(i: int, m: Representation, n: Representation) -> int:
         raise RepresentationError("ext needs modules over the same algebra")
     res = minimal_resolution(m, i + 1)
     return ext_from_resolution(res, n, i)
-
-
-def _hom_complex_dim(step: ResolutionStep, n: Representation) -> int:
-    return sum(n.dimvec[v] for v in step.generators)
 
 
 def _hom_complex_map(res: Resolution, n: Representation, i: int) -> RatMatrix:
@@ -483,7 +484,7 @@ def _hom_complex_map(res: Resolution, n: Representation, i: int) -> RatMatrix:
 def ext_from_resolution(res: Resolution, n: Representation, i: int) -> int:
     if i >= len(res.steps):
         return 0
-    dim_ci = _hom_complex_dim(res.steps[i], n)
+    dim_ci = sum(n.dimvec[v] for v in res.steps[i].generators)
     rank_in = rank(_hom_complex_map(res, n, i)) if i >= 1 else 0
     rank_out = rank(_hom_complex_map(res, n, i + 1)) if i + 1 < len(res.steps) else 0
     return dim_ci - rank_in - rank_out
@@ -496,15 +497,11 @@ def ext_simple_table(alg: BoundAlgebra, depth: int):
     differentials, so the Ext dimension is the multiplicity of P_j in step n.
     Returns {(i, j): [dims by n]} keyed by vertex labels.
     """
-    out = {}
-    reses = {v: minimal_resolution(simple(alg, v), depth)
-             for v in alg.quiver.vertices}
-    for i in alg.quiver.vertices:
-        for j in alg.quiver.vertices:
-            res = reses[i]
-            out[(i, j)] = [res.multiplicities(nn).get(j, 0)
-                           for nn in range(depth + 1)]
-    return out
+    verts = alg.quiver.vertices
+    reses = {v: minimal_resolution(simple(alg, v), depth) for v in verts}
+    return {(i, j): [reses[i].multiplicities(nn).get(j, 0)
+                     for nn in range(depth + 1)]
+            for i in verts for j in verts}
 
 
 def euler_form(alg: BoundAlgebra, d: Dict[str, int], e: Dict[str, int]) -> int:
@@ -696,10 +693,12 @@ def module_from_json(alg: BoundAlgebra, text: str) -> Representation:
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise RepresentationError(f"malformed module file: {e}") from e
     maps = {}
+    source = {a.label: a.source for a in alg.quiver.arrows}
     for label, rows in arrow_rows:
-        try:
-            maps[label] = RatMatrix([[rat(x) for x in row] for row in rows],
-                                    cols=len(rows[0]) if rows else 0)
+        try:  # a map into a zero space has no rows to read its width from
+            maps[label] = RatMatrix(
+                [[rat(x) for x in row] for row in rows],
+                cols=len(rows[0]) if rows else dimvec.get(source.get(label), 0))
         except (TypeError, ValueError, ZeroDivisionError) as e:
             raise RepresentationError(
                 f"malformed map for arrow {label!r}: {e}") from e

@@ -258,3 +258,41 @@ def test_squarefree_division_check_exit_4(tmp_path, monkeypatch, capsys):
     f.write_text('[[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]')
     assert run(["spectral", str(f)]) == EXIT_INVARIANT
     assert "squarefree division must be exact" in capsys.readouterr().err
+
+
+LOOP_ALGEBRA = ('{"vertices": ["1"], "arrows": [{"label": "x", "from": "1", "to": "1"}], '
+                '"relations": %s}')
+
+
+@pytest.mark.parametrize("relations, message", [
+    ('[[{"coeff": "1/0", "path": ["x", "x"]}]]', "malformed relation"),
+    ('[[{"coeff": 1e400, "path": ["x", "x"]}]]', "malformed relation"),
+    ('7', "malformed relations 7"),
+], ids=["zero_denominator", "float_overflow", "relations_not_a_list"])
+def test_fp_scan_malformed_relations_exit_2(tmp_path, relations, message):
+    f = tmp_path / "alg.json"
+    f.write_text(LOOP_ALGEBRA % relations)
+    code, out, err = run_cli(["fp-scan", str(f), "--budget-dim", "2"])
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_quiver_vertices_not_a_list_exit_2(tmp_path):
+    f = tmp_path / "q.json"
+    f.write_text('{"vertices": 5}')
+    code, out, err = run_cli(["quiver", str(f), "classify"])
+    assert code == 2 and out == ""
+    assert "malformed quiver file" in err and "Traceback" not in err
+
+
+def test_resolve_module_with_a_map_into_zero(tmp_path):
+    """Kronecker S1 has 0 x 1 arrow maps, written as [] (no rows)."""
+    from fproot.algebra import kronecker_algebra
+    from fproot.repmod import simple
+    alg = kronecker_algebra()
+    af, mf = tmp_path / "alg.json", tmp_path / "s1.json"
+    af.write_text(algebra_to_json(alg))
+    mf.write_text(module_to_json(simple(alg, "1")))
+    code, out, err = run_cli(["resolve", str(af), "--module", str(mf), "--depth", "2"])
+    assert code == 0, err
+    assert json.loads(out)["ext_module_to_simples"] == {"1": [1, 0, 0], "2": [0, 2, 0]}

@@ -22,6 +22,16 @@ GOLDEN = [
      "kronecker_fp_scan_dim4_seed3.out"),
     (["resolve", "sqrt2_algebra.json", "--simple", "1", "--depth", "6"],
      "sqrt2_resolve_s1_depth6.out"),
+    # Ext into the simples of a non-simple module (the regular brick R(2))
+    (["resolve", "sqrt2_algebra.json", "--module", "sqrt2_regular_brick2.json",
+      "--depth", "4"],
+     "sqrt2_resolve_brick2_depth4.out"),
+    # depth < 4: the complexity window is deeper than the printed tables
+    (["resolve", "two_loop_2_2_algebra.json", "--simple", "1", "--depth", "2"],
+     "two_loop_2_2_resolve_s1_depth2.out"),
+    # a finite resolution (length 1) at a depth past its end
+    (["resolve", "kronecker_algebra.json", "--simple", "1", "--depth", "3"],
+     "kronecker_resolve_s1_depth3.out"),
 ]
 
 
