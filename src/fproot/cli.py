@@ -5,7 +5,8 @@ is JSON (or CSV/DOT where stated), deterministic for a fixed seed: rationals
 travel as 'p/q' strings, floats appear only in estimate fields (a non-finite
 one as null), and keys are sorted before serialization.
 
-Exit codes: 0 success, 2 parse error, 3 budget exhaustion with partial
+Exit codes: 0 success, 2 parse error (also an unreadable input file, an
+unwritable --out and a negative count), 3 budget exhaustion with partial
 output, 4 internal invariant violation.
 """
 
@@ -19,13 +20,13 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .exactlin import InvariantViolation, RatMatrix, rat_str
+from .exactlin import InvariantViolation, RatMatrix
 from .spectral import SpectralError, matrix_from_json, rho_extended
 from .quiver import (QuiverError, classify_underlying_graph, cycle_number,
                      quiver_from_json, quiver_fpdim, quiver_to_dot)
 from .algebra import AlgebraError, algebra_from_json
 from . import repmod
-from .repmod import (Representation, RepresentationError, hom_dim, is_brick,
+from .repmod import (Representation, RepresentationError, is_brick,
                      is_isomorphic_brick, minimal_resolution, module_from_json,
                      simple, simples)
 from .fpcore import FpBudgets, complexity_estimate, ext_assignment, fp_report
@@ -246,6 +247,14 @@ def cmd_tables(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def nonnegative(text: str) -> int:
+    """argparse type of the count options: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fproot",
@@ -269,11 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
     fp = sub.add_parser("fp-scan", help="brick scan and fp report for an "
                                         "algebra file")
     fp.add_argument("algebra")
-    fp.add_argument("--budget-dim", type=int, default=5,
+    fp.add_argument("--budget-dim", type=nonnegative, default=5,
                     help="max total dimension for candidate generation")
-    fp.add_argument("--budget-set-size", type=int, default=4)
-    fp.add_argument("--budget-power", type=int, default=2)
-    fp.add_argument("--max-candidates", type=int, default=64)
+    fp.add_argument("--budget-set-size", type=nonnegative, default=4)
+    fp.add_argument("--budget-power", type=nonnegative, default=2)
+    fp.add_argument("--max-candidates", type=nonnegative, default=64)
     fp.add_argument("--seed", type=int, default=0)
     fp.add_argument("--out")
     fp.add_argument("--format", choices=["json", "csv"], default="json")
@@ -283,15 +292,15 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("algebra")
     rp.add_argument("--module", help="module JSON file")
     rp.add_argument("--simple", help="vertex label of a simple module")
-    rp.add_argument("--depth", type=int, default=8)
+    rp.add_argument("--depth", type=nonnegative, default=8)
     rp.add_argument("--out")
     rp.set_defaults(func=cmd_resolve)
 
     tp = sub.add_parser("tables", help="closed-form fp tables as CSV")
     tp.add_argument("surface",
                     choices=["p1-twist", "p1-serre", "a2", "polyring"])
-    tp.add_argument("--range", type=int, default=6)
-    tp.add_argument("--genus", type=int, default=3)
+    tp.add_argument("--range", type=nonnegative, default=6)
+    tp.add_argument("--genus", type=nonnegative, default=3)
     tp.add_argument("--out")
     tp.set_defaults(func=cmd_tables)
     return p
@@ -304,7 +313,7 @@ def dispatch(args) -> int:
         print(f"internal invariant violated: {e}", file=sys.stderr)
         return EXIT_INVARIANT
     except (SpectralError, QuiverError, AlgebraError, RepresentationError,
-            FileNotFoundError, KeyError, json.JSONDecodeError) as e:
+            OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
 

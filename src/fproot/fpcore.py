@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactlin import RatMatrix
@@ -26,8 +24,7 @@ from .spectral import SpectralValue, rho_nonnegative_via_scc
 from .quiver import Quiver, quiver_fpdim
 from .algebra import BoundAlgebra
 from . import repmod
-from .repmod import (Representation, Resolution, ext_from_resolution,
-                     resolution_steps)
+from .repmod import Representation, Resolution, ext_from_resolution
 
 __version_tag__ = "fproot"
 
@@ -65,28 +62,22 @@ class ExtCalculator:
     """Memoized Ext dimensions over one algebra.
 
     Each module is resolved once: its minimal resolution is cached per module
-    identity and extended in place, step by step, when a higher degree asks
-    for more of it.  Writes must stay single-threaded (the CLI is sequential).
+    identity and extended in place (Resolution.extend) when a higher degree
+    asks for more of it.  Writes must stay single-threaded (the CLI is
+    sequential).
     """
 
     def __init__(self, algebra: BoundAlgebra):
         self.algebra = algebra
         # keyed by the module objects (identity hash); the dict keeps them
-        # alive, so keys are never recycled.  Values: (resolution, its steps)
-        self._res: Dict[Representation, tuple] = {}
+        # alive, so keys are never recycled
+        self._res: Dict[Representation, Resolution] = {}
         self._dims: Dict[tuple, int] = {}
 
     def resolution(self, m: Representation, depth: int) -> Resolution:
         if m not in self._res:
-            self._res[m] = (Resolution(m, [], None), resolution_steps(m))
-        res, steps = self._res[m]
-        while res.length is None and len(res.steps) < depth + 1:
-            step = next(steps, None)
-            if step is None:
-                res.length = len(res.steps) - 1
-            else:
-                res.steps.append(step)
-        return res
+            self._res[m] = Resolution(m, [], None)
+        return self._res[m].extend(depth)
 
     def ext(self, power: int, m: Representation, n: Representation) -> int:
         key = (power, m, n)
@@ -150,16 +141,17 @@ def adjacency_of(phi: BrickSet, assignment: Assignment, power: int = 1) -> RatMa
     return assignment.matrix(phi.members, power)
 
 
-def _brick_subsets(hom_matrix: RatMatrix, max_size: int):
+def _brick_subsets(hom: Sequence[Sequence[int]], max_size: int):
     """Indices of all brick subsets of a candidate family, by DFS extension.
 
+    hom holds the integer rows of the family's Hom-dimension matrix.
     Candidate i participates at all iff hom[i][i] == 1; a pair (i, j) is
     compatible iff hom[i][j] == hom[j][i] == 0.
     """
-    n = hom_matrix.rows
-    bricks = [i for i in range(n) if hom_matrix.data[i][i] == 1]
-    compat = [[hom_matrix.data[i][j] == 0 and hom_matrix.data[j][i] == 0
-               for j in range(n)] for i in range(n)]
+    n = len(hom)
+    bricks = [i for i in range(n) if hom[i][i] == 1]
+    compat = [[hom[i][j] == 0 and hom[j][i] == 0 for j in range(n)]
+              for i in range(n)]
     out: List[Tuple[int, ...]] = []
 
     def extend(current: Tuple[int, ...], start: int):
@@ -364,18 +356,17 @@ def fp_report(candidates: Sequence, assignment: Assignment,
     m <= max_power over the brick subsets of the given candidates (see
     _fill_grid for the aggregates)."""
     N = min(budgets.max_set_size, len(candidates))
-    h = assignment.matrix(candidates, 0)
-    mats = [h.data] + [assignment.matrix(candidates, m).data
-                       for m in range(1, budgets.max_power + 1)]
+    mats = [[[int(assignment.pair_dim(x, y, m)) for y in candidates]
+             for x in candidates] for m in range(budgets.max_power + 1)]
 
     def matrix(idx, m):
-        return tuple(tuple(int(mats[m][i][j]) for j in idx) for i in idx)
+        return tuple(tuple(mats[m][i][j] for j in idx) for i in idx)
 
     def witness(idx):
         return tuple(getattr(candidates[i], "name", str(candidates[i]))
                      for i in idx)
 
-    return _fill_grid(_brick_subsets(h, N), matrix, witness, N, budgets,
+    return _fill_grid(_brick_subsets(mats[0], N), matrix, witness, N, budgets,
                       assignment.name,
                       [getattr(c, "name", str(c)) for c in candidates],
                       truncated)

@@ -17,11 +17,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice
+from itertools import accumulate, count, islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .exactlin import (InvariantViolation, RatMatrix, nullspace,
-                       nullspace_basis, rank, rank_of_rows, rat, rat_str, rref)
+from .exactlin import (InvariantViolation, RatMatrix, nullspace, rank_of_rows,
+                       rat, rat_str, rref)
 from .algebra import AlgebraError, BoundAlgebra, Path
 from .quiver import classify_underlying_graph, positive_roots
 
@@ -240,11 +240,7 @@ def _hom_system(m: Representation, n: Representation):
 def hom(m: Representation, n: Representation) -> HomSpace:
     """Solve the intertwiner system f_t M_a = N_a f_s exactly."""
     rows, total, offsets = _hom_system(m, n)
-    if rows:
-        kernel = [b.col(0) for b in nullspace_basis(RatMatrix(rows, cols=total))]
-    else:
-        kernel = [[Fraction(1 if i == k else 0) for i in range(total)]
-                  for k in range(total)]
+    kernel, _ = nullspace(RatMatrix(rows, cols=total))
     basis = []
     for vec in kernel:
         fs = {}
@@ -272,11 +268,9 @@ def is_brick(m: Representation) -> bool:
 
 def is_isomorphic_brick(m: Representation, n: Representation) -> bool:
     """Exact isomorphism test for two bricks: they are isomorphic iff some
-    composite of a map each way is a nonzero endomorphism.  When either Hom
-    space is zero there is no such composite, and no basis is built."""
+    composite of a map each way is a nonzero endomorphism (there is none
+    when either Hom space is zero)."""
     if m.dimvec != n.dimvec:
-        return False
-    if hom_dim(m, n) == 0 or hom_dim(n, m) == 0:
         return False
     fwd, bwd = hom(m, n), hom(n, m)
     for f in fwd.basis:
@@ -334,9 +328,29 @@ class ResolutionStep:
 
 @dataclass
 class Resolution:
+    """The minimal projective resolution of module, built to some depth.
+
+    extend(depth) draws steps from the module's one resolution_steps
+    generator until depth + 1 steps exist or they run out; only then is length
+    known, so a resolution of length L reports None at depth L and L at L + 1.
+    """
+
     module: Representation
     steps: List[ResolutionStep]
     length: Optional[int]  # index of the last nonzero step, None if truncated
+    _pending: Optional[Iterator[ResolutionStep]] = field(
+        default=None, repr=False, compare=False)
+
+    def extend(self, depth: int) -> "Resolution":
+        if self._pending is None:
+            self._pending = islice(resolution_steps(self.module), len(self.steps), None)
+        while self.length is None and len(self.steps) < depth + 1:
+            step = next(self._pending, None)
+            if step is None:
+                self.length = len(self.steps) - 1
+            else:
+                self.steps.append(step)
+        return self
 
     def multiplicities(self, i: int) -> Dict[str, int]:
         if i >= len(self.steps):
@@ -439,12 +453,10 @@ def resolution_steps(m: Representation) -> Iterator[ResolutionStep]:
 
 def minimal_resolution(m: Representation, depth: int) -> Resolution:
     """Minimal projective resolution of m to the requested depth: the first
-    depth + 1 steps of resolution_steps(m).  The length is known once the
-    steps run out within them."""
+    depth + 1 steps of resolution_steps(m) (see Resolution.extend)."""
     if depth < 0:
         raise RepresentationError("depth must be >= 0")
-    steps = list(islice(resolution_steps(m), depth + 1))
-    return Resolution(m, steps, len(steps) - 1 if len(steps) <= depth else None)
+    return Resolution(m, [], None).extend(depth)
 
 
 def ext(i: int, m: Representation, n: Representation) -> int:
@@ -457,36 +469,29 @@ def ext(i: int, m: Representation, n: Representation) -> int:
     return ext_from_resolution(res, n, i)
 
 
-def _hom_complex_map(res: Resolution, n: Representation, i: int) -> RatMatrix:
-    """Matrix of Hom(P_{i-1}, n) -> Hom(P_i, n) induced by the differential."""
-    cur, prev = res.steps[i], res.steps[i - 1]
-    col_off = []
-    t = 0
-    for v in prev.generators:
-        col_off.append(t)
-        t += n.dimvec[v]
-    row_off = []
-    r = 0
-    for v in cur.generators:
-        row_off.append(r)
-        r += n.dimvec[v]
-    rows = [[Fraction(0)] * t for _ in range(r)]
-    for gi, (gv, entry) in enumerate(zip(cur.generators, cur.differential)):
+def _hom_complex_rank(res: Resolution, n: Representation, i: int) -> int:
+    """Rank of Hom(P_{i-1}, n) -> Hom(P_i, n) induced by the differential,
+    whose blocks are sums of c times path matrices, read column by column."""
+    col_off = list(accumulate((n.dimvec[v] for v in res.steps[i - 1].generators),
+                              initial=0))
+    rows = []
+    for gv, entry in zip(res.steps[i].generators, res.steps[i].differential):
+        block = [[0] * col_off[-1] for _ in range(n.dimvec[gv])]
         for (pcopy, ppath), c in entry.items():
-            block = n.path_matrix(ppath).scale(c)  # n.dimvec[gv] x n.dimvec[prev gen vertex]
-            for a in range(block.rows):
-                for b in range(block.cols):
-                    if block.data[a][b]:
-                        rows[row_off[gi] + a][col_off[pcopy] + b] += block.data[a][b]
-    return RatMatrix(rows, cols=t)
+            for b in range(n.dimvec[ppath.source]):
+                for a, x in enumerate(n.path_column(ppath, b)):
+                    if x:
+                        block[a][col_off[pcopy] + b] += c * x
+        rows += block
+    return rank_of_rows(rows)
 
 
 def ext_from_resolution(res: Resolution, n: Representation, i: int) -> int:
     if i >= len(res.steps):
         return 0
     dim_ci = sum(n.dimvec[v] for v in res.steps[i].generators)
-    rank_in = rank(_hom_complex_map(res, n, i)) if i >= 1 else 0
-    rank_out = rank(_hom_complex_map(res, n, i + 1)) if i + 1 < len(res.steps) else 0
+    rank_in = _hom_complex_rank(res, n, i) if i >= 1 else 0
+    rank_out = _hom_complex_rank(res, n, i + 1) if i + 1 < len(res.steps) else 0
     return dim_ci - rank_in - rank_out
 
 

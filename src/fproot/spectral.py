@@ -26,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -257,9 +257,11 @@ def _sign_variations(chain, x: Fraction) -> int:
 def largest_real_root(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> Optional[Fraction]:
     """Largest real root of squarefree p in (lo, hi], isolated by Sturm bisection.
 
-    Returns a dyadic rational within 1e-14 of the root (or the exact root when
-    bisection lands on it), or None when p has no real root in the interval.
-    Degrees one and two short-circuit to closed forms.
+    Returns the midpoint of a bracket of width <= 1e-16 * max(1, |hi|) around
+    the root (the root itself when bisection lands on it), or None when p has
+    no real root in the interval.  The bracket's upper end only moves past
+    root-free intervals, so its sign-variation count stays V(hi): one chain
+    evaluation per step.  Degrees one and two short-circuit to closed forms.
     """
     if len(p) == 2:
         root = -p[1] / p[0]
@@ -272,25 +274,19 @@ def largest_real_root(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> Opti
         root = Fraction((-float(b) + math.sqrt(float(disc))) / 2.0)
         return root if lo < root <= hi else None
     chain = _sturm_chain(p)
-
-    def count(a: Fraction, b: Fraction) -> int:
-        return _sign_variations(chain, a) - _sign_variations(chain, b)
-
     if _poly_eval(p, hi) == 0:
         return hi
-    if count(lo, hi) == 0:
+    v_hi = _sign_variations(chain, hi)
+    if _sign_variations(chain, lo) == v_hi:
         return None
     a, b = lo, hi
     width_target = Fraction(1, 10**16) * max(Fraction(1), abs(hi))
     while b - a > width_target:
         mid = (a + b) / 2
-        if _poly_eval(p, mid) == 0:
-            if count(mid, b) == 0:
-                return mid
-            a = mid
-            continue
-        if count(mid, b) >= 1:
-            a = mid
+        if _sign_variations(chain, mid) > v_hi:
+            a = mid  # a root in (mid, b]
+        elif _poly_eval(p, mid) == 0:
+            return mid
         else:
             b = mid
     return (a + b) / 2
@@ -426,6 +422,23 @@ def strongly_connected_components(n: int, edges) -> List[List[int]]:
     return comps
 
 
+def _fold_components(rows) -> Optional[SpectralValue]:
+    """Radius of a square matrix with finite nonnegative and +/-inf entries,
+    from the diagonal blocks of its SCC decomposition.  The first infinite
+    entry inside a component (row-major) decides alone: +inf gives a
+    certified +inf, -inf gives None (no exact reduction)."""
+    n = len(rows)
+    edges = [(i, j) for i in range(n) for j in range(n) if rows[i][j]]
+    comps = strongly_connected_components(n, edges)
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    for i, j in edges:
+        if isinstance(rows[i][j], float) and comp_of[i] == comp_of[j]:
+            return SpectralValue(INF, True, 0.0) if rows[i][j] > 0 else None
+    return rho_block_lower_triangular(
+        [RatMatrix([[rows[i][j] for j in comp] for i in comp], cols=len(comp))
+         for comp in comps])
+
+
 def rho_nonnegative_via_scc(m: RatMatrix) -> SpectralValue:
     """Perron root of a nonnegative matrix via its SCC block structure.
 
@@ -433,11 +446,7 @@ def rho_nonnegative_via_scc(m: RatMatrix) -> SpectralValue:
     certified blocks exact even when the whole matrix is large (and returns
     a certified 0 for any nilpotent support pattern).
     """
-    n = m.rows
-    edges = [(i, j) for i in range(n) for j in range(n) if m.data[i][j]]
-    return rho_block_lower_triangular(
-        [RatMatrix([[m.data[i][j] for j in comp] for i in comp], cols=len(comp))
-         for comp in strongly_connected_components(n, edges)])
+    return _fold_components(m.data)
 
 
 # ---------------------------------------------------------------------------
@@ -472,42 +481,19 @@ def _grid_estimate(m: ExtendedMatrix) -> SpectralValue:
 def rho_extended(m: ExtendedMatrix) -> SpectralValue:
     """Spectral radius of a matrix with entries in Q union {+inf, -inf}.
 
-    Exact SCC path when all finite entries are >= 0 and no -inf entry sits
-    inside a strongly connected component of the support digraph; numeric
-    grid estimate otherwise.
+    Exact SCC path when all finite entries are >= 0 and the first infinite
+    entry inside a strongly connected component of the support digraph (if
+    any) is +inf; numeric otherwise (grid estimate with infinite entries).
     """
     if not isinstance(m, ExtendedMatrix):
         m = ExtendedMatrix(m)
-    n = m.n
-    if n == 0:
-        return SpectralValue(0.0, True, 0.0)
-    if not m.has_infinite():
-        if m.finite_part_nonnegative():
-            return rho_nonnegative_via_scc(RatMatrix(m.entries))
+    if m.finite_part_nonnegative():
+        r = _fold_components(m.entries)
+        if r is not None:
+            return r
+    elif not m.has_infinite():
         return spectral_radius(RatMatrix(m.entries))
-    if not m.finite_part_nonnegative():
-        return _grid_estimate(m)
-
-    edges = [(i, j) for i in range(n) for j in range(n)
-             if (isinstance(m.entries[i][j], float) or m.entries[i][j] != 0)]
-    comps = strongly_connected_components(n, edges)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-
-    for i in range(n):
-        for j in range(n):
-            e = m.entries[i][j]
-            if isinstance(e, float) and comp_of[i] == comp_of[j]:
-                if e > 0:
-                    return SpectralValue(INF, True, 0.0)
-                return _grid_estimate(m)  # -inf on a cycle: no exact reduction
-
-    # no infinite entry is left inside a component
-    return rho_block_lower_triangular(
-        [RatMatrix([[m.entries[i][j] for j in comp] for i in comp], cols=len(comp))
-         for comp in comps])
+    return _grid_estimate(m)
 
 
 def rho_block_lower_triangular(blocks: Sequence) -> SpectralValue:

@@ -296,3 +296,42 @@ def test_resolve_module_with_a_map_into_zero(tmp_path):
     code, out, err = run_cli(["resolve", str(af), "--module", str(mf), "--depth", "2"])
     assert code == 0, err
     assert json.loads(out)["ext_module_to_simples"] == {"1": [1, 0, 0], "2": [0, 2, 0]}
+
+
+# a directory where a file is read or written, and a file that is not UTF-8
+UNREADABLE = {
+    "spectral_directory": ["spectral", "DIR"],
+    "module_directory": ["resolve", "ALG", "--module", "DIR"],
+    "non_utf8_matrix": ["spectral", "LATIN1"],
+    "out_directory": ["fp-scan", "ALG", "--budget-dim", "2", "--out", "DIR"],
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE))
+def test_unreadable_or_unwritable_file_exit_2(tmp_path, sqrt2_file, case):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'[["1/2", "\xff"]]')
+    paths = {"DIR": str(tmp_path), "ALG": sqrt2_file, "LATIN1": str(latin1)}
+    code, out, err = run_cli([paths.get(a, a) for a in UNREADABLE[case]])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+# each count option with the arguments its subcommand needs around it
+COUNT_OPTIONS = {
+    "--budget-dim": ["fp-scan", "ALG"],
+    "--budget-set-size": ["fp-scan", "ALG"],
+    "--budget-power": ["fp-scan", "ALG"],
+    "--max-candidates": ["fp-scan", "ALG"],
+    "--depth": ["resolve", "ALG", "--simple", "1"],
+    "--range": ["tables", "a2"],
+    "--genus": ["tables", "polyring"],
+}
+
+
+@pytest.mark.parametrize("option", list(COUNT_OPTIONS))
+def test_negative_count_exit_2(sqrt2_file, option):
+    argv = [sqrt2_file if a == "ALG" else a for a in COUNT_OPTIONS[option]]
+    code, out, err = run_cli(argv + [option, "-1"])
+    assert code == 2 and out == ""
+    assert f"argument {option}: must be >= 0" in err

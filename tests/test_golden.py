@@ -32,6 +32,19 @@ GOLDEN = [
     # a finite resolution (length 1) at a depth past its end
     (["resolve", "kronecker_algebra.json", "--simple", "1", "--depth", "3"],
      "kronecker_resolve_s1_depth3.out"),
+    # irreducible 5x5, squarefree characteristic polynomial of degree 5:
+    # the certified value comes out of the Sturm bisection
+    (["spectral", "spectral_irreducible5.json"], "spectral_irreducible5.out"),
+    # +inf and -inf only between components: the exact SCC fold
+    (["spectral", "spectral_inf_between_components.json"],
+     "spectral_inf_between_components.out"),
+    # +inf inside a component: a certified infinite radius, printed as null
+    (["spectral", "spectral_inf_in_component.json"],
+     "spectral_inf_in_component.out"),
+    # -inf inside a component, before a +inf in another one in row-major
+    # order: the uncertified substitution-grid estimate
+    (["spectral", "spectral_neg_inf_in_component.json"],
+     "spectral_neg_inf_in_component.out"),
 ]
 
 

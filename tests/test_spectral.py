@@ -235,3 +235,23 @@ def test_strictly_triangular_radius_zero():
         m = RatMatrix([[Fraction(rng.randint(0, 4)) if j < i else Fraction(0)
                         for j in range(n)] for i in range(n)], cols=n)
         assert rho_nonnegative_via_scc(m).value == 0.0
+
+
+# -- an independent oracle for certified roots ----------------------------
+
+def test_certified_rho_matches_mpmath_oracle():
+    """On strictly positive matrices the Perron root is a simple eigenvalue,
+    so 50-digit mpmath eigenvalues pin it far below double precision."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261018)
+    with mpmath.workdps(50):
+        for k in range(100):
+            n = 2 + k % 5
+            rows = [[Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                     for _ in range(n)] for _ in range(n)]
+            r = rho(rows)
+            assert r.certified and r.tolerance == 0.0
+            exact = mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator
+                                    for x in row] for row in rows])
+            ref = max(abs(e) for e in mpmath.eig(exact, left=False, right=False))
+            assert abs(r.value - ref) <= 1e-14 * max(1, ref), (rows, r.value)
