@@ -220,12 +220,6 @@ class BoundAlgebra:
         return vec
 
     # -- queries ------------------------------------------------------
-    def trivial_path(self, v) -> Path:
-        v = str(v)
-        if v not in self.quiver.vertices:
-            raise AlgebraError(f"unknown vertex {v!r}")
-        return Path((), v, v)
-
     def left_multiply(self, arrow_label: str, p: Path) -> Dict[Path, Fraction]:
         """Normal form of arrow * basis path, as {basis_path: coeff}."""
         key = (arrow_label, p)

@@ -67,9 +67,6 @@ class Quiver:
     def vertex_index(self, v: str) -> int:
         return self._vindex[str(v)]
 
-    def arrows_from(self, v: str):
-        return [a for a in self.arrows if a.source == str(v)]
-
     def arrows_into(self, v: str):
         return [a for a in self.arrows if a.target == str(v)]
 

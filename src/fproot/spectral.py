@@ -4,12 +4,15 @@ Two computation paths coexist:
 
 * a numeric path (LAPACK eigenvalues on doubles, i.e. balancing + Hessenberg
   + QR iteration) with a declared absolute tolerance of 1e-9 for sizes up to
-  64, and
+  64; numpy is imported on its first use, and
 * an exact path for small matrices (n <= 6): the characteristic polynomial is
-  computed over the rationals by Faddeev-LeVerrier and its largest real root
-  isolated with a Sturm chain and dyadic bisection.  Values produced this way
-  are flagged ``certified`` and carry tolerance 0: the number is pinned down
-  by exact arithmetic and only reported at double precision.
+  computed in integers by Faddeev-LeVerrier and its largest real root
+  isolated with a Sturm chain and dyadic bisection until both ends of the
+  bracket round to the same double.  A Collatz-Wielandt enclosure of the
+  Perron root, exact bounds from a float Perron vector, decides every
+  bisection step outside it without a Sturm count.  Values produced this way
+  are flagged ``certified`` and carry tolerance 0: the reported double is
+  the one nearest the exact root.
 
 Matrices with infinite entries are handled by reducing over the strongly
 connected components of the support digraph: for a matrix whose finite
@@ -24,19 +27,19 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Union
 
-import numpy as np
-
-from .exactlin import InvariantViolation, RatMatrix, rat, rat_str
+from .exactlin import InvariantViolation, RatMatrix, rat
 
 INF = math.inf
 NEG_INF = -math.inf
 
 NUMERIC_TOL = 1e-9
 EXACT_SIZE_LIMIT = 6
+POWER_STEPS = 64
 
 Entry = Union[Fraction, float]
 
@@ -60,10 +63,6 @@ class SpectralValue:
 
     def __float__(self):
         return self.value
-
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.value)
 
 
 def _entry(x) -> Entry:
@@ -100,23 +99,12 @@ class ExtendedMatrix:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("ExtendedMatrix is immutable")
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def has_infinite(self) -> bool:
         return any(isinstance(x, float) for row in self.entries for x in row)
 
     def finite_part_nonnegative(self) -> bool:
         return all(x >= 0 for row in self.entries for x in row
                    if isinstance(x, Fraction))
-
-    def to_json(self) -> str:
-        def enc(x):
-            if isinstance(x, float):
-                return "inf" if x > 0 else "-inf"
-            return rat_str(x)
-        return json.dumps([[enc(x) for x in row] for row in self.entries])
 
 
 def matrix_from_json(text: str) -> ExtendedMatrix:
@@ -149,33 +137,38 @@ def matrix_from_json(text: str) -> ExtendedMatrix:
 # exact characteristic polynomial machinery (n <= 6)
 # ---------------------------------------------------------------------------
 
+def _integer_rows(rows):
+    """(d * rows as integers, d), d > 0 the lcm of the entries' denominators."""
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
 def characteristic_polynomial(m: RatMatrix) -> List[Fraction]:
     """Monic characteristic polynomial of m, coefficients highest power first.
 
-    Faddeev-LeVerrier over exact rationals: M_0 = I, c_0 = 1 and
-    M_k = A M_{k-1} + c_{k-1} I, c_k = -tr(A M_{k-1} ... ) / k.
+    Faddeev-LeVerrier on the integer matrix B = d*A (d the lcm of the entry
+    denominators): M_0 = I, c_0 = 1, c_k = -tr(B M_{k-1}) / k and
+    M_k = B M_{k-1} + c_k I.  The c_k are the integer coefficients of B's
+    characteristic polynomial, so each division by k is exact, and A's
+    coefficients are c_k / d^k.
     """
     if not m.is_square():
         raise SpectralError("characteristic polynomial needs a square matrix")
-    n = m.rows
+    b, d = _integer_rows(m.data)
+    n = len(b)
     coeffs = [Fraction(1)]
-    M = RatMatrix.identity(n)
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        AM = m @ M
-        c = -Fraction(sum(AM.data[i][i] for i in range(n)), k)
-        coeffs.append(c)
-        M = RatMatrix(
-            [[AM.data[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)],
-            cols=n,
-        )
+        cols = list(zip(*M))
+        BM = [[sum(map(operator.mul, row, col)) for col in cols] for row in b]
+        c, r = divmod(-sum(BM[i][i] for i in range(n)), k)
+        if r:
+            raise InvariantViolation("Faddeev-LeVerrier division must be exact")
+        coeffs.append(Fraction(c, d ** k))
+        for i in range(n):
+            BM[i][i] += c
+        M = BM
     return coeffs
-
-
-def _poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in p:
-        acc = acc * x + c
-    return acc
 
 
 def _poly_deriv(p: Sequence[Fraction]) -> List[Fraction]:
@@ -235,61 +228,113 @@ def _poly_divmod(a, b):
     return q, a
 
 
-def _sturm_chain(p: Sequence[Fraction]) -> List[List[Fraction]]:
+def _sturm_chain(p: Sequence[Fraction]) -> List[List[int]]:
+    """The Sturm chain of p, scaled to integers by one positive factor, which
+    keeps every sign."""
     chain = [list(p), _poly_deriv(p)]
     while len(chain[-1]) > 1 or (chain[-1] and chain[-1][0]):
         r = _poly_mod(chain[-2], chain[-1])
         if not any(r):
             break
         chain.append([-c for c in r])
-    return chain
+    return _integer_rows(chain)[0]
 
 
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_variations(chain, u: int, w: int):
+    """(sign variations of the integer chain at u/w, whether p(u/w) == 0), w > 0.
+
+    Each polynomial of degree e is evaluated homogeneously, times w**e, which
+    keeps its sign and needs integers only."""
+    wp = [w ** k for k in range(len(chain[0]))]
+    vals = []
+    for q in chain:
+        acc = 0
+        for c, wk in zip(q, wp):
+            acc = acc * u + c * wk
+        vals.append(acc)
+    signs = [v > 0 for v in vals if v]
+    return sum(x != y for x, y in zip(signs, signs[1:])), vals[0] == 0
 
 
-def largest_real_root(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> Optional[Fraction]:
+def _perron_enclosure(m: RatMatrix):
+    """Exact bracket [L, U] around the Perron root of a nonnegative matrix A.
+
+    Collatz-Wielandt: for every vector x > 0, min_i (Ax)_i/x_i <= rho(A) <=
+    max_i (Ax)_i/x_i.  x is an integer vector >= 1 rounded from power
+    iteration on A + I in floats; the floats only make the bracket tight,
+    every comparison that matters is exact.  None when a float overflows."""
+    b, d = _integer_rows(m.data)
+    try:
+        a = [[float(v + d * (i == j)) for j, v in enumerate(row)] for i, row in enumerate(b)]
+    except OverflowError:
+        return None
+    x = [1.0] * len(b)
+    for _ in range(POWER_STEPS):
+        y = [sum(map(operator.mul, row, x)) for row in a]
+        top = max(y)
+        if not math.isfinite(top):
+            return None
+        y = [v / top for v in y]
+        if y == x:
+            break
+        x = y
+    xs = [max(1, round(v * 2.0 ** 53)) for v in x]
+    ratios = [Fraction(sum(map(operator.mul, row, xs)), xi * d) for row, xi in zip(b, xs)]
+    return min(ratios), max(ratios)
+
+
+def largest_real_root(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
+                      enclosure=None) -> Optional[Fraction]:
     """Largest real root of squarefree p in (lo, hi], isolated by Sturm bisection.
 
-    Returns the midpoint of a bracket of width <= 1e-16 * max(1, |hi|) around
-    the root (the root itself when bisection lands on it), or None when p has
-    no real root in the interval.  The bracket's upper end only moves past
-    root-free intervals, so its sign-variation count stays V(hi): one chain
-    evaluation per step.  Degrees one and two short-circuit to closed forms.
+    Returns a Fraction that rounds to the double nearest the root, or None
+    when p has no real root in the interval.  Bisection stops when both ends
+    of the bracket [a, b] round to the same double, and returns its midpoint
+    (the root itself when a midpoint lands on it).  If b - a shrinks to
+    2**-64 * |a| first, the bracket straddles the tie between two adjacent
+    doubles, and one Sturm count there picks the side.  b only moves past
+    root-free intervals, so V(b) stays V(hi): one chain evaluation per step.
+    Degree one returns the exact root.
+
+    enclosure, when given, is an interval [L, U] known to hold the largest
+    root in (lo, hi].  The steps depend only on that root, so a midpoint
+    below L or above U moves a or b without a chain evaluation, and the
+    result is the same.  The walk runs on integers: [a, b] = [a, a + width] / den.
     """
     if len(p) == 2:
         root = -p[1] / p[0]
         return root if lo < root <= hi else None
-    if len(p) == 3:
-        b, c = p[1] / p[0], p[2] / p[0]
-        disc = b * b - 4 * c
-        if disc < 0:
-            return None
-        root = Fraction((-float(b) + math.sqrt(float(disc))) / 2.0)
-        return root if lo < root <= hi else None
     chain = _sturm_chain(p)
-    if _poly_eval(p, hi) == 0:
+    lo, hi = Fraction(lo), Fraction(hi)
+    den = math.lcm(lo.denominator, hi.denominator)
+    a, width = int(lo * den), int((hi - lo) * den)
+    v_hi, at_root = _sign_variations(chain, a + width, den)
+    if at_root:
         return hi
-    v_hi = _sign_variations(chain, hi)
-    if _sign_variations(chain, lo) == v_hi:
-        return None
-    a, b = lo, hi
-    width_target = Fraction(1, 10**16) * max(Fraction(1), abs(hi))
-    while b - a > width_target:
-        mid = (a + b) / 2
-        if _sign_variations(chain, mid) > v_hi:
-            a = mid  # a root in (mid, b]
-        elif _poly_eval(p, mid) == 0:
-            return mid
-        else:
-            b = mid
-    return (a + b) / 2
+    if enclosure is None:
+        if _sign_variations(chain, a, den)[0] == v_hi:
+            return None
+        lower, upper = (-1, 0), (1, 0)  # -inf and +inf as num/den pairs
+    else:
+        lower, upper = [(f.numerator, f.denominator) for f in map(Fraction, enclosure)]
+    while width << 64 > abs(a) and (width << 52 >= abs(a) or a / den != (a + width) / den):
+        a, den = 2 * a, 2 * den
+        mid = a + width
+        if mid * lower[1] < lower[0] * den:
+            a = mid
+        elif mid * upper[1] <= upper[0] * den:
+            v, at_root = _sign_variations(chain, mid, den)
+            if v > v_hi:
+                a = mid  # a root in (mid, b]
+            elif at_root:
+                return Fraction(mid, den)
+    if a / den == (a + width) / den:
+        return Fraction(2 * a + width, 2 * den)
+    t = (Fraction(a / den) + Fraction((a + width) / den)) / 2
+    v, at_root = _sign_variations(chain, t.numerator, t.denominator)
+    if at_root:
+        return t
+    return Fraction(a + width, den) if v > v_hi else Fraction(a, den)
 
 
 def _rho_exact(m: RatMatrix) -> Optional[SpectralValue]:
@@ -302,20 +347,15 @@ def _rho_exact(m: RatMatrix) -> Optional[SpectralValue]:
     if n > EXACT_SIZE_LIMIT:
         return None
     p = characteristic_polynomial(m)
-    # peel off the exact power of x so that zero roots stay exactly zero
-    has_zero_root = False
+    # peel off the exact power of x: if anything is left, m has a nonzero
+    # eigenvalue, so its Perron root is positive and the largest real root
     while len(p) > 1 and not p[-1]:
         p.pop()
-        has_zero_root = True
     if len(p) == 1:
         return SpectralValue(0.0, True, 0.0)
     p = squarefree_part(p)
     bound = max(sum(r) for r in m.data) + 1
-    root = largest_real_root(p, Fraction(-1) - bound, bound)
-    if root is None:
-        return SpectralValue(0.0, True, 0.0) if has_zero_root else None
-    if has_zero_root and root < 0:
-        root = Fraction(0)
+    root = largest_real_root(p, Fraction(-1) - bound, bound, _perron_enclosure(m))
     return SpectralValue(float(root), True, 0.0)
 
 
@@ -334,6 +374,8 @@ def _as_ratmatrix(m) -> RatMatrix:
 
 
 def _rho_numeric(rows_of_floats) -> float:
+    import numpy as np  # loaded on first use: the exact paths never need it
+
     a = np.array(rows_of_floats, dtype=float)
     if a.size == 0:
         return 0.0
