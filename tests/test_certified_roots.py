@@ -92,7 +92,8 @@ def test_enclosure_holds_the_largest_real_root(m):
     # Sturm counts: a root in [lower, upper] and none above upper
     v_lower, at_lower = _sign_variations(chain, lower.numerator, lower.denominator)
     v_upper, _ = _sign_variations(chain, upper.numerator, upper.denominator)
-    v_inf, _ = _sign_variations(chain, 1, 0)   # leading coefficients
+    lead = [q[0] > 0 for q in chain]
+    v_inf = sum(x != y for x, y in zip(lead, lead[1:]))
     assert v_upper == v_inf
     assert at_lower or v_lower > v_upper
 
