@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactlin import RatMatrix, rat, rat_str, _rref_rows
+from .exactlin import RatMatrix, rat, rat_str, rref
 from .quiver import Quiver, QuiverError, kronecker_quiver
 
 DEFAULT_LENGTH_CAP = 32
@@ -154,32 +154,24 @@ class BoundAlgebra:
                     if vec is not None and any(vec):
                         rows.append(vec)
 
-            pivots = _rref_rows(rows, len(candidates)) if rows else []
+            reduced, pivots = rref(RatMatrix(rows, cols=len(candidates)))
             pivset = set(pivots)
 
             new_paths: List[Path] = []
             path_of_candidate: List[Optional[Path]] = [None] * len(candidates)
-            free_order: Dict[int, int] = {}
             for i, (a, p) in enumerate(candidates):
-                if i in pivset:
-                    continue
-                arr = q.arrow(a)
-                np_ = Path((a,) + p.arrows, p.source, arr.target)
-                path_of_candidate[i] = np_
-                free_order[i] = len(new_paths)
-                new_paths.append(np_)
+                if i not in pivset:
+                    path_of_candidate[i] = Path((a,) + p.arrows, p.source, q.arrow(a).target)
+                    new_paths.append(path_of_candidate[i])
 
-            for i, (a, p) in enumerate(candidates):
+            # a pivot candidate is minus the free part of its reduced row
+            for i, c in enumerate(candidates):
                 if i in pivset:
-                    r = pivots.index(i)
-                    expansion: Dict[Path, Fraction] = {}
-                    for j in range(len(candidates)):
-                        if j in pivset or not rows[r][j]:
-                            continue
-                        expansion[path_of_candidate[j]] = -rows[r][j]
-                    nf[(a, p)] = expansion
+                    row = reduced.row(pivots.index(i))
+                    nf[c] = {path_of_candidate[j]: -x for j, x in enumerate(row)
+                             if x and j not in pivset}
                 else:
-                    nf[(a, p)] = {path_of_candidate[i]: Fraction(1)}
+                    nf[c] = {path_of_candidate[i]: Fraction(1)}
 
             levels.append(new_paths)
             by_length_end[L + 1] = {}

@@ -2,11 +2,12 @@
 
 Everything in this module is exact; no floating point enters or leaves.  This
 matters because downstream brick tests ask for statements like ``dim Hom = 1``
-which are integer facts and must not depend on tolerances.  Row reduction and
-kernels are computed with `fractions.Fraction`.  Rank alone is computed on
-integers: each row is scaled by the lcm of its denominators, and fraction-free
-elimination keeps every row primitive (its entries have gcd 1), so no
-`Fraction` is built and the result is still exact.
+which are integer facts and must not depend on tolerances.  There is one
+elimination routine: each row is scaled by the lcm of its denominators, and
+fraction-free elimination keeps every row primitive (its entries have gcd 1).
+Rank and pivot columns come from its forward pass alone, without building a
+`Fraction`; `rref`, kernels and `solve` add a back-substitution and divide
+each entry by its row's pivot once, at the end.
 
 Matrices are dense and small (desk scale); no attempt is made at sparsity.
 All functions are pure and all matrices immutable, so everything here is safe
@@ -198,43 +199,6 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}: [{body}])"
 
 
-def _rref_rows(rows, ncols):
-    """In-place Gauss-Jordan on a list of row lists; returns pivot columns."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
-def rref(m: RatMatrix):
-    """Reduced row echelon form.
-
-    Returns (rrefmatrix, pivot_columns).  The rank of m is len(pivot_columns).
-    """
-    rows = [list(r) for r in m.data]
-    pivots = _rref_rows(rows, m.cols)
-    return RatMatrix._wrap(rows, m.cols), tuple(pivots)
-
-
 def _primitive(row):
     """row divided by the gcd of its entries, or None for a zero row."""
     g = gcd(*row)
@@ -243,22 +207,29 @@ def _primitive(row):
     return row if g == 1 else [x // g for x in row]
 
 
-def rank_of_rows(rows: Iterable[Sequence]) -> int:
-    """Exact rank of the rational rows (ints or Fractions).
+def _clear(row, pivot, c):
+    """row minus a multiple of pivot, cross-multiplied so that column c
+    cancels and nothing is divided, then made primitive (None if zero)."""
+    a, b = pivot[c], row[c]
+    g = gcd(a, b)
+    return _primitive([a // g * x - b // g * y for x, y in zip(row, pivot)])
 
-    Each row is scaled by the lcm of its denominators to an integer row.
-    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) then clears
-    each pivot column from the remaining rows by cross-multiplication, and
-    divides every row by the gcd of its entries, which keeps the integers
-    small.  No Fraction is built.
-    """
+
+def _echelon(rows):
+    """Forward fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of
+    rational rows (ints or Fractions), scaled to primitive integer rows.
+
+    Column by column, the first remaining row with a nonzero entry becomes
+    the pivot row and _clear removes the column from the rest.  Returns
+    (pivot rows, pivot columns); pivot row k is zero before pivots[k] and at
+    every earlier pivot.  No Fraction is built."""
     work = []
     for row in rows:
         den = lcm(*(x.denominator for x in row))
         prim = _primitive([x.numerator * (den // x.denominator) for x in row])
         if prim is not None:
             work.append(prim)
-    r = 0
+    echelon, pivots = [], []
     for c in range(len(work[0]) if work else 0):
         for i, pivot in enumerate(work):
             if pivot[c]:
@@ -266,51 +237,86 @@ def rank_of_rows(rows: Iterable[Sequence]) -> int:
         else:
             continue
         del work[i]
-        r += 1
-        a = pivot[c]
+        echelon.append(pivot)
+        pivots.append(c)
         rest = []
         for row in work:
-            b = row[c]
-            if b:
-                g = gcd(a, b)
-                row = _primitive([a // g * x - b // g * y for x, y in zip(row, pivot)])
+            if row[c]:
+                row = _clear(row, pivot, c)
                 if row is None:
                     continue
             rest.append(row)
         work = rest
         if not work:
             break
-    return r
+    return echelon, pivots
+
+
+def _reduced(rows):
+    """_echelon followed by back-substitution: each pivot column is cleared
+    from the pivot rows above it, last pivot first.  Entry j of row k of the
+    reduced row echelon form is then Fraction(row[j], row[pivots[k]])."""
+    echelon, pivots = _echelon(rows)
+    for k in range(len(pivots) - 1, 0, -1):
+        pivot, c = echelon[k], pivots[k]
+        for i in range(k):
+            if echelon[i][c]:
+                echelon[i] = _clear(echelon[i], pivot, c)
+    return echelon, pivots
+
+
+def rref(m: RatMatrix):
+    """Reduced row echelon form.
+
+    Returns (rrefmatrix, pivot_columns).  The rank of m is len(pivot_columns).
+    """
+    echelon, pivots = _reduced(m.data)
+    data = [[Fraction(x, row[p]) for x in row] for row, p in zip(echelon, pivots)]
+    data += [(_ZERO,) * m.cols] * (m.rows - len(data))
+    return RatMatrix._wrap(data, m.cols), tuple(pivots)
+
+
+def pivot_columns(rows: Iterable[Sequence]) -> tuple:
+    """The pivot columns of the rref of the rational rows (the columns that
+    are not combinations of earlier ones), from forward elimination alone."""
+    return tuple(_echelon(rows)[1])
+
+
+def rank_of_rows(rows: Iterable[Sequence]) -> int:
+    """Exact rank of the rational rows (ints or Fractions); see pivot_columns."""
+    return len(pivot_columns(rows))
 
 
 def rank(m: RatMatrix) -> int:
     return rank_of_rows(m.data)
 
 
-def nullspace(m: RatMatrix):
-    """Kernel of m as (vectors, free_columns).
+def nullspace(rows: Sequence[Sequence], ncols: int):
+    """Kernel {v : rows v = 0} of rational rows (ints or Fractions) with ncols
+    columns, as (vectors, free_columns).
 
     Each vector is a list of Fractions in the standard rref form: the vector
     attached to free column f has entry 1 at f and 0 at every other free
     column, so the coordinates of any kernel vector in this basis can be read
     off its values at the free columns.
     """
-    R, pivots = rref(m)
+    echelon, pivots = _reduced(rows)
     pivset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivset]
+    free = [j for j in range(ncols) if j not in pivset]
     vectors = []
     for f in free:
-        v = [_ZERO] * m.cols
+        v = [_ZERO] * ncols
         v[f] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -R.data[i][f]
+        for row, p in zip(echelon, pivots):
+            if row[f]:
+                v[p] = Fraction(-row[f], row[p])
         vectors.append(v)
     return vectors, free
 
 
 def nullspace_basis(m: RatMatrix):
     """Basis of {v : m v = 0} as a list of column matrices (see nullspace)."""
-    return [RatMatrix._wrap([[x] for x in v], 1) for v in nullspace(m)[0]]
+    return [RatMatrix._wrap([[x] for x in v], 1) for v in nullspace(m.data, m.cols)[0]]
 
 
 def solve(m: RatMatrix, b: RatMatrix) -> Optional[RatMatrix]:
@@ -320,10 +326,10 @@ def solve(m: RatMatrix, b: RatMatrix) -> Optional[RatMatrix]:
     """
     if b.cols != 1 or b.rows != m.rows:
         raise ValueError(f"right-hand side shape {b.shape} does not match {m.shape}")
-    R, pivots = rref(m.hstack(b))
+    echelon, pivots = _reduced(m.hstack(b).data)
     if pivots and pivots[-1] == m.cols:
         return None
     x = [_ZERO] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = R.data[i][m.cols]
+    for row, p in zip(echelon, pivots):
+        x[p] = Fraction(row[m.cols], row[p])
     return RatMatrix._wrap([[v] for v in x], 1)

@@ -20,8 +20,8 @@ from fractions import Fraction
 from itertools import accumulate, count, islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .exactlin import (InvariantViolation, RatMatrix, nullspace, rank_of_rows,
-                       rat, rat_str, rref)
+from .exactlin import (InvariantViolation, RatMatrix, nullspace, pivot_columns,
+                       rank_of_rows, rat, rat_str)
 from .algebra import AlgebraError, BoundAlgebra, Path
 from .quiver import classify_underlying_graph, positive_roots
 
@@ -240,7 +240,7 @@ def _hom_system(m: Representation, n: Representation):
 def hom(m: Representation, n: Representation) -> HomSpace:
     """Solve the intertwiner system f_t M_a = N_a f_s exactly."""
     rows, total, offsets = _hom_system(m, n)
-    kernel, _ = nullspace(RatMatrix(rows, cols=total))
+    kernel, _ = nullspace(rows, total)
     basis = []
     for vec in kernel:
         fs = {}
@@ -386,9 +386,7 @@ def resolution_steps(m: Representation) -> Iterator[ResolutionStep]:
         gens: List[str] = []
         lift_cols: List[Tuple[str, int]] = []
         for v in q.vertices:
-            _, pivots = rref(RatMatrix(_radical_columns(current, v),
-                                       cols=current.dimvec[v]))
-            covered = set(pivots)
+            covered = set(pivot_columns(_radical_columns(current, v)))
             for j in range(current.dimvec[v]):
                 if j not in covered:
                     gens.append(v)
@@ -397,15 +395,6 @@ def resolution_steps(m: Representation) -> Iterator[ResolutionStep]:
             return
 
         basis = _projective_of_multiset(alg, gens)
-
-        # cover map per vertex: column for (copy, path) is path acting on lift
-        phi: Dict[str, RatMatrix] = {}
-        for w in q.vertices:
-            cols = []
-            for (copy, p) in basis[w]:
-                cols.append(current.path_column(p, lift_cols[copy][1]))
-            phi[w] = RatMatrix.from_columns(cols, rows=current.dimvec[w]) \
-                if cols else RatMatrix.zeros(current.dimvec[w], 0)
 
         # differential of this step expressed over the previous step
         differential = []
@@ -426,23 +415,21 @@ def resolution_steps(m: Representation) -> Iterator[ResolutionStep]:
 
         yield ResolutionStep(gens, basis, differential)
 
-        # syzygy = ker(phi) with arrow maps restricted from the projective
+        # syzygy = kernel of the cover map, whose column (copy, path) at w is
+        # the path acting on the lift; arrow maps restrict from the projective
         new_embed = {}
         free_rows = {}
         for w in q.vertices:
-            cols, free = nullspace(phi[w])
-            new_embed[w] = RatMatrix.from_columns(cols, rows=len(basis[w]))
-            free_rows[w] = free
+            cols = [current.path_column(p, lift_cols[copy][1]) for copy, p in basis[w]]
+            kernel, free_rows[w] = nullspace(list(zip(*cols)), len(cols))
+            new_embed[w] = RatMatrix.from_columns(kernel, rows=len(cols))
         new_dim = {w: new_embed[w].cols for w in q.vertices}
 
         new_maps = {}
         for a in q.arrows:
-            s, t = a.source, a.target
-            pm = _projective_arrow_matrix(alg, basis, a)
-            img = pm @ new_embed[s]
-            mat = [[img.data[fr][j] for j in range(new_dim[s])]
-                   for fr in free_rows[t]]
-            new_maps[a.label] = RatMatrix(mat, cols=new_dim[s])
+            img = _projective_arrow_matrix(alg, basis, a) @ new_embed[a.source]
+            new_maps[a.label] = RatMatrix([img.data[fr] for fr in free_rows[a.target]],
+                                          cols=new_dim[a.source])
 
         prev_basis = basis
         embed = new_embed
@@ -554,7 +541,7 @@ def dynkin_indecomposables(alg: BoundAlgebra, seed: int = 0,
     for root in sorted(roots, key=lambda r: (sum(r), r)):
         dimvec = {v: root[i] for i, v in enumerate(verts)}
         if euler_form(alg, dimvec, dimvec) != 1:
-            raise AssertionError(f"root {root} fails <d,d>=1")
+            raise InvariantViolation(f"root {root} fails <d,d>=1")
         found = None
         for _ in range(tries):
             maps = {}
@@ -693,17 +680,24 @@ def module_from_json(alg: BoundAlgebra, text: str) -> Representation:
     except json.JSONDecodeError as e:
         raise RepresentationError(f"invalid JSON: {e}") from e
     try:
-        dimvec = {str(k): int(v) for k, v in raw["dimvec"].items()}
+        dimvec = dict(raw["dimvec"].items())
         arrow_rows = raw.get("maps", {}).items()
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise RepresentationError(f"malformed module file: {e}") from e
+    for v, d in dimvec.items():
+        if v not in alg.quiver.vertices:
+            raise RepresentationError(f"dimvec names unknown vertex {v!r}")
+        if type(d) is not int:  # not a float, a bool or a string
+            raise RepresentationError(f"dimension at vertex {v!r} is not an integer: {d!r}")
     maps = {}
     source = {a.label: a.source for a in alg.quiver.arrows}
     for label, rows in arrow_rows:
+        if label not in source:
+            raise RepresentationError(f"maps names unknown arrow {label!r}")
         try:  # a map into a zero space has no rows to read its width from
             maps[label] = RatMatrix(
                 [[rat(x) for x in row] for row in rows],
-                cols=len(rows[0]) if rows else dimvec.get(source.get(label), 0))
+                cols=len(rows[0]) if rows else dimvec.get(source[label], 0))
         except (TypeError, ValueError, ZeroDivisionError) as e:
             raise RepresentationError(
                 f"malformed map for arrow {label!r}: {e}") from e

@@ -526,16 +526,20 @@ def rho_extended(m: ExtendedMatrix) -> SpectralValue:
     Exact SCC path when all finite entries are >= 0 and the first infinite
     entry inside a strongly connected component of the support digraph (if
     any) is +inf; numeric otherwise (grid estimate with infinite entries).
+    A finite entry or radius beyond the double range raises SpectralError.
     """
     if not isinstance(m, ExtendedMatrix):
         m = ExtendedMatrix(m)
-    if m.finite_part_nonnegative():
-        r = _fold_components(m.entries)
-        if r is not None:
-            return r
-    elif not m.has_infinite():
-        return spectral_radius(RatMatrix(m.entries))
-    return _grid_estimate(m)
+    try:
+        if m.finite_part_nonnegative():
+            r = _fold_components(m.entries)
+            if r is not None:
+                return r
+        elif not m.has_infinite():
+            return spectral_radius(RatMatrix(m.entries))
+        return _grid_estimate(m)
+    except OverflowError as e:  # a float conversion of an entry or the radius
+        raise SpectralError(f"out of the double range: {e}") from e
 
 
 def rho_block_lower_triangular(blocks: Sequence) -> SpectralValue:

@@ -335,3 +335,27 @@ def test_negative_count_exit_2(sqrt2_file, option):
     code, out, err = run_cli(argv + [option, "-1"])
     assert code == 2 and out == ""
     assert f"argument {option}: must be >= 0" in err
+
+
+def test_spectral_radius_beyond_the_double_range_exit_2(tmp_path):
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps([[0, 10 ** 400], [10 ** 400, 0]]))
+    code, out, err = run_cli(["spectral", str(f)])
+    assert code == 2 and out == ""
+    assert "double range" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"dimvec": {"1": 1e400}}', "vertex '1'"),
+    ('{"dimvec": {"1": 1.5}}', "vertex '1'"),
+    ('{"dimvec": {"1": true}}', "vertex '1'"),
+    ('{"dimvec": {"9": 1}, "maps": {"zz": [[1]]}}', "unknown vertex '9'"),
+    ('{"dimvec": {"1": 1}, "maps": {"zz": [[1]]}}', "unknown arrow 'zz'"),
+], ids=["dimension_1e400", "dimension_1.5", "dimension_true", "unknown_vertex",
+        "unknown_arrow"])
+def test_resolve_strict_module_file_exit_2(tmp_path, sqrt2_file, text, message):
+    mf = tmp_path / "bad.json"
+    mf.write_text(text)
+    code, out, err = run_cli(["resolve", sqrt2_file, "--module", str(mf)])
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err

@@ -327,3 +327,11 @@ def test_module_json_roundtrip(A):
     assert all(m2.maps[a.label] == m.maps[a.label] for a in A.quiver.arrows)
     with pytest.raises(RepresentationError):
         module_from_json(A, "broken")
+
+
+def test_dynkin_root_off_the_tits_form_is_an_invariant_violation(monkeypatch):
+    from fproot import repmod
+    from fproot.exactlin import InvariantViolation
+    monkeypatch.setattr(repmod, "euler_form", lambda alg, d, e: 2)
+    with pytest.raises(InvariantViolation, match="<d,d>=1"):
+        dynkin_indecomposables(path_algebra(path_quiver(2)))
