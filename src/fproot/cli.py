@@ -18,6 +18,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from . import __version__
 from .exactlin import InvariantViolation, RatMatrix
@@ -122,15 +123,12 @@ def _random_representation(alg, dimvec, rng):
 
 
 def _dimension_vectors(vertices, budget):
-    def rec(i, left):
-        if i == len(vertices):
-            yield {}
-            return
-        for d in range(left + 1):
-            for rest in rec(i + 1, left - d):
-                yield {vertices[i]: d, **rest}
-    for dv in rec(0, budget):
-        if sum(dv.values()) >= 1:
+    """Every dimension vector (a dict over all vertices) of total 1..budget."""
+    for total in range(1, budget + 1):
+        for picked in combinations_with_replacement(vertices, total):
+            dv = dict.fromkeys(vertices, 0)
+            for v in picked:
+                dv[v] += 1
             yield dv
 
 

@@ -30,10 +30,10 @@ class InvariantViolation(AssertionError):
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, Fractions and strings like '3/4' to Fraction."""
+    """Coerce ints (not bools), Fractions and strings like '3/4' to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
@@ -200,11 +200,18 @@ class RatMatrix:
 
 
 def _primitive(row):
-    """row divided by the gcd of its entries, or None for a zero row."""
+    """Integer row divided by the gcd of its entries, or None for a zero row."""
     g = gcd(*row)
     if not g:
         return None
     return row if g == 1 else [x // g for x in row]
+
+
+def primitive_row(row):
+    """The rational row (ints or Fractions) times the positive rational that
+    makes it a primitive integer row (entries with gcd 1); None if zero."""
+    den = lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (den // x.denominator) for x in row])
 
 
 def _clear(row, pivot, c):
@@ -223,12 +230,7 @@ def _echelon(rows):
     the pivot row and _clear removes the column from the rest.  Returns
     (pivot rows, pivot columns); pivot row k is zero before pivots[k] and at
     every earlier pivot.  No Fraction is built."""
-    work = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        prim = _primitive([x.numerator * (den // x.denominator) for x in row])
-        if prim is not None:
-            work.append(prim)
+    work = [prim for prim in map(primitive_row, rows) if prim is not None]
     echelon, pivots = [], []
     for c in range(len(work[0]) if work else 0):
         for i, pivot in enumerate(work):

@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exactlin import (InvariantViolation, RatMatrix, nullspace, pivot_columns,
                        rank_of_rows, rat, rat_str)
-from .algebra import AlgebraError, BoundAlgebra, Path
+from .algebra import DEFAULT_DIM_CAP, AlgebraError, BoundAlgebra, Path
 from .quiver import classify_underlying_graph, positive_roots
 
 
@@ -689,6 +689,9 @@ def module_from_json(alg: BoundAlgebra, text: str) -> Representation:
             raise RepresentationError(f"dimvec names unknown vertex {v!r}")
         if type(d) is not int:  # not a float, a bool or a string
             raise RepresentationError(f"dimension at vertex {v!r} is not an integer: {d!r}")
+        if d > DEFAULT_DIM_CAP:  # its zero maps alone would not fit in memory
+            raise RepresentationError(
+                f"dimension at vertex {v!r} exceeds the size cap {DEFAULT_DIM_CAP}")
     maps = {}
     source = {a.label: a.source for a in alg.quiver.arrows}
     for label, rows in arrow_rows:

@@ -5,11 +5,12 @@ Two computation paths coexist:
 * a numeric path (LAPACK eigenvalues on doubles, i.e. balancing + Hessenberg
   + QR iteration) with a declared absolute tolerance of 1e-9 for sizes up to
   64; numpy is imported on its first use, and
-* an exact path for small matrices (n <= 6): the characteristic polynomial is
-  computed in integers by Faddeev-LeVerrier and its largest real root
-  isolated with a Sturm chain and dyadic bisection until both ends of the
-  bracket round to the same double.  A Collatz-Wielandt enclosure of the
-  Perron root, exact bounds from a float Perron vector, decides every
+* an exact path for small matrices (n <= 6): the characteristic polynomial p
+  is computed in integers by Faddeev-LeVerrier, and its largest real root
+  isolated by dyadic bisection with the Sturm chain of p's squarefree part
+  (one integer remainder sequence; p need not be squarefree) until both ends
+  of the bracket round to the same double.  A Collatz-Wielandt enclosure of
+  the Perron root, exact bounds from a float Perron vector, decides every
   bisection step outside it without a Sturm count.  Values produced this way
   are flagged ``certified`` and carry tolerance 0: the reported double is
   the one nearest the exact root.
@@ -25,14 +26,16 @@ reduction; a substitution grid produces an uncertified estimate.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import List, Optional, Sequence, Union
 
-from .exactlin import InvariantViolation, RatMatrix, rat
+from .exactlin import InvariantViolation, RatMatrix, primitive_row, rat
 
 INF = math.inf
 NEG_INF = -math.inf
@@ -65,18 +68,19 @@ class SpectralValue:
         return self.value
 
 
-def _entry(x) -> Entry:
+def _entry(x, i: int, j: int) -> Entry:
+    """Entry (i, j) of a matrix as a Fraction or +/-inf; SpectralError names
+    it when it is not a number."""
     if isinstance(x, float) and math.isinf(x):
         return INF if x > 0 else NEG_INF
     if isinstance(x, str) and x.strip() in ("inf", "+inf", "Infinity"):
         return INF
     if isinstance(x, str) and x.strip() in ("-inf", "-Infinity"):
         return NEG_INF
-    if isinstance(x, float):
-        if x == int(x):
-            return Fraction(int(x))
-        return Fraction(x).limit_denominator(10**12)
-    return rat(x)
+    try:
+        return Fraction(x).limit_denominator(10**12) if isinstance(x, float) else rat(x)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise SpectralError(f"bad matrix entry at row {i}, column {j}: {x!r}") from None
 
 
 class ExtendedMatrix:
@@ -89,7 +93,8 @@ class ExtendedMatrix:
     __slots__ = ("n", "entries")
 
     def __init__(self, rows: Sequence[Sequence]):
-        data = tuple(tuple(_entry(x) for x in row) for row in rows)
+        data = tuple(tuple(_entry(x, i, j) for j, x in enumerate(row))
+                     for i, row in enumerate(rows))
         n = len(data)
         if any(len(r) != n for r in data):
             raise SpectralError("extended matrix must be square")
@@ -126,10 +131,6 @@ def matrix_from_json(text: str) -> ExtendedMatrix:
                 raise SpectralError(
                     f"non-finite number at row {i}, column {j}; write an "
                     "infinite entry as \"inf\" or \"-inf\"")
-            try:
-                _entry(x)
-            except (ValueError, TypeError, ZeroDivisionError):
-                raise SpectralError(f"bad matrix entry at row {i}, column {j}: {x!r}")
     return ExtendedMatrix(raw)
 
 
@@ -171,73 +172,67 @@ def characteristic_polynomial(m: RatMatrix) -> List[Fraction]:
     return coeffs
 
 
-def _poly_deriv(p: Sequence[Fraction]) -> List[Fraction]:
+def _poly_deriv(p: Sequence[int]) -> List[int]:
     n = len(p) - 1
     return [c * (n - i) for i, c in enumerate(p[:-1])]
 
 
-def _poly_mod(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
-    a = list(a)
-    db, lb = len(b) - 1, b[0]
-    while len(a) - 1 >= db and any(a):
-        if not a[0]:
-            a.pop(0)
-            continue
-        f = a[0] / lb
-        for i in range(len(b)):
-            a[i] -= f * b[i]
-        a.pop(0)
-    while len(a) > 1 and not a[0]:
-        a.pop(0)
-    return a
+def _negated_remainder(a: List[int], b: List[int]) -> Optional[List[int]]:
+    """-(a mod b) times a positive rational, as a primitive integer row, or
+    None.  Each step multiplies a by |b[0]| (over its gcd with a[0]) and
+    cancels a[0]: every sign is kept and no Fraction is built."""
+    lb = abs(b[0])
+    while len(a) >= len(b):
+        f = a[0] if b[0] > 0 else -a[0]
+        g = math.gcd(lb, f)
+        m, f = lb // g, f // g
+        a = [m * x - f * y for x, y in zip_longest(a[1:], b[1:], fillvalue=0)]
+    while a and not a[0]:
+        a = a[1:]
+    return primitive_row([-c for c in a])
 
 
-def _poly_gcd(a, b) -> List[Fraction]:
-    a, b = list(a), list(b)
-    while b and any(b):
-        a, b = b, _poly_mod(a, b)
-    lead = a[0]
-    return [c / lead for c in a]
-
-
-def squarefree_part(p: Sequence[Fraction]) -> List[Fraction]:
-    if len(p) <= 1:
-        return list(p)
-    g = _poly_gcd(p, _poly_deriv(p))
-    if len(g) == 1:
-        return list(p)
-    # exact division p / g
-    q, r = _poly_divmod(p, g)
-    if any(r):
-        raise InvariantViolation("squarefree division must be exact")
-    return q
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db, lb = len(b) - 1, b[0]
-    q = []
-    while len(a) - 1 >= db:
-        f = a[0] / lb
+def _poly_divmod(a: List[int], b: List[int]):
+    """(quotient, remainder) of integer polynomials a / b, stopping with a
+    nonzero remainder at the first leading coefficient that b[0] does not
+    divide."""
+    a, q = list(a), []
+    while len(a) >= len(b):
+        f, r = divmod(a[0], b[0])
+        if r:
+            break
         q.append(f)
-        for i in range(len(b)):
-            a[i] -= f * b[i]
-        a.pop(0)
-    while len(a) > 1 and not a[0]:
-        a.pop(0)
+        a = [x - f * y for x, y in zip_longest(a[1:], b[1:], fillvalue=0)]
     return q, a
 
 
-def _sturm_chain(p: Sequence[Fraction]) -> List[List[int]]:
-    """The Sturm chain of p, scaled to integers by one positive factor, which
-    keeps every sign."""
-    chain = [list(p), _poly_deriv(p)]
-    while len(chain[-1]) > 1 or (chain[-1] and chain[-1][0]):
-        r = _poly_mod(chain[-2], chain[-1])
-        if not any(r):
+def _sturm_chain(p: Sequence) -> List[List[int]]:
+    """The Sturm chain of the squarefree part of the rational polynomial p,
+    on integers: a primitive remainder sequence (Collins, J. ACM 14, 1967)
+    whose members are positive multiples of p, p' and the negated remainders.
+    Its last member is gcd(p, p'); unless that is a constant, the chain of
+    the exact quotient p / gcd is returned instead."""
+    chain = [primitive_row(p) or [0]]
+    if len(chain[0]) > 1:
+        chain.append(primitive_row(_poly_deriv(chain[0])))
+    while len(chain[-1]) > 1:
+        r = _negated_remainder(chain[-2], chain[-1])
+        if r is None:
             break
-        chain.append([-c for c in r])
-    return _integer_rows(chain)[0]
+        chain.append(r)
+    if len(chain[-1]) == 1:
+        return chain
+    g = chain[-1] if chain[-1][0] > 0 else [-c for c in chain[-1]]
+    q, r = _poly_divmod(chain[0], g)
+    if any(r):
+        raise InvariantViolation("squarefree division must be exact")
+    return _sturm_chain(q)
+
+
+def squarefree_part(p: Sequence) -> List[int]:
+    """p / gcd(p, p') as a primitive integer polynomial with the sign of p's
+    leading coefficient: the head of its Sturm chain."""
+    return _sturm_chain(p)[0]
 
 
 def _sign_variations(chain, u: int, w: int):
@@ -283,9 +278,11 @@ def _perron_enclosure(m: RatMatrix):
     return min(ratios), max(ratios)
 
 
-def largest_real_root(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
+def largest_real_root(p: Sequence, lo: Fraction, hi: Fraction,
                       enclosure=None) -> Optional[Fraction]:
-    """Largest real root of squarefree p in (lo, hi], isolated by Sturm bisection.
+    """Largest real root of the rational polynomial p in (lo, hi], isolated
+    by Sturm bisection.  p need not be squarefree: the chain is that of its
+    squarefree part, which has the same roots.
 
     Returns a Fraction that rounds to the double nearest the root, or None
     when p has no real root in the interval.  Bisection stops when both ends
@@ -294,17 +291,17 @@ def largest_real_root(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
     2**-64 * |a| first, the bracket straddles the tie between two adjacent
     doubles, and one Sturm count there picks the side.  b only moves past
     root-free intervals, so V(b) stays V(hi): one chain evaluation per step.
-    Degree one returns the exact root.
+    A squarefree part of degree one gives the exact root.
 
     enclosure, when given, is an interval [L, U] known to hold the largest
     root in (lo, hi].  The steps depend only on that root, so a midpoint
     below L or above U moves a or b without a chain evaluation, and the
     result is the same.  The walk runs on integers: [a, b] = [a, a + width] / den.
     """
-    if len(p) == 2:
-        root = -p[1] / p[0]
-        return root if lo < root <= hi else None
     chain = _sturm_chain(p)
+    if len(chain[0]) == 2:
+        root = Fraction(-chain[0][1], chain[0][0])
+        return root if lo < root <= hi else None
     lo, hi = Fraction(lo), Fraction(hi)
     den = math.lcm(lo.denominator, hi.denominator)
     a, width = int(lo * den), int((hi - lo) * den)
@@ -340,8 +337,6 @@ def largest_real_root(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
 def _rho_exact(m: RatMatrix) -> Optional[SpectralValue]:
     """Certified Perron root of a small nonnegative matrix, None if unavailable."""
     n = m.rows
-    if n == 0:
-        return SpectralValue(0.0, True, 0.0)
     if n == 1:
         return SpectralValue(float(m.data[0][0]), True, 0.0)
     if n > EXACT_SIZE_LIMIT:
@@ -353,7 +348,6 @@ def _rho_exact(m: RatMatrix) -> Optional[SpectralValue]:
         p.pop()
     if len(p) == 1:
         return SpectralValue(0.0, True, 0.0)
-    p = squarefree_part(p)
     bound = max(sum(r) for r in m.data) + 1
     root = largest_real_root(p, Fraction(-1) - bound, bound, _perron_enclosure(m))
     return SpectralValue(float(root), True, 0.0)
@@ -382,12 +376,25 @@ def _rho_numeric(rows_of_floats) -> float:
     return float(max(abs(np.linalg.eigvals(a))))
 
 
+def _within_double_range(f):
+    """f, raising SpectralError where an entry or a radius overflows a double."""
+    @functools.wraps(f)
+    def checked(*args):
+        try:
+            return f(*args)
+        except OverflowError as e:
+            raise SpectralError(f"out of the double range: {e}") from e
+    return checked
+
+
+@_within_double_range
 def rho(m) -> SpectralValue:
     """Perron root of a square matrix with finite nonnegative entries.
 
     Accepts a RatMatrix, a finite ExtendedMatrix, or nested sequences.  For
     sizes up to 6 the value is certified through the exact characteristic
-    polynomial; otherwise it is numeric with tolerance 1e-9 (n <= 64).
+    polynomial; otherwise it is numeric with tolerance 1e-9 (n <= 64).  An
+    entry or radius beyond the double range raises SpectralError.
     """
     rm = _as_ratmatrix(m)
     if not rm.is_square():
@@ -395,14 +402,13 @@ def rho(m) -> SpectralValue:
     if any(x < 0 for row in rm.data for x in row):
         raise SpectralError("rho is defined for nonnegative matrices; "
                             "use spectral_radius for general ones")
-    exact = _rho_exact(rm)
-    if exact is not None:
-        return exact
-    return SpectralValue(_rho_numeric(rm.to_floats()), False, NUMERIC_TOL)
+    return _rho_exact(rm) or SpectralValue(_rho_numeric(rm.to_floats()), False, NUMERIC_TOL)
 
 
+@_within_double_range
 def spectral_radius(m) -> SpectralValue:
-    """max |eigenvalue| of an arbitrary finite real matrix (numeric)."""
+    """max |eigenvalue| of an arbitrary finite real matrix (numeric).  An
+    entry beyond the double range raises SpectralError."""
     rm = _as_ratmatrix(m)
     if not rm.is_square():
         raise SpectralError(f"spectral radius needs a square matrix, got {rm.shape}")
@@ -505,21 +511,13 @@ def _grid_estimate(m: ExtendedMatrix) -> SpectralValue:
     """
     vals = []
     for k in range(21):
-        x = float(2 ** k)
-        rows = []
-        for row in m.entries:
-            out = []
-            for e in row:
-                if isinstance(e, float):
-                    out.append(x if e > 0 else -x)
-                else:
-                    out.append(float(e))
-            rows.append(out)
-        vals.append(_rho_numeric(rows))
+        sub = {INF: float(2 ** k), NEG_INF: -float(2 ** k)}
+        vals.append(_rho_numeric([[float(sub.get(e, e)) for e in row] for row in m.entries]))
     tail = vals[-5:]
     return SpectralValue(min(tail), False, (max(tail) - min(tail)) + NUMERIC_TOL)
 
 
+@_within_double_range
 def rho_extended(m: ExtendedMatrix) -> SpectralValue:
     """Spectral radius of a matrix with entries in Q union {+inf, -inf}.
 
@@ -530,16 +528,13 @@ def rho_extended(m: ExtendedMatrix) -> SpectralValue:
     """
     if not isinstance(m, ExtendedMatrix):
         m = ExtendedMatrix(m)
-    try:
-        if m.finite_part_nonnegative():
-            r = _fold_components(m.entries)
-            if r is not None:
-                return r
-        elif not m.has_infinite():
-            return spectral_radius(RatMatrix(m.entries))
-        return _grid_estimate(m)
-    except OverflowError as e:  # a float conversion of an entry or the radius
-        raise SpectralError(f"out of the double range: {e}") from e
+    if m.finite_part_nonnegative():
+        r = _fold_components(m.entries)
+        if r is not None:
+            return r
+    elif not m.has_infinite():
+        return spectral_radius(RatMatrix(m.entries))
+    return _grid_estimate(m)
 
 
 def rho_block_lower_triangular(blocks: Sequence) -> SpectralValue:

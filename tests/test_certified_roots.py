@@ -2,6 +2,7 @@
 kernels behind it, and the stop rule that makes a certified value the double
 nearest the exact root."""
 
+import math
 import os
 import pathlib
 import random
@@ -147,6 +148,87 @@ def test_integer_faddeev_leverrier_matches_fractions(rows):
     n = len(rows)
     assert characteristic_polynomial(RatMatrix(rows, cols=n)) == \
         faddeev_leverrier_fractions(rows)
+
+
+# -- the integer remainder sequence ----------------------------------------------
+
+def fraction_remainder(a, b):
+    """Reference: a mod b over Fractions, without leading zeros."""
+    a = list(a)
+    while len(a) >= len(b):
+        f = a[0] / b[0]
+        a = [x - f * y for x, y in zip(a[1:], b[1:] + [0] * len(a))]
+    while a and not a[0]:
+        a.pop(0)
+    return a
+
+
+def classical_sturm_chain(p):
+    """Reference: q = p / gcd(p, p') by Euclid over Fractions, the gcd made
+    monic, then q, q' and the negated remainders."""
+    def deriv(f):
+        return [c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])]
+    a, b = list(p), deriv(p)
+    while b:
+        a, b = b, fraction_remainder(a, b)
+    q, g = list(p), [c / a[0] for c in a]
+    quotient = []
+    while len(q) >= len(g):
+        f = q[0] / g[0]
+        quotient.append(f)
+        q = [x - f * y for x, y in zip(q[1:], g[1:] + [0] * len(q))]
+    chain = [quotient, deriv(quotient)]
+    while len(chain[-1]) > 1:
+        r = fraction_remainder(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+    return chain
+
+
+ROOTS = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(ROOTS, st.integers(1, 3)), min_size=1, max_size=4),
+       st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                min_size=0, max_size=2), st.fractions(min_value=Fraction(1, 7), max_value=9))
+def test_integer_sturm_chain_is_a_positive_multiple_of_the_classical(factors, quad, scale):
+    """p = scale * prod (x - r)^k * (x^2 + c), with repeated roots and
+    irreducible quadratics; every member of the integer chain is a primitive
+    positive multiple of the Fraction chain of p's squarefree part."""
+    p = [Fraction(scale)]
+    for r, k in factors:
+        for _ in range(k):
+            p = [x - r * y for x, y in zip(p + [0], [0] + p)]
+    for c in quad:
+        p = [x + c * y for x, y in zip(p + [0, 0], [0, 0] + p)]
+    chain, ref = _sturm_chain(p), classical_sturm_chain(p)
+    assert len(chain) == len(ref)
+    for member, classical in zip(chain, ref):
+        assert len(member) == len(classical)
+        assert all(type(c) is int for c in member) and math.gcd(*member) == 1
+        ratio = Fraction(member[0]) / classical[0]
+        assert ratio > 0 and member == [ratio * c for c in classical]
+    assert squarefree_part(p) == chain[0]
+
+
+def test_a_squarefree_polynomial_needs_no_division(monkeypatch):
+    from fproot import spectral
+
+    def fails(a, b):
+        raise AssertionError("divided a squarefree polynomial")
+
+    monkeypatch.setattr(spectral, "_poly_divmod", fails)
+    # the Tribonacci polynomial x^3 - x^2 - x - 1
+    assert len(_sturm_chain([1, -1, -1, -1])) == 4
+
+
+@pytest.mark.parametrize("p", [[2, -1], [4, -4, 1], [Fraction(4), Fraction(-4), Fraction(1)]])
+def test_a_root_of_degree_one_stays_exact(p):
+    # 2x - 1, and (2x - 1)^2 whose squarefree part has degree one
+    root = largest_real_root(p, Fraction(-5), Fraction(5))
+    assert type(root) is Fraction and root == Fraction(1, 2)
 
 
 # -- certified means the nearest double ----------------------------------------

@@ -359,3 +359,59 @@ def test_resolve_strict_module_file_exit_2(tmp_path, sqrt2_file, text, message):
     code, out, err = run_cli(["resolve", sqrt2_file, "--module", str(mf)])
     assert code == 2 and out == ""
     assert message in err and "Traceback" not in err
+
+
+def _kronecker_file(tmp_path):
+    from fproot.algebra import kronecker_algebra
+    p = tmp_path / "kronecker.json"
+    p.write_text(algebra_to_json(kronecker_algebra()))
+    return str(p)
+
+
+@pytest.mark.parametrize("fmt", ["matrix", "algebra", "module"])
+def test_boolean_entries_exit_2(tmp_path, fmt):
+    """JSON true and false are not numbers in any file format."""
+    f = tmp_path / "input.json"
+    if fmt == "matrix":
+        f.write_text("[[true, 0], [0, false]]")
+        argv, message = ["spectral", str(f)], "bad matrix entry at row 0, column 0"
+    elif fmt == "algebra":
+        f.write_text(LOOP_ALGEBRA % '[[{"coeff": true, "path": ["x", "x"]}]]')
+        argv, message = ["fp-scan", str(f), "--budget-dim", "1"], "malformed relation"
+    else:
+        f.write_text('{"dimvec": {"1": 1, "2": 1}, "maps": {"b": [[true]]}}')
+        argv = ["resolve", _kronecker_file(tmp_path), "--module", str(f), "--depth", "1"]
+        message = "malformed map for arrow 'b'"
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_dimension_vectors_match_a_product_reference():
+    from itertools import product
+    from fproot.cli import _dimension_vectors
+    for n in range(1, 5):
+        vertices = [str(v) for v in range(n)]
+        for budget in range(4):
+            got = [tuple(dv.values()) for dv in _dimension_vectors(vertices, budget)]
+            want = {d for d in product(range(budget + 1), repeat=n)
+                    if 1 <= sum(d) <= budget}
+            assert len(got) == len(want) and set(got) == want
+
+
+def test_dimension_vectors_of_many_vertices():
+    from fproot.cli import _dimension_vectors
+    vertices = [f"v{i}" for i in range(2000)]
+    count = 0
+    for dv in _dimension_vectors(vertices, 1):
+        assert len(dv) == 2000 and sum(dv.values()) == 1
+        count += 1
+    assert count == 2000
+
+
+def test_resolve_module_dimension_beyond_the_size_cap_exit_2(tmp_path, sqrt2_file):
+    mf = tmp_path / "huge.json"
+    mf.write_text(json.dumps({"dimvec": {"1": 10 ** 400}}))
+    code, out, err = run_cli(["resolve", sqrt2_file, "--module", str(mf)])
+    assert code == 2 and out == ""
+    assert "exceeds the size cap" in err and "Traceback" not in err

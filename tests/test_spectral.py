@@ -9,8 +9,8 @@ from fproot.exactlin import RatMatrix
 from fproot.spectral import (ExtendedMatrix, SpectralError,
                              characteristic_polynomial, matrix_from_json,
                              rho, rho_block_lower_triangular, rho_extended,
-                             rho_nonnegative_via_scc, squarefree_part,
-                             zplus_fpdim)
+                             rho_nonnegative_via_scc, spectral_radius,
+                             squarefree_part, zplus_fpdim)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -255,3 +255,9 @@ def test_certified_rho_matches_mpmath_oracle():
                                     for x in row] for row in rows])
             ref = max(abs(e) for e in mpmath.eig(exact, left=False, right=False))
             assert abs(r.value - ref) <= 1e-14 * max(1, ref), (rows, r.value)
+
+
+@pytest.mark.parametrize("radius", [rho, spectral_radius])
+def test_entries_beyond_the_double_range(radius):
+    with pytest.raises(SpectralError, match="out of the double range"):
+        radius([[0, 10 ** 400], [10 ** 400, 0]])
