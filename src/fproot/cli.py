@@ -104,9 +104,10 @@ def cmd_quiver(args) -> int:
 _SMALL = {k: Fraction(k) for k in range(-2, 3)}
 
 
-def _random_representation(alg, dimvec, rng):
-    """One random sample at a dimension vector: each arrow matrix is either
-    zero (often the only way to satisfy the relations) or small random."""
+def _random_representation(alg, dimvec, rng, name):
+    """One random sample at a dimension vector, called name: each arrow
+    matrix is either zero (often the only way to satisfy the relations) or
+    small random."""
     maps = {}
     for a in alg.quiver.arrows:
         r, c = dimvec[a.target], dimvec[a.source]
@@ -117,7 +118,7 @@ def _random_representation(alg, dimvec, rng):
                 [[_SMALL[rng.randint(-2, 2)] for _ in range(c)]
                  for _ in range(r)], cols=c)
     try:
-        return Representation(alg, dimvec, maps, check=True)
+        return Representation(alg, dimvec, maps, name=name, check=True)
     except RepresentationError:
         return None
 
@@ -162,15 +163,13 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
     truncated = False
     for dv in sorted(_dimension_vectors(list(alg.quiver.vertices), dim_budget),
                      key=lambda d: (sum(d.values()), tuple(sorted(d.items())))):
+        dims = "B(" + ",".join(str(dv[v]) for v in alg.quiver.vertices) + ")"
         for _ in range(samples_per_dimvec):
-            rep = _random_representation(alg, dv, rng)
+            rep = _random_representation(alg, dv, rng, f"{dims}#{len(cands)}")
             if rep is None or rep.is_zero():
                 continue
             if is_brick(rep):
-                named = rep.rename(
-                    "B(" + ",".join(str(dv[v]) for v in alg.quiver.vertices)
-                    + f")#{len(cands)}")
-                if not push(named):
+                if not push(rep):
                     truncated = True
                     break
         if truncated:

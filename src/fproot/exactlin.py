@@ -113,10 +113,6 @@ class RatMatrix:
         return RatMatrix([[x] for x in entries], cols=1)
 
     # -- access -------------------------------------------------------
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return self.data[i][j]
-
     def row(self, i: int) -> tuple:
         return self.data[i]
 
@@ -150,16 +146,6 @@ class RatMatrix:
         return RatMatrix._wrap(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
             self.cols)
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in -")
-        return RatMatrix._wrap(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            self.cols)
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix._wrap([[-a for a in r] for r in self.data], self.cols)
 
     def scale(self, c) -> "RatMatrix":
         c = rat(c)

@@ -80,17 +80,14 @@ class Representation:
                         f"relation {rel} does not vanish on {self.name}")
 
     def path_matrix(self, p: Path) -> RatMatrix:
-        """Matrix of a path acting V_source -> V_target (identity if trivial)."""
-        if not p.arrows:
-            return RatMatrix.identity(self.dimvec[p.source])
-        m = None
-        for label in reversed(p.arrows):
-            step = self.maps[label]
-            m = step if m is None else step @ m
-        return m
+        """Matrix of a path acting V_source -> V_target (identity if trivial),
+        one path_column at a time."""
+        return RatMatrix.from_columns(
+            [self.path_column(p, j) for j in range(self.dimvec[p.source])],
+            rows=self.dimvec[p.target])
 
     def path_column(self, p: Path, j: int) -> list:
-        """Column j of path_matrix(p): the path applied to the j-th basis
+        """Column j of path_matrix(p), the path applied to the j-th basis
         vector of V_source one arrow at a time, skipping zero entries (the
         entries are Fractions or the int 0)."""
         if not p.arrows:
@@ -112,10 +109,6 @@ class Representation:
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
-    def rename(self, name: str) -> "Representation":
-        return Representation(self.algebra, self.dimvec, self.maps,
-                              name=name, check=False)
-
     def __repr__(self):
         return f"Representation({self.name}, dimvec={self.dimvec})"
 
@@ -136,22 +129,35 @@ def simples(algebra: BoundAlgebra) -> List[Representation]:
 
 
 def _projective_of_multiset(alg: BoundAlgebra, gens: List[str]):
-    """Basis layout of directsum_i P_{gens[i]} grouped by vertex."""
-    basis: Dict[str, List[Tuple[int, Path]]] = {v: [] for v in alg.quiver.vertices}
+    """Basis layout of directsum_i P_{gens[i]} grouped by vertex; a vertex
+    where the projective is zero has no key."""
+    basis: Dict[str, List[Tuple[int, Path]]] = {}
     for i, v in enumerate(gens):
         for p in alg.basis_with_source(v):
-            basis[p.target].append((i, p))
+            basis.setdefault(p.target, []).append((i, p))
     return basis
 
 
-def _projective_arrow_matrix(alg: BoundAlgebra, basis, a) -> RatMatrix:
-    src, tgt = basis[a.source], basis[a.target]
-    index = {bp: k for k, bp in enumerate(tgt)}
-    m = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
-    for j, (copy, p) in enumerate(src):
-        for tp, c in alg.left_multiply(a.label, p).items():
-            m[index[(copy, tp)]][j] = c
-    return RatMatrix(m, cols=len(src))
+def _submodule_maps(alg: BoundAlgebra, basis, vectors, free) -> Dict[str, RatMatrix]:
+    """Arrow matrices of the submodule spanned at each vertex w by vectors[w],
+    sparse {(copy, path): coeff} over basis[w] in rref form with free columns
+    free[w] (from nullspace): an image's coordinates are its entries at the
+    target's free columns.  Arrows at a vertex without vectors are left out."""
+    maps = {}
+    for a in alg.quiver.arrows:
+        if a.source not in vectors or a.target not in free:
+            continue
+        index = {basis[a.target][f]: k for k, f in enumerate(free[a.target])}
+        cols = vectors[a.source]
+        m = [[Fraction(0)] * len(cols) for _ in index]
+        for j, vec in enumerate(cols):
+            for (copy, p), x in vec.items():
+                for tp, c in alg.left_multiply(a.label, p).items():
+                    k = index.get((copy, tp))
+                    if k is not None:
+                        m[k][j] += x * c
+        maps[a.label] = RatMatrix(m, cols=len(cols))
+    return maps
 
 
 def projective(algebra: BoundAlgebra, v) -> Representation:
@@ -162,24 +168,27 @@ def projective(algebra: BoundAlgebra, v) -> Representation:
     if v not in algebra.quiver.vertices:
         raise AlgebraError(f"unknown vertex {v!r}")
     basis = _projective_of_multiset(algebra, [v])
-    maps = {a.label: _projective_arrow_matrix(algebra, basis, a)
-            for a in algebra.quiver.arrows}
-    return Representation(algebra, {w: len(b) for w, b in basis.items()}, maps,
+    units = {w: [{bp: 1} for bp in b] for w, b in basis.items()}
+    free = {w: range(len(b)) for w, b in basis.items()}
+    return Representation(algebra, {w: len(b) for w, b in basis.items()},
+                          _submodule_maps(algebra, basis, units, free),
                           name=f"P{v}")
 
 
-def _radical_columns(m: Representation, w: str) -> list:
-    """The columns of every arrow map into w; they span the radical of m
-    at w."""
-    return [col for a in m.algebra.quiver.arrows_into(w)
-            for col in m.maps[a.label].transpose().data]
+def _top(m: Representation, w: str) -> List[int]:
+    """The basis indices of m at w outside the pivots of its radical (the
+    span of the columns of every arrow map into w); each lifts one
+    generator of the top of m."""
+    radical = [col for a in m.algebra.quiver.arrows_into(w)
+               for col in m.maps[a.label].transpose().data]
+    covered = set(pivot_columns(radical))
+    return [j for j in range(m.dimvec[w]) if j not in covered]
 
 
 def projective_cover_multiplicities(m: Representation) -> Dict[str, int]:
     """Multiplicity of each P_v in the projective cover, i.e. dim of the top
     at each vertex."""
-    return {w: m.dimvec[w] - rank_of_rows(_radical_columns(m, w))
-            for w in m.algebra.quiver.vertices}
+    return {w: len(_top(m, w)) for w in m.algebra.quiver.vertices}
 
 
 def dual_representation(m: Representation, op_algebra: BoundAlgebra) -> Representation:
@@ -276,7 +285,8 @@ def is_isomorphic_brick(m: Representation, n: Representation) -> bool:
     for f in fwd.basis:
         for g in bwd.basis:
             for v in m.algebra.quiver.vertices:
-                if m.dimvec[v] and not (g[v] @ f[v]).is_zero():
+                if any(sum(x * y for x, y in zip(row, col))
+                       for col in zip(*f[v].data) for row in g[v].data):
                     return True
     return False
 
@@ -315,7 +325,8 @@ class ResolutionStep:
     """One projective P = directsum P_{v_i} in a resolution.
 
     generators:   vertex of each indecomposable summand, in order
-    basis:        per vertex, the ordered list of (copy index, algebra path)
+    basis:        per vertex, the ordered list of (copy index, algebra path);
+                  a vertex where P is zero has no key
     differential: per generator, its image in the basis of the previous step
                   as {(copy, path): coeff}; for step 0 the image is in the
                   resolved module, stored as {vertex: column vector}.
@@ -368,72 +379,44 @@ def resolution_steps(m: Representation) -> Iterator[ResolutionStep]:
     """The steps of the minimal projective resolution of m, one at a time,
     ending after the last nonzero step.
 
-    Each step is the projective cover of the previous syzygy; the syzygy is
-    carried along as an explicit subrepresentation (nullspace bases per
-    vertex), which keeps every differential exact.  Minimality (differential
-    image inside the radical) is checked at every step and raises
+    Each step is the projective cover of the previous syzygy, kept as sparse
+    kernel vectors {(copy, path): coeff} over its projective's basis; a lift's
+    differential entry is the syzygy vector it lifts.  Minimality (image
+    inside the radical) is checked at every step and raises
     InvariantViolation when it fails.
     """
     alg = m.algebra
-    q = alg.quiver
     current = m
-    embed: Optional[Dict[str, RatMatrix]] = None  # syzygy basis inside previous P
-    prev_basis = None
-
+    syzygy = None  # per vertex, the previous syzygy's vectors
     for step_idx in count():
-        # each basis vector outside the pivots of the radical lifts one
-        # generator of the top
-        gens: List[str] = []
-        lift_cols: List[Tuple[str, int]] = []
-        for v in q.vertices:
-            covered = set(pivot_columns(_radical_columns(current, v)))
-            for j in range(current.dimvec[v]):
-                if j not in covered:
-                    gens.append(v)
-                    lift_cols.append((v, j))
-        if not gens:
+        lifts = [(v, j) for v in alg.quiver.vertices for j in _top(current, v)]
+        if not lifts:
             return
-
+        gens = [v for v, _ in lifts]
         basis = _projective_of_multiset(alg, gens)
 
         # differential of this step expressed over the previous step
-        differential = []
-        for copy, (v, j) in enumerate(lift_cols):
-            if step_idx == 0:
-                col = [Fraction(1 if t == j else 0) for t in range(current.dimvec[v])]
-                differential.append({v: tuple(col)})
-            else:
-                img = embed[v].col(j)  # coordinates in the previous projective at v
-                entry: Dict[Tuple[int, Path], Fraction] = {}
-                for k, bp in enumerate(prev_basis[v]):
-                    if img[k]:
-                        entry[bp] = img[k]
-                differential.append(entry)
-                if any(len(ppath) == 0 for _, ppath in entry):
-                    raise InvariantViolation(
-                        "minimality violated: differential leaves the radical")
+        if syzygy is None:
+            differential = [
+                {v: tuple(Fraction(1 if t == j else 0) for t in range(m.dimvec[v]))}
+                for v, j in lifts]
+        else:
+            differential = [syzygy[v][j] for v, j in lifts]
+            if any(not ppath.arrows for entry in differential for _, ppath in entry):
+                raise InvariantViolation(
+                    "minimality violated: differential leaves the radical")
 
         yield ResolutionStep(gens, basis, differential)
 
         # syzygy = kernel of the cover map, whose column (copy, path) at w is
-        # the path acting on the lift; arrow maps restrict from the projective
-        new_embed = {}
-        free_rows = {}
-        for w in q.vertices:
-            cols = [current.path_column(p, lift_cols[copy][1]) for copy, p in basis[w]]
-            kernel, free_rows[w] = nullspace(list(zip(*cols)), len(cols))
-            new_embed[w] = RatMatrix.from_columns(kernel, rows=len(cols))
-        new_dim = {w: new_embed[w].cols for w in q.vertices}
-
-        new_maps = {}
-        for a in q.arrows:
-            img = _projective_arrow_matrix(alg, basis, a) @ new_embed[a.source]
-            new_maps[a.label] = RatMatrix([img.data[fr] for fr in free_rows[a.target]],
-                                          cols=new_dim[a.source])
-
-        prev_basis = basis
-        embed = new_embed
-        current = Representation(alg, new_dim, new_maps,
+        # the path acting on the lift
+        syzygy, free = {}, {}
+        for w, b in basis.items():
+            cols = [current.path_column(p, lifts[copy][1]) for copy, p in b]
+            kernel, free[w] = nullspace(list(zip(*cols)), len(cols))
+            syzygy[w] = [{bp: x for bp, x in zip(b, vec) if x} for vec in kernel]
+        current = Representation(alg, {w: len(vs) for w, vs in syzygy.items()},
+                                 _submodule_maps(alg, basis, syzygy, free),
                                  name=f"syzygy{step_idx + 1}({m.name})",
                                  check=False)
 

@@ -32,6 +32,10 @@ GOLDEN = [
     # a finite resolution (length 1) at a depth past its end
     (["resolve", "kronecker_algebra.json", "--simple", "1", "--depth", "3"],
      "kronecker_resolve_s1_depth3.out"),
+    # a two-term relation (the commutative square): Ext^2(S1, S4) = 1
+    (["resolve", "commutative_square_algebra.json", "--simple", "1",
+      "--depth", "4"],
+     "commutative_square_resolve_s1_depth4.out"),
     # irreducible 5x5, squarefree characteristic polynomial of degree 5:
     # the certified value comes out of the Sturm bisection
     (["spectral", "spectral_irreducible5.json"], "spectral_irreducible5.out"),
