@@ -142,7 +142,8 @@ def _submodule_maps(alg: BoundAlgebra, basis, vectors, free) -> Dict[str, RatMat
     """Arrow matrices of the submodule spanned at each vertex w by vectors[w],
     sparse {(copy, path): coeff} over basis[w] in rref form with free columns
     free[w] (from nullspace): an image's coordinates are its entries at the
-    target's free columns.  Arrows at a vertex without vectors are left out."""
+    target's free columns.  An arrow whose source has no vectors, or whose
+    target has no free columns, is left out and gets a zero map."""
     maps = {}
     for a in alg.quiver.arrows:
         if a.source not in vectors or a.target not in free:
@@ -285,8 +286,7 @@ def is_isomorphic_brick(m: Representation, n: Representation) -> bool:
     for f in fwd.basis:
         for g in bwd.basis:
             for v in m.algebra.quiver.vertices:
-                if any(sum(x * y for x, y in zip(row, col))
-                       for col in zip(*f[v].data) for row in g[v].data):
+                if m.dimvec[v] and not (g[v] @ f[v]).is_zero():
                     return True
     return False
 

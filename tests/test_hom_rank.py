@@ -204,12 +204,25 @@ def unchecked_modules(draw):
     return Representation(alg, dimvec, draw(arrow_maps(alg, dimvec)), check=False)
 
 
+def _path_product(m, p):
+    """The matrix of a path as the product of its arrow maps, the last arrow
+    leftmost (identity for a trivial path): the reference that path_column
+    and path_matrix are compared against."""
+    if not p.arrows:
+        return RatMatrix.identity(m.dimvec[p.source])
+    *rest, first = p.arrows
+    out = m.maps[first]
+    for label in reversed(rest):
+        out = m.maps[label] @ out
+    return out
+
+
 def _relations_vanish_by_matrices(m):
     for rel in m.algebra.relations:
         p0 = rel[0][1]
         acc = RatMatrix.zeros(m.dimvec[p0.target], m.dimvec[p0.source])
         for coeff, p in rel:
-            acc = acc + m.path_matrix(p).scale(coeff)
+            acc = acc + _path_product(m, p).scale(coeff)
         if not acc.is_zero():
             return False
     return True
@@ -247,6 +260,7 @@ def test_path_column_matches_path_matrix(m):
     trivial = [Path((), v, v) for v in m.algebra.quiver.vertices]
     arrows = [Path((a.label,), a.source, a.target) for a in m.algebra.quiver.arrows]
     for p in trivial + arrows + [p for rel in m.algebra.relations for _, p in rel]:
-        pm = m.path_matrix(p)
+        pm = _path_product(m, p)
+        assert m.path_matrix(p) == pm
         for j in range(pm.cols):
             assert tuple(m.path_column(p, j)) == pm.col(j)

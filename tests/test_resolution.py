@@ -14,20 +14,21 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fproot.algebra import (algebra_to_json, dual_numbers_algebra,
-                            kronecker_algebra, local_two_loop_algebra,
-                            sqrt2_algebra)
+from fproot.algebra import (algebra_to_json, build_algebra,
+                            dual_numbers_algebra, kronecker_algebra,
+                            local_two_loop_algebra, sqrt2_algebra)
 from fproot.cli import run, scan_candidates
-from fproot.exactlin import RatMatrix
+from fproot.exactlin import RatMatrix, rank_of_rows
 from fproot.fpcore import ExtCalculator
-from fproot.repmod import (Representation, direct_sum, ext,
-                           minimal_resolution, module_to_json, projective,
-                           simple)
+from fproot.quiver import Quiver
+from fproot.repmod import (Representation, RepresentationError, direct_sum,
+                           ext, minimal_resolution, module_to_json,
+                           projective, simple)
 from test_hom_rank import ALGEBRAS as RELATION_ALGEBRAS
-from test_hom_rank import modules
+from test_hom_rank import _conjugate, arrow_maps, invertibles, modules
 
 ALGEBRAS = {
     "sqrt2": sqrt2_algebra(),
@@ -147,20 +148,86 @@ def _path_image(m, image, p, at_module):
     return image
 
 
+# 1 => 2 -> 3 with p, q: 1 -> 2, a: 2 -> 3 and a p = a q: a syzygy vector
+# with a p term and a q term sends both onto the one normal form of a p, so
+# the arrow action must add their images, not keep the last one.
+FORK = build_algebra(Quiver(["1", "2", "3"], [("p", "1", "2"), ("q", "1", "2"),
+                                              ("a", "2", "3")]),
+                     [[(1, ("a", "p")), (-1, ("a", "q"))]])
+
+
+@st.composite
+def fork_modules(draw):
+    """A module over FORK; q may be given p's matrix so that the relation
+    holds with nonzero terms."""
+    dimvec = {v: draw(st.integers(min_value=0, max_value=2)) for v in "123"}
+    maps = draw(arrow_maps(FORK, dimvec))
+    if draw(st.booleans()):
+        maps["q"] = maps["p"]
+    try:
+        m = Representation(FORK, dimvec, maps)
+    except RepresentationError:
+        assume(False)
+    return _conjugate(m, {v: draw(invertibles(d)) for v, d in dimvec.items()})
+
+
 @st.composite
 def relation_modules(draw):
     """A module over one of the six algebras of test_hom_rank, among them
-    the commutative square (a two-term relation) and a4 (a length-3 one)."""
-    name = draw(st.sampled_from(sorted(RELATION_ALGEBRAS)))
+    the commutative square (a two-term relation) and a4 (a length-3 one),
+    or over FORK."""
+    name = draw(st.sampled_from(sorted(RELATION_ALGEBRAS) + ["fork"]))
+    if name == "fork":
+        return draw(fork_modules())
     return draw(modules(RELATION_ALGEBRAS[name]))
+
+
+def _rank_at(m, step, k, w):
+    """Rank of d_k at vertex w, recomputed: a basis element (copy, p) of P_k
+    goes to p times the differential entry of its generator."""
+    keys, images = {}, []
+    for copy, p in step.basis.get(w, ()):
+        image = _path_image(m, step.differential[copy], p, k == 0)
+        images.append({keys.setdefault(key, len(keys)): y
+                       for key, y in image.items()})
+    return rank_of_rows([[im.get(j, 0) for j in range(len(keys))]
+                         for im in images])
+
+
+def _assert_exact(res):
+    """The resolution is exact, by ranks at every vertex: d_0 is onto the
+    module, the image of d_{k+1} is the kernel of d_k, and the last
+    differential of a finite resolution is injective."""
+    m, steps = res.module, res.steps
+    for w in m.algebra.quiver.vertices:
+        ranks = [_rank_at(m, step, k, w) for k, step in enumerate(steps)]
+        if res.length is not None:
+            ranks.append(0)
+        assert ranks[0] == m.dimvec[w]
+        for k in range(len(ranks) - 1):
+            assert ranks[k] + ranks[k + 1] == len(steps[k].basis.get(w, ()))
+
+
+def test_fork_resolution_adds_images_onto_one_path():
+    """M = (k at 1, k at 2, p = q = 1): its syzygy holds p - q, which a sends
+    to a p - a q = 0, so Omega M = P2 + P3 over the top and Omega^2 M = S3."""
+    one = RatMatrix([[1]])
+    m = Representation(FORK, {"1": 1, "2": 1, "3": 0}, {"p": one, "q": one})
+    res = minimal_resolution(m, 4)
+    assert res.multiplicity_pattern() == [{"1": 1}, {"2": 1, "3": 1}, {"3": 1}]
+    assert res.length == 2
+    _assert_exact(res)
 
 
 @settings(max_examples=60, deadline=None)
 @given(relation_modules())
 def test_differentials_compose_to_zero(m):
-    """d_{i-1} d_i = 0 at every step to depth 4, and every differential
-    path has length >= 1, recomputed from the algebra's multiplication."""
-    steps = minimal_resolution(m, 4).steps
+    """d_{i-1} d_i = 0 at every step to depth 4, every differential path has
+    length >= 1, and the steps are exact, each recomputed from the algebra's
+    multiplication."""
+    res = minimal_resolution(m, 4)
+    _assert_exact(res)
+    steps = res.steps
     for i in range(1, len(steps)):
         for entry in steps[i].differential:
             assert all(len(p) >= 1 for _, p in entry)
