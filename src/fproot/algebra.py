@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactlin import RatMatrix, rat, rat_str, rref
-from .quiver import Quiver, QuiverError, kronecker_quiver
+from .quiver import Quiver, QuiverError, json_array, kronecker_quiver
 
 DEFAULT_LENGTH_CAP = 32
 DEFAULT_DIM_CAP = 20000
@@ -330,8 +330,9 @@ def algebra_from_json(text: str) -> BoundAlgebra:
     except json.JSONDecodeError as e:
         raise AlgebraError(f"invalid JSON: {e}") from e
     try:
-        q = Quiver(raw["vertices"],
-                   [(x["label"], x["from"], x["to"]) for x in raw.get("arrows", [])])
+        q = Quiver(json_array(raw["vertices"], "vertices"),
+                   [(x["label"], x["from"], x["to"])
+                    for x in json_array(raw.get("arrows", []), "arrows")])
     except (KeyError, TypeError, QuiverError) as e:
         raise AlgebraError(f"malformed algebra file: {e}") from e
     rels = raw.get("relations", [])
@@ -340,7 +341,8 @@ def algebra_from_json(text: str) -> BoundAlgebra:
     parsed = []
     for rel in rels:
         try:
-            parsed.append([(rat(term["coeff"]), tuple(term["path"])) for term in rel])
+            parsed.append([(rat(term["coeff"]), tuple(json_array(term["path"], "path")))
+                           for term in rel])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
             raise AlgebraError(f"malformed relation {rel!r}: {e}") from e
     return BoundAlgebra(q, parsed)

@@ -595,33 +595,18 @@ def complexity_estimate(alg: BoundAlgebra, depth: int,
            for n in range(depth + 1)]
     cx, fpv, _ = _capped_growth_summary(seq[1:])
 
-    # averaging growth condition over the window
-    pmax = []
-    for n in range(depth + 1):
-        vals = []
-        for a in range(len(verts)):
-            for b in range(a, len(verts)):
-                i, j = verts[a], verts[b]
-                vals.append(min(table[(i, j)][n], table[(j, i)][n]))
-        pmax.append(max(vals))
-    holds = True
-    violation = None
-    for n in range(depth + 1):
-        lo = max(0, n - agc_radius)
-        hi = min(depth, n + agc_radius)
-        bound = agc_constant * max(pmax[lo:hi + 1])
-        for i in verts:
-            for j in verts:
-                if table[(i, j)][n] > bound:
-                    holds = False
-                    violation = (n, i, j)
-                    break
-            if violation:
-                break
-        if violation:
-            break
+    # averaging growth condition over the window; no vertices, no Ext
+    pmax = [max((min(table[(i, j)][n], table[(j, i)][n])
+                 for a, i in enumerate(verts) for j in verts[a:]), default=0)
+            for n in range(depth + 1)]
+    violation = next(
+        ((n, i, j) for n in range(depth + 1) for i in verts for j in verts
+         if table[(i, j)][n] > agc_constant * max(
+             pmax[max(0, n - agc_radius):n + agc_radius + 1])),
+        None)
     return ComplexityReport(table, seq, cx, fpv,
-                            AGCResult(holds, agc_constant, agc_radius, violation))
+                            AGCResult(violation is None, agc_constant, agc_radius,
+                                      violation))
 
 
 @dataclass

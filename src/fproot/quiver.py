@@ -2,7 +2,9 @@
 
 Adjacency matrices, Frobenius-Perron dimension, cycle numbers, classification
 of underlying graphs against the (extended) Dynkin shapes, and positive roots
-of the ADE root systems.
+of the ADE root systems.  Cycle numbers, acyclicity and connectivity are read
+off strongly connected components and have no size cap; only the explicit
+enumeration `simple_cycles` is capped.
 
 Convention: adjacency entry (i, j) counts arrows i -> j.  The radius is
 transpose invariant so this choice is observationally irrelevant, but it is
@@ -13,10 +15,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .exactlin import RatMatrix
-from .spectral import SpectralValue, rho_nonnegative_via_scc
+from .spectral import (SpectralValue, rho_nonnegative_via_scc,
+                       strongly_connected_components)
 
 CYCLE_ENUM_MAX_VERTICES = 12
 CYCLE_ENUM_MAX_ARROWS = 24
@@ -115,6 +118,11 @@ def quiver_fpdim(q: Quiver) -> SpectralValue:
     return rho_nonnegative_via_scc(adjacency(q))
 
 
+def _edges(q: Quiver) -> List[Tuple[int, int]]:
+    """The arrows as (source, target) vertex-index pairs."""
+    return [(q.vertex_index(a.source), q.vertex_index(a.target)) for a in q.arrows]
+
+
 # ---------------------------------------------------------------------------
 # cycle numbers
 # ---------------------------------------------------------------------------
@@ -123,7 +131,8 @@ def simple_cycles(q: Quiver) -> List[Tuple[Arrow, ...]]:
     """All vertex-simple oriented cycles, as arrow tuples.
 
     Parallel arrows give distinct cycles.  Each cycle is reported once, based
-    at its smallest vertex index.  Enumeration is capped at small quivers.
+    at its smallest vertex index.  Enumeration is capped at small quivers;
+    the cycle numbers do not use it.
     """
     n = len(q.vertices)
     if n > CYCLE_ENUM_MAX_VERTICES or len(q.arrows) > CYCLE_ENUM_MAX_ARROWS:
@@ -152,24 +161,8 @@ def simple_cycles(q: Quiver) -> List[Tuple[Arrow, ...]]:
 
 
 def is_acyclic(q: Quiver) -> bool:
-    """True when q has no oriented cycle (no cap; Kahn's algorithm)."""
-    n = len(q.vertices)
-    indeg = [0] * n
-    out = [[] for _ in range(n)]
-    for a in q.arrows:
-        s, t = q.vertex_index(a.source), q.vertex_index(a.target)
-        indeg[t] += 1
-        out[s].append(t)
-    queue = [v for v in range(n) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == n
+    """True when q has no oriented cycle (no cap)."""
+    return cycle_number(q).theta == 0
 
 
 @dataclass(frozen=True)
@@ -186,34 +179,22 @@ class CycleNumber:
 def cycle_number(q: Quiver) -> CycleNumber:
     """Count first-return oriented cycles per vertex, saturated at >= 2.
 
-    A closed walk based at v that visits v only at its endpoints contains a
-    vertex-simple cycle through v, and conversely extra first-return walks
-    exist exactly when either two simple cycles pass through v, or the unique
-    one passes through a vertex lying on some cycle that avoids v (side
-    cycles can then be traversed arbitrarily often).  So the saturated count
-    is decidable from the simple-cycle list alone.
+    Only the strongly connected component of v matters.  With no arrow
+    inside it there is no such walk; with as many inner arrows as vertices
+    the component is one cycle (or one loop), walked once; with more, a
+    second cycle in it can be entered and left any number of times.  So the
+    count is the component's cycle rank, inner arrows - vertices + 1,
+    saturated at 2.  No size cap.
     """
-    cycles = simple_cycles(q)
-    vertex_sets = []
-    for c in cycles:
-        vs = {a.source for a in c}
-        vertex_sets.append(vs)
-    per: Dict[str, int] = {}
-    for v in q.vertices:
-        through = [vs for vs in vertex_sets if v in vs]
-        if not through:
-            per[v] = 0
-        elif len(through) >= 2:
-            per[v] = 2
-        else:
-            cyc = through[0]
-            avoid = [vs for vs in vertex_sets if v not in vs]
-            if any(vs & cyc for vs in avoid):
-                per[v] = 2
-            else:
-                per[v] = 1
-    theta = max(per.values()) if per else 0
-    return CycleNumber(per, theta)
+    edges = _edges(q)
+    comps = strongly_connected_components(len(q.vertices), edges)
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    cycle_rank = [1 - len(comp) for comp in comps]
+    for s, t in edges:
+        if comp_of[s] == comp_of[t]:
+            cycle_rank[comp_of[s]] += 1
+    per = {v: min(2, cycle_rank[comp_of[i]]) for i, v in enumerate(q.vertices)}
+    return CycleNumber(per, max(per.values(), default=0))
 
 
 @dataclass(frozen=True)
@@ -246,38 +227,18 @@ def fpdim_trichotomy_check(q: Quiver, tol: float = 1e-9) -> TrichotomyReport:
 # ---------------------------------------------------------------------------
 
 def _is_connected(q: Quiver) -> bool:
-    n = len(q.vertices)
-    if n == 0:
-        return False
-    U = underlying_adjacency(q)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in range(n):
-            if U.data[v][w] and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+    """Whether the arrows, taken both ways, join all vertices of q (a quiver
+    with no vertices is not connected)."""
+    edges = _edges(q)
+    return len(strongly_connected_components(
+        len(q.vertices), edges + [(t, s) for s, t in edges])) == 1
 
 
-def _leg_lengths(U: RatMatrix, center: int, n: int) -> Optional[List[int]]:
-    """Lengths of the simple paths hanging off a single branch vertex."""
-    legs = []
-    for w in range(n):
-        if w != center and U.data[center][w]:
-            length = 1
-            prev, cur = center, w
-            while True:
-                nbrs = [x for x in range(n) if U.data[cur][x] and x != prev]
-                if not nbrs:
-                    break
-                if len(nbrs) > 1:
-                    return None
-                prev, cur = cur, nbrs[0]
-                length += 1
-            legs.append(length)
-    return sorted(legs)
+# the sorted leg lengths at the one branch vertex of a tree, besides the
+# (1, 1, k) legs of D_{k+3}
+_LEG_SHAPES = {(1, 2, 2): ("E", 6), (1, 2, 3): ("E", 7), (1, 2, 4): ("E", 8),
+               (2, 2, 2): ("~E", 6), (1, 3, 3): ("~E", 7), (1, 2, 5): ("~E", 8),
+               (1, 1, 1, 1): ("~D", 4)}
 
 
 def classify_underlying_graph(q: Quiver):
@@ -288,18 +249,14 @@ def classify_underlying_graph(q: Quiver):
     be connected and loop-free; parallel edges are only meaningful for the
     two-vertex double edge, which is the rank-1 extended A shape.
     """
+    U = underlying_adjacency(q)  # rejects loops before the connectivity test
     if not _is_connected(q):
         raise QuiverError("classification needs a connected graph")
-    n = len(q.vertices)
-    U = underlying_adjacency(q)
-    edge_count = sum(int(U.data[i][j]) for i in range(n) for j in range(i + 1, n))
-    deg = [int(sum(U.data[i][j] for j in range(n))) for i in range(n)]
-    multi = any(U.data[i][j] > 1 for i in range(n) for j in range(i + 1, n))
-
-    if multi:
-        if n == 2 and edge_count == 2:
-            return ("~A", 1)
-        return None
+    n, edge_count = len(q.vertices), len(q.arrows)
+    nbrs = [[j for j in range(n) if U.data[i][j]] for i in range(n)]
+    deg = [len(x) for x in nbrs]
+    if sum(deg) != 2 * edge_count:  # parallel edges
+        return ("~A", 1) if n == 2 and edge_count == 2 else None
     if edge_count == n and all(d == 2 for d in deg):
         return ("~A", n - 1)
     if edge_count != n - 1:
@@ -307,44 +264,22 @@ def classify_underlying_graph(q: Quiver):
     branch = [i for i in range(n) if deg[i] >= 3]
     if not branch:
         return ("A", n)
-    if len(branch) == 1:
-        c = branch[0]
-        if deg[c] == 4:
-            legs = _leg_lengths(U, c, n)
-            if legs == [1, 1, 1, 1]:
-                return ("~D", 4)
-            return None
-        if deg[c] != 3:
-            return None
-        legs = _leg_lengths(U, c, n)
-        if legs is None:
-            return None
-        a, b, cc = legs
-        if (a, b) == (1, 1):
-            return ("D", cc + 3)
-        if (a, b, cc) == (1, 2, 2):
-            return ("E", 6)
-        if (a, b, cc) == (1, 2, 3):
-            return ("E", 7)
-        if (a, b, cc) == (1, 2, 4):
-            return ("E", 8)
-        if (a, b, cc) == (2, 2, 2):
-            return ("~E", 6)
-        if (a, b, cc) == (1, 3, 3):
-            return ("~E", 7)
-        if (a, b, cc) == (1, 2, 5):
-            return ("~E", 8)
-        return None
     if len(branch) == 2:
-        # a tree with exactly two degree-3 vertices, four leaves and all
-        # remaining degrees 2 is forced to be the extended D shape
-        if any(deg[i] != 3 for i in branch):
-            return None
-        leaves = sum(1 for d in deg if d == 1)
-        if leaves == 4 and all(d in (1, 2, 3) for d in deg):
+        # extended D: two degree-3 vertices, each with two leaf neighbours
+        if all(deg[b] == 3 and [deg[w] for w in nbrs[b]].count(1) == 2
+               for b in branch):
             return ("~D", n - 1)
         return None
-    return None
+    if len(branch) > 2:
+        return None
+    c = branch[0]
+    # the legs are the components left when the branch vertex is removed
+    rest = [(i, j) for i in range(n) for j in nbrs[i] if c not in (i, j)]
+    legs = tuple(sorted(len(comp) for comp in strongly_connected_components(n, rest)
+                        if c not in comp))
+    if len(legs) == 3 and legs[:2] == (1, 1):
+        return ("D", legs[2] + 3)
+    return _LEG_SHAPES.get(legs)
 
 
 # builders ------------------------------------------------------------------
@@ -463,14 +398,24 @@ def quiver_to_json(q: Quiver) -> str:
     }, indent=2, sort_keys=True)
 
 
+def json_array(value, field: str) -> list:
+    """value, if it is a JSON array; a string or an object would otherwise be
+    read as its characters or keys.  The TypeError names the field, and each
+    file reader reports it with its own error class."""
+    if not isinstance(value, list):
+        raise TypeError(f"{field} is not a JSON array: {value!r}")
+    return value
+
+
 def quiver_from_json(text: str) -> Quiver:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise QuiverError(f"invalid JSON: {e}") from e
     try:
-        return Quiver(raw["vertices"],
-                      [(a["label"], a["from"], a["to"]) for a in raw.get("arrows", [])])
+        return Quiver(json_array(raw["vertices"], "vertices"),
+                      [(a["label"], a["from"], a["to"])
+                       for a in json_array(raw.get("arrows", []), "arrows")])
     except KeyError as e:
         raise QuiverError(f"malformed quiver file: missing {e}") from e
     except TypeError as e:

@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .exactlin import (InvariantViolation, RatMatrix, nullspace, pivot_columns,
                        rank_of_rows, rat, rat_str)
 from .algebra import DEFAULT_DIM_CAP, AlgebraError, BoundAlgebra, Path
-from .quiver import classify_underlying_graph, positive_roots
+from .quiver import classify_underlying_graph, json_array, positive_roots
 
 
 class RepresentationError(ValueError):
@@ -665,6 +665,9 @@ def module_from_json(alg: BoundAlgebra, text: str) -> Representation:
     try:
         dimvec = dict(raw["dimvec"].items())
         arrow_rows = raw.get("maps", {}).items()
+        name = raw.get("name", "")
+        if not isinstance(name, str):
+            raise TypeError(f"name is not a JSON string: {name!r}")
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise RepresentationError(f"malformed module file: {e}") from e
     for v, d in dimvec.items():
@@ -682,9 +685,10 @@ def module_from_json(alg: BoundAlgebra, text: str) -> Representation:
             raise RepresentationError(f"maps names unknown arrow {label!r}")
         try:  # a map into a zero space has no rows to read its width from
             maps[label] = RatMatrix(
-                [[rat(x) for x in row] for row in rows],
+                [[rat(x) for x in json_array(row, "row")]
+                 for row in json_array(rows, "map")],
                 cols=len(rows[0]) if rows else dimvec.get(source[label], 0))
         except (TypeError, ValueError, ZeroDivisionError) as e:
             raise RepresentationError(
                 f"malformed map for arrow {label!r}: {e}") from e
-    return Representation(alg, dimvec, maps, name=raw.get("name", ""))
+    return Representation(alg, dimvec, maps, name=name)

@@ -415,3 +415,73 @@ def test_resolve_module_dimension_beyond_the_size_cap_exit_2(tmp_path, sqrt2_fil
     code, out, err = run_cli(["resolve", sqrt2_file, "--module", str(mf)])
     assert code == 2 and out == ""
     assert "exceeds the size cap" in err and "Traceback" not in err
+
+
+# a JSON string or object where a format needs an array (or a string where it
+# needs a name) would be read as its characters or keys
+NOT_AN_ARRAY = {
+    "quiver_vertices_string": (
+        "quiver", '{"vertices": "12", "arrows": []}',
+        "malformed quiver file: vertices is not a JSON array"),
+    "quiver_vertices_object": (
+        "quiver", '{"vertices": {"1": 0, "2": 0}}',
+        "malformed quiver file: vertices is not a JSON array"),
+    "algebra_vertices_string": (
+        "algebra", '{"vertices": "12", "arrows": []}',
+        "malformed algebra file: vertices is not a JSON array"),
+    "algebra_vertices_object": (
+        "algebra", '{"vertices": {"1": 0, "2": 0}}',
+        "malformed algebra file: vertices is not a JSON array"),
+    "relation_path_string": (
+        "algebra", LOOP_ALGEBRA % '[[{"coeff": 1, "path": "xx"}]]',
+        "path is not a JSON array"),
+    "module_map_string": (
+        "module", '{"dimvec": {"1": 1, "2": 2}, "maps": {"b": "12"}}',
+        "malformed map for arrow 'b': map is not a JSON array"),
+    "module_row_string": (
+        "module", '{"dimvec": {"1": 2, "2": 1}, "maps": {"b": ["12"]}}',
+        "malformed map for arrow 'b': row is not a JSON array"),
+    "module_name_number": (
+        "module", '{"dimvec": {"1": 1, "2": 1}, "name": 5}',
+        "malformed module file: name is not a JSON string"),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_AN_ARRAY))
+def test_string_or_object_where_an_array_is_needed_exit_2(tmp_path, case):
+    fmt, text, message = NOT_AN_ARRAY[case]
+    f = tmp_path / "input.json"
+    f.write_text(text)
+    if fmt == "quiver":
+        argv = ["quiver", str(f), "cycles"]
+    elif fmt == "algebra":
+        argv = ["fp-scan", str(f), "--budget-dim", "1"]
+    else:
+        argv = ["resolve", _kronecker_file(tmp_path), "--module", str(f), "--depth", "1"]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_resolve_on_an_algebra_without_vertices(tmp_path):
+    af, mf = tmp_path / "alg.json", tmp_path / "zero.json"
+    af.write_text('{"vertices": []}')
+    mf.write_text('{"dimvec": {}}')
+    code, out, err = run_cli(["resolve", str(af), "--module", str(mf)])
+    assert code == 0, err
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["ext_simple_pairs"] == {}
+    assert payload["complexity"]["agc_holds"] is True
+
+
+def test_quiver_cycles_beyond_the_enumeration_cap(tmp_path):
+    """A 30-cycle with one chord: every vertex sees two cycles."""
+    q = cycle_quiver(30)
+    f = tmp_path / "q.json"
+    doc = json.loads(quiver_to_json(q))
+    doc["arrows"].append({"label": "chord", "from": "1", "to": "15"})
+    f.write_text(json.dumps(doc))
+    code, out, err = run_cli(["quiver", str(f), "cycles"])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["theta"] == 2 and set(payload["per_vertex"].values()) == {2}

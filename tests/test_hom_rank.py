@@ -11,7 +11,7 @@ basis-only test it screens.
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fproot.algebra import (Path, build_algebra, dual_numbers_algebra,
@@ -20,7 +20,7 @@ from fproot.algebra import (Path, build_algebra, dual_numbers_algebra,
 from fproot.exactlin import RatMatrix, rank, rank_of_rows, rref, solve
 from fproot.quiver import Quiver, path_quiver
 from fproot.repmod import (Representation, RepresentationError, hom, hom_dim,
-                           is_isomorphic_brick)
+                           is_brick, is_isomorphic_brick)
 
 
 def _commutative_square():
@@ -192,6 +192,44 @@ def test_is_isomorphic_brick_on_conjugate_pairs(data):
     m = data.draw(modules(alg))
     n = _conjugate(m, {v: data.draw(invertibles(d)) for v, d in m.dimvec.items()})
     assert is_isomorphic_brick(m, n) == _isomorphic_by_bases(m, n)
+
+
+def _isomorphic_by_schur(m, n):
+    """Bricks m and n are isomorphic iff their dimension vectors match and
+    Hom(m, n) is spanned by one map of full rank at every vertex (an
+    isomorphism spans Hom(m, n), which is End(m) = k)."""
+    if m.dimvec != n.dimvec:
+        return False
+    h = hom(m, n)
+    return h.dim == 1 and all(rank(h.basis[0][v]) == d for v, d in m.dimvec.items())
+
+
+@st.composite
+def bricks(draw, alg, dimvec=None):
+    """A nonzero brick over alg; dimensions of 1 are drawn most often, since
+    a random module with larger ones is seldom a brick."""
+    if dimvec is None:
+        dimvec = {v: draw(st.sampled_from((0, 1, 1, 2))) for v in alg.quiver.vertices}
+    m = draw(modules(alg, dimvec))
+    assume(not m.is_zero() and is_brick(m))
+    return m
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.data())
+def test_is_isomorphic_brick_matches_schur_rule(data):
+    """Against the rule above, on pairs of bricks; a conjugate of a brick
+    must come out isomorphic to it."""
+    alg = ALGEBRAS[data.draw(st.sampled_from(sorted(ALGEBRAS)))]
+    m = data.draw(bricks(alg))
+    partner = data.draw(st.sampled_from(["conjugate", "same_dimvec", "any"]))
+    if partner == "conjugate":
+        n = _conjugate(m, {v: data.draw(invertibles(d)) for v, d in m.dimvec.items()})
+        assert is_isomorphic_brick(m, n) and is_isomorphic_brick(n, m)
+    else:
+        n = data.draw(bricks(alg, dict(m.dimvec) if partner == "same_dimvec" else None))
+    assert is_isomorphic_brick(m, n) == _isomorphic_by_schur(m, n)
 
 
 # -- relation check and path columns ------------------------------------------
