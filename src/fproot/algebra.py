@@ -187,7 +187,9 @@ class BoundAlgebra:
         self.basis: Tuple[Path, ...] = tuple(p for lvl in levels for p in lvl)
         self.dim = len(self.basis)
         self._nf = nf
-        self._basis_index = {p: i for i, p in enumerate(self.basis)}
+        self._by_source: Dict[str, List[Path]] = {}
+        for p in self.basis:
+            self._by_source.setdefault(p.source, []).append(p)
 
     def _relation_consequence(self, rel: Relation, v: Path, nf, cindex):
         """Coordinates of rel * v on the current candidate list, or None when
@@ -223,8 +225,8 @@ class BoundAlgebra:
         return {}  # beyond the last level: zero
 
     def basis_with_source(self, v) -> List[Path]:
-        v = str(v)
-        return [p for p in self.basis if p.source == v]
+        """The basis paths that start at v, in basis order (a fresh list)."""
+        return list(self._by_source.get(str(v), ()))
 
     def __repr__(self):
         return (f"BoundAlgebra(dim={self.dim}, "

@@ -17,7 +17,6 @@ import json
 import math
 import random
 import sys
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from . import __version__
@@ -100,23 +99,20 @@ def cmd_quiver(args) -> int:
     return EXIT_OK
 
 
-# the sampler's entries, built once: Fractions are immutable and shared
-_SMALL = {k: Fraction(k) for k in range(-2, 3)}
+def _random_maps(alg, dimvec, rng):
+    """One random draw at a dimension vector, hashable: per arrow None for a
+    zero map (often the only way to satisfy the relations), otherwise the
+    integer rows of a small random matrix."""
+    return tuple(None if rng.random() < 0.4 else
+                 tuple(tuple(rng.randint(-2, 2) for _ in range(dimvec[a.source]))
+                       for _ in range(dimvec[a.target]))
+                 for a in alg.quiver.arrows)
 
 
-def _random_representation(alg, dimvec, rng, name):
-    """One random sample at a dimension vector, called name: each arrow
-    matrix is either zero (often the only way to satisfy the relations) or
-    small random."""
-    maps = {}
-    for a in alg.quiver.arrows:
-        r, c = dimvec[a.target], dimvec[a.source]
-        if rng.random() < 0.4:
-            maps[a.label] = RatMatrix.zeros(r, c)
-        else:
-            maps[a.label] = RatMatrix(
-                [[_SMALL[rng.randint(-2, 2)] for _ in range(c)]
-                 for _ in range(r)], cols=c)
+def _sample(alg, dimvec, draw, name):
+    """The module of a draw, called name, or None when a relation fails."""
+    maps = {a.label: RatMatrix._wrap(rows, dimvec[a.source])
+            for a, rows in zip(alg.quiver.arrows, draw) if rows is not None}
     try:
         return Representation(alg, dimvec, maps, name=name, check=True)
     except RepresentationError:
@@ -139,8 +135,8 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
 
     Simples and projectives are always included; the rest comes from seeded
     random sampling at every dimension vector within the budget, with exact
-    brick verification and exact isomorphism dedup.  Returns (candidates,
-    truncated_flag).
+    brick verification and exact isomorphism dedup; a draw repeated at one
+    dimension vector is examined once.  Returns (candidates, truncated_flag).
     """
     rng = random.Random(seed)
     cands = []
@@ -164,14 +160,19 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
     for dv in sorted(_dimension_vectors(list(alg.quiver.vertices), dim_budget),
                      key=lambda d: (sum(d.values()), tuple(sorted(d.items())))):
         dims = "B(" + ",".join(str(dv[v]) for v in alg.quiver.vertices) + ")"
+        verdicts = {}  # draw -> whether it is a brick satisfying the relations
         for _ in range(samples_per_dimvec):
-            rep = _random_representation(alg, dv, rng, f"{dims}#{len(cands)}")
-            if rep is None or rep.is_zero():
-                continue
-            if is_brick(rep):
-                if not push(rep):
+            draw = _random_maps(alg, dv, rng)
+            if draw in verdicts:  # its first copy is, or matches, a candidate
+                if verdicts[draw] and len(cands) >= max_candidates:
                     truncated = True
                     break
+                continue
+            rep = _sample(alg, dv, draw, f"{dims}#{len(cands)}")
+            verdicts[draw] = brick = rep is not None and is_brick(rep)
+            if brick and not push(rep):
+                truncated = True
+                break
         if truncated:
             break
     return cands, truncated

@@ -22,6 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 _FRACTION_ONLY = frozenset({Fraction})
+_INT_ONLY = frozenset({int})
 
 
 class InvariantViolation(AssertionError):
@@ -54,7 +55,8 @@ def rat_str(x: Fraction) -> str:
 
 
 class RatMatrix:
-    """An immutable rows x cols matrix of Fractions."""
+    """An immutable rows x cols matrix of exact rationals, int or Fraction
+    entries (the public constructor stores Fractions)."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -80,8 +82,8 @@ class RatMatrix:
     @staticmethod
     def _wrap(data, cols: int) -> "RatMatrix":
         """Trusted constructor: data is already a sequence of equal-length
-        sequences of Fractions (the output of this class's own arithmetic),
-        so it is stored without re-coercing or re-checking any entry."""
+        sequences of exact rationals, ints or Fractions (this class's own
+        output, or integer samples), stored without re-checking any entry."""
         m = object.__new__(RatMatrix)
         object.__setattr__(m, "rows", len(data))
         object.__setattr__(m, "cols", cols)
@@ -195,7 +197,10 @@ def _primitive(row):
 
 def primitive_row(row):
     """The rational row (ints or Fractions) times the positive rational that
-    makes it a primitive integer row (entries with gcd 1); None if zero."""
+    makes it a primitive integer row (entries with gcd 1), as a new list;
+    None if zero.  A row of ints needs no scaling."""
+    if _INT_ONLY.issuperset(map(type, row)):
+        return _primitive(list(row))
     den = lcm(*(x.denominator for x in row))
     return _primitive([x.numerator * (den // x.denominator) for x in row])
 

@@ -26,8 +26,6 @@ from .algebra import BoundAlgebra
 from . import repmod
 from .repmod import Representation, Resolution, ext_from_resolution
 
-__version_tag__ = "fproot"
-
 
 # ---------------------------------------------------------------------------
 # assignments

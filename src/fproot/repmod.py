@@ -89,7 +89,7 @@ class Representation:
     def path_column(self, p: Path, j: int) -> list:
         """Column j of path_matrix(p), the path applied to the j-th basis
         vector of V_source one arrow at a time, skipping zero entries (the
-        entries are Fractions or the int 0)."""
+        entries are ints or Fractions)."""
         if not p.arrows:
             col = [Fraction(0)] * self.dimvec[p.source]
             col[j] = Fraction(1)
@@ -305,10 +305,8 @@ def direct_sum(ms: Sequence[Representation]) -> Representation:
         big = [[Fraction(0)] * cols for _ in range(rows)]
         r0 = c0 = 0
         for m in ms:
-            blk = m.maps[a.label]
-            for i in range(blk.rows):
-                for j in range(blk.cols):
-                    big[r0 + i][c0 + j] = blk.data[i][j]
+            for i, row in enumerate(m.maps[a.label].data):
+                big[r0 + i][c0:c0 + len(row)] = row
             r0 += m.dimvec[a.target]
             c0 += m.dimvec[a.source]
         maps[a.label] = RatMatrix(big, cols=cols)
@@ -579,14 +577,8 @@ def regular_brick(alg: BoundAlgebra, lam) -> Representation:
 
 def _stacked(n: int, top: bool) -> RatMatrix:
     """(n+1) x n matrix: identity over a zero row, or zero row over identity."""
-    rows = []
-    if top:
-        rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        rows.append([Fraction(0)] * n)
-    else:
-        rows = [[Fraction(0)] * n]
-        rows += [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    return RatMatrix(rows, cols=n)
+    ident, zero = RatMatrix.identity(n).data, ((0,) * n,)
+    return RatMatrix(ident + zero if top else zero + ident, cols=n)
 
 
 def preprojective_brick(alg: BoundAlgebra, n: int) -> Representation:

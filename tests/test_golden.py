@@ -59,3 +59,14 @@ def test_cli_output_is_byte_identical(argv, expected):
                           capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (DATA / expected).read_bytes()
+
+
+def test_fp_scan_truncated_at_repeated_draw_is_byte_identical():
+    """A scan whose candidate list fills up at a draw that repeats an
+    earlier one at its dimension vector: exit 3 and the same partial report."""
+    argv = ["fp-scan", str(DATA / "sqrt2_algebra.json"), "--budget-dim", "3",
+            "--seed", "3", "--max-candidates", "7"]
+    proc = subprocess.run([sys.executable, "-m", "fproot.cli"] + argv,
+                          capture_output=True)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == (DATA / "sqrt2_fp_scan_dim3_seed3_max7.out").read_bytes()
