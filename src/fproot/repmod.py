@@ -305,8 +305,10 @@ def direct_sum(ms: Sequence[Representation]) -> Representation:
         big = [[Fraction(0)] * cols for _ in range(rows)]
         r0 = c0 = 0
         for m in ms:
-            for i, row in enumerate(m.maps[a.label].data):
-                big[r0 + i][c0:c0 + len(row)] = row
+            blk = m.maps[a.label]
+            for i in range(blk.rows):
+                for j in range(blk.cols):
+                    big[r0 + i][c0 + j] = blk.data[i][j]
             r0 += m.dimvec[a.target]
             c0 += m.dimvec[a.source]
         maps[a.label] = RatMatrix(big, cols=cols)

@@ -48,3 +48,13 @@ def test_scan_matches_reference(name, seed, budget):
             args = (alg, budget, seed, samples, max_candidates)
             assert _summary(scan_candidates(*args)) == \
                 _summary(reference_scan(*args)), args
+
+
+def test_scan_truncated_by_a_repeated_draw_alone():
+    """Here the candidate list is full when a draw repeats an earlier brick
+    draw at its dimension vector, and no new brick is drawn after it: the
+    repeat alone must set the truncated flag."""
+    args = (ALGEBRAS["kronecker"], 2, 4, 8, 6)
+    got = scan_candidates(*args)
+    assert got[1] is True
+    assert _summary(got) == _summary(reference_scan(*args))
