@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactlin import RatMatrix, rat, rat_str, rref
+from .exactlin import RatMatrix, primitive_row, rat, rat_str, rref
 from .quiver import Quiver, QuiverError, json_array, kronecker_quiver
 
 DEFAULT_LENGTH_CAP = 32
@@ -106,6 +106,7 @@ class BoundAlgebra:
     Attributes:
         quiver:     the underlying quiver
         relations:  normalized relation list
+        integer_relations: the same relations with coprime integer coefficients
         basis:      residue classes of paths, ordered by length then creation
         dim:        total dimension over the rationals
     """
@@ -115,6 +116,9 @@ class BoundAlgebra:
                  dim_cap: int = DEFAULT_DIM_CAP):
         self.quiver = quiver
         self.relations = _normalize_relations(quiver, relations)
+        # a homogeneous relation vanishes iff its coprime integer multiple does
+        self.integer_relations = [tuple(zip(primitive_row([c for c, _ in r]),
+                                            [p for _, p in r])) for r in self.relations]
         self._build(length_cap, dim_cap)
 
     # -- construction -------------------------------------------------

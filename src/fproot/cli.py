@@ -13,6 +13,7 @@ output, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -28,7 +29,7 @@ from .algebra import AlgebraError, algebra_from_json
 from . import repmod
 from .repmod import (Representation, RepresentationError, is_brick,
                      is_isomorphic_brick, minimal_resolution, module_from_json,
-                     simple, simples)
+                     simple, simple_resolution_multiplicities, simples)
 from .fpcore import FpBudgets, complexity_estimate, ext_assignment, fp_report
 from .tables import surface_grid_csv
 
@@ -206,23 +207,31 @@ def cmd_resolve(args) -> int:
     if args.module:
         with open(args.module) as fh:
             m = module_from_json(alg, fh.read())
+        res = minimal_resolution(m, args.depth)
+        pattern, length = res.multiplicity_pattern(), res.length
     elif args.simple:
         m = simple(alg, args.simple)
+        pattern, length = simple_resolution_multiplicities(alg, args.simple, args.depth)
     else:
         raise AlgebraError("resolve needs --module FILE or --simple VERTEX")
-    res = minimal_resolution(m, args.depth)
     comp = complexity_estimate(alg, max(args.depth, 4))
-    # res is minimal, so dim Ext^i(M, S_v) is the multiplicity of P_v in P_i
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and max(map(max, comp.ext_table.values()), default=0) >= 10 ** digits:
+        raise RepresentationError(f"an Ext dimension within depth {args.depth} has "
+                                  f"more than {digits} digits, the int-to-string "
+                                  "limit of this Python; lower --depth")
+    # minimal, so dim Ext^i(M, S_v) is the multiplicity of P_v in P_i
     ext_to_simples = {
-        v: [res.multiplicities(i).get(v, 0) for i in range(args.depth + 1)]
+        v: [pattern[i].get(v, 0) if i < len(pattern) else 0
+            for i in range(args.depth + 1)]
         for v in alg.quiver.vertices}
     payload = {
         "tool": {"name": "fproot", "version": __version__},
         "module": m.name,
         "depth": args.depth,
         "resolution": {
-            "multiplicities": res.multiplicity_pattern(),
-            "finite_length": res.length,
+            "multiplicities": pattern,
+            "finite_length": length,
         },
         "ext_module_to_simples": ext_to_simples,
         "ext_simple_pairs": {f"{i}->{j}": dims[:args.depth + 1]
@@ -253,7 +262,10 @@ def nonnegative(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args returns a fresh
+    namespace on each call, so one call's options never reach the next."""
     p = argparse.ArgumentParser(
         prog="fproot",
         description="Frobenius-Perron invariants of quivers, bound quiver "
@@ -264,14 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectral", help="spectral radius of a matrix file "
                                          "(entries may be p/q, inf, -inf)")
     sp.add_argument("matrix")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_spectral)
 
     qp = sub.add_parser("quiver", help="quiver invariants")
     qp.add_argument("quiver")
     qp.add_argument("action", choices=["fpdim", "cycles", "classify", "dot"])
-    qp.add_argument("--out")
-    qp.set_defaults(func=cmd_quiver)
 
     fp = sub.add_parser("fp-scan", help="brick scan and fp report for an "
                                         "algebra file")
@@ -282,25 +290,21 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--budget-power", type=nonnegative, default=2)
     fp.add_argument("--max-candidates", type=nonnegative, default=64)
     fp.add_argument("--seed", type=int, default=0)
-    fp.add_argument("--out")
     fp.add_argument("--format", choices=["json", "csv"], default="json")
-    fp.set_defaults(func=cmd_fp_scan)
 
     rp = sub.add_parser("resolve", help="minimal resolution and Ext tables")
     rp.add_argument("algebra")
     rp.add_argument("--module", help="module JSON file")
     rp.add_argument("--simple", help="vertex label of a simple module")
     rp.add_argument("--depth", type=nonnegative, default=8)
-    rp.add_argument("--out")
-    rp.set_defaults(func=cmd_resolve)
 
     tp = sub.add_parser("tables", help="closed-form fp tables as CSV")
     tp.add_argument("surface",
                     choices=["p1-twist", "p1-serre", "a2", "polyring"])
     tp.add_argument("--range", type=nonnegative, default=6)
     tp.add_argument("--genus", type=nonnegative, default=3)
-    tp.add_argument("--out")
-    tp.set_defaults(func=cmd_tables)
+    for command in sub.choices.values():
+        command.add_argument("--out")
     return p
 
 
@@ -317,7 +321,11 @@ def dispatch(args) -> int:
 
 
 def run(argv=None) -> int:
-    return dispatch(build_parser().parse_args(argv))
+    args = build_parser().parse_args(argv)
+    # looked up per call, not bound into the parser, so that a wrapper
+    # installed later (a tracer, a test's monkeypatch) is the one called
+    args.func = globals()["cmd_" + args.command.replace("-", "_")]
+    return dispatch(args)
 
 
 def main():  # console-script entry point

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -201,9 +202,10 @@ def growth_analyze(seq: Sequence[float], start_index: int = 1) -> GrowthEstimate
     """Growth and curvature estimates from a finite window.
 
     The limsup proxies take the max over the last half of the window:
-    fpg from log(a_n)/log(n) (log_n 0 = -inf), fpv from a_n^(1/n).
+    fpg from log(a_n)/log(n) (log_n 0 = -inf), fpv from a_n^(1/n).  A count
+    beyond the double range stays an int, whose logs math.log takes exactly.
     """
-    vals = [float(x) for x in seq]
+    vals = [float(x) if x <= sys.float_info.max else x for x in seq]
     if len(vals) < 4:
         raise ValueError("growth analysis needs at least 4 values")
     if any(x < 0 for x in vals):
@@ -217,7 +219,8 @@ def growth_analyze(seq: Sequence[float], start_index: int = 1) -> GrowthEstimate
         if n >= 2:
             fpg = max(fpg, math.log(a) / math.log(n) if a > 0 else -math.inf)
         if a > 0:
-            fpv = max(fpv, a ** (1.0 / n))
+            fpv = max(fpv, a ** (1.0 / n) if isinstance(a, float)
+                      else math.exp(math.log(a) / n))
     return GrowthEstimate(fpg, fpv, (ns[half], ns[-1]), vals)
 
 
@@ -577,7 +580,9 @@ class ComplexityReport:
 
 def complexity_estimate(alg: BoundAlgebra, depth: int,
                         agc_constant: int = 2, agc_radius: int = 2) -> ComplexityReport:
-    """Complexity of the algebra from the Ext window of its simples.
+    """Complexity of the algebra from the Ext window of its simples, read from
+    repmod.ext_simple_table: Anick chain counts, exact at any depth, on a
+    monomial algebra, and linear minimal resolutions otherwise.
 
     cx = limsup log_n dim Ext^n(T, T) + 1 with T the direct sum of the
     simples; the limsup is proxied on the last half window, an exponential

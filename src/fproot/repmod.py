@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, count, islice
@@ -65,13 +66,14 @@ class Representation:
         raise AttributeError("Representation is immutable")
 
     def _check_relations(self):
-        """Every relation sum_k c_k p_k must act as zero; it is checked one
-        basis vector of the source at a time, without path matrices."""
-        for rel in self.algebra.relations:
+        """Every relation sum_k c_k p_k must act as zero; it is checked on its
+        integer coefficients, one basis vector of the source at a time,
+        without path matrices."""
+        for rel, int_rel in zip(self.algebra.relations, self.algebra.integer_relations):
             p0 = rel[0][1]
             for j in range(self.dimvec[p0.source]):
                 acc = [0] * self.dimvec[p0.target]
-                for coeff, p in rel:
+                for coeff, p in int_rel:
                     for i, x in enumerate(self.path_column(p, j)):
                         if x:
                             acc[i] += coeff * x
@@ -300,17 +302,12 @@ def direct_sum(ms: Sequence[Representation]) -> Representation:
     q = alg.quiver
     dimvec = {v: sum(m.dimvec[v] for m in ms) for v in q.vertices}
     maps = {}
-    for a in q.arrows:
-        rows, cols = dimvec[a.target], dimvec[a.source]
-        big = [[Fraction(0)] * cols for _ in range(rows)]
-        r0 = c0 = 0
+    for a in q.arrows:  # block diagonal: each block's rows padded with zeros
+        cols, big, c0 = dimvec[a.source], [], 0
         for m in ms:
-            blk = m.maps[a.label]
-            for i in range(blk.rows):
-                for j in range(blk.cols):
-                    big[r0 + i][c0 + j] = blk.data[i][j]
-            r0 += m.dimvec[a.target]
-            c0 += m.dimvec[a.source]
+            c = m.dimvec[a.source]
+            big += [[0] * c0 + list(row) + [0] * (cols - c0 - c) for row in m.maps[a.label].data]
+            c0 += c
         maps[a.label] = RatMatrix(big, cols=cols)
     name = "+".join(m.name for m in ms)
     return Representation(alg, dimvec, maps, name=name, check=False)
@@ -364,12 +361,7 @@ class Resolution:
         return self
 
     def multiplicities(self, i: int) -> Dict[str, int]:
-        if i >= len(self.steps):
-            return {}
-        out: Dict[str, int] = {}
-        for v in self.steps[i].generators:
-            out[v] = out.get(v, 0) + 1
-        return out
+        return dict(Counter(self.steps[i].generators)) if i < len(self.steps) else {}
 
     def multiplicity_pattern(self) -> List[Dict[str, int]]:
         return [self.multiplicities(i) for i in range(len(self.steps))]
@@ -465,16 +457,82 @@ def ext_from_resolution(res: Resolution, n: Representation, i: int) -> int:
     return dim_ci - rank_in - rank_out
 
 
+def _obstructions(alg: BoundAlgebra) -> Optional[List[Tuple[str, ...]]]:
+    """The minimal relation paths of a monomial algebra (every relation one
+    path), as arrow labels in application order; a path containing another
+    one is left out.  None when some relation has two or more terms."""
+    if any(len(rel) != 1 for rel in alg.relations):
+        return None
+    words = {tuple(reversed(rel[0][1].arrows)) for rel in alg.relations}
+    return [w for w in words if not any(
+        o != w and any(w[i:i + len(o)] == o for i in range(len(w) - len(o) + 1))
+        for o in words)]
+
+
+def _next_tails(alg: BoundAlgebra, obstructions, tail) -> List[Tuple[str, ...]]:
+    """The tails u that follow tail in an Anick chain: tail + u ends in an
+    obstruction that starts inside tail, and no shorter tail + u' contains
+    one.  The syzygy of A*tail is the direct sum of the A*u."""
+    out, stack = [], [()]
+    while stack:
+        u = stack.pop()
+        end = alg.quiver.arrow((u or tail)[-1]).target
+        for a in (a for a in alg.quiver.arrows if a.source == end):
+            word = tail + u + (a.label,)
+            o = next((o for o in obstructions if word[-len(o):] == o), None)
+            if o is None:
+                stack.append(u + (a.label,))
+            elif len(word) - len(o) < len(tail):
+                out.append(u + (a.label,))
+            # otherwise u + a contains an obstruction: it is zero in A
+    return out
+
+
+def simple_resolution_multiplicities(alg: BoundAlgebra, v, depth: int):
+    """(multiplicity_pattern(), length) of minimal_resolution(simple(alg, v),
+    depth), with the same trailing-step and length rule.  On a monomial
+    algebra the generators of step n >= 1 are the Anick chains of n tails from
+    v (Green, Happel & Zacharia 1985; Anick 1986): the first tail is an arrow
+    out of v, each next one is read off the last (_next_tails), and the counts
+    are walks in the tail graph, exact at any depth.  Other algebras are
+    resolved linearly."""
+    m, v = simple(alg, v), str(v)
+    obstructions = _obstructions(alg)
+    if obstructions is None:
+        res = minimal_resolution(m, depth)
+        return res.multiplicity_pattern(), res.length
+    if depth < 0:
+        raise RepresentationError("depth must be >= 0")
+    pattern, successors = [{v: 1}], {}
+    tails = {(a.label,): 1 for a in alg.quiver.arrows if a.source == v}
+    for _ in range(depth):
+        if not tails:
+            return pattern, len(pattern) - 1
+        step, nxt = {}, {}
+        for t, k in tails.items():
+            w = alg.quiver.arrow(t[-1]).target
+            step[w] = step.get(w, 0) + k
+            if t not in successors:
+                successors[t] = _next_tails(alg, obstructions, t)
+            for u in successors[t]:
+                nxt[u] = nxt.get(u, 0) + k
+        pattern.append(step)
+        tails = nxt
+    return pattern, None
+
+
 def ext_simple_table(alg: BoundAlgebra, depth: int):
     """dim Ext^n(S_i, S_j) for all vertex pairs and n <= depth.
 
     For a minimal resolution the Hom complex into a simple has zero
-    differentials, so the Ext dimension is the multiplicity of P_j in step n.
+    differentials, so the Ext dimension is the multiplicity of P_j in step n,
+    read from simple_resolution_multiplicities: Anick chain counts on a
+    monomial algebra, a linear minimal resolution otherwise.
     Returns {(i, j): [dims by n]} keyed by vertex labels.
     """
     verts = alg.quiver.vertices
-    reses = {v: minimal_resolution(simple(alg, v), depth) for v in verts}
-    return {(i, j): [reses[i].multiplicities(nn).get(j, 0)
+    pattern = {v: simple_resolution_multiplicities(alg, v, depth)[0] for v in verts}
+    return {(i, j): [pattern[i][nn].get(j, 0) if nn < len(pattern[i]) else 0
                      for nn in range(depth + 1)]
             for i in verts for j in verts}
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 import math
@@ -485,3 +487,67 @@ def test_quiver_cycles_beyond_the_enumeration_cap(tmp_path):
     assert code == 0, err
     payload = json.loads(out)
     assert payload["theta"] == 2 and set(payload["per_vertex"].values()) == {2}
+
+
+def test_resolve_sqrt2_at_depth_2200_is_strict_json(sqrt2_file):
+    """Ext counts past the double range: logs are taken of the exact ints."""
+    code, out, err = run_cli(["resolve", sqrt2_file, "--simple", "1",
+                              "--depth", "2200"])
+    assert code == 0, err
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["ext_simple_pairs"]["1->2"][2199] == 2 ** 1100
+    assert payload["complexity"]["estimate"] is None      # +inf
+    assert 1.414 < payload["complexity"]["curvature"] < 1.42
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-string limit")
+def test_resolve_past_the_int_string_limit_exit_2(sqrt2_file):
+    """An Ext count longer than Python's int-to-string limit (here lowered
+    to its minimum, 640 digits, reached near depth 4250) is refused."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["resolve", sqrt2_file, "--simple", "1", "--depth", "4400"])
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 2 and out.getvalue() == ""
+    assert "more than 640 digits" in err.getvalue()
+
+
+def _run_captured(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+def test_in_process_runs_leak_no_options(tmp_path, sqrt2_file):
+    """One parser serves every in-process run: options given to one call
+    must not reach the next."""
+    from fproot.cli import build_parser
+    mod = tmp_path / "mod.json"
+    mod.write_text(module_to_json(regular_brick(sqrt2_algebra(), 2)))
+    pairs = [
+        (["resolve", sqrt2_file, "--module", str(mod), "--depth", "3"],
+         ["resolve", sqrt2_file, "--simple", "1"]),
+        (["fp-scan", sqrt2_file, "--budget-dim", "2", "--seed", "5",
+          "--max-candidates", "3", "--budget-power", "1", "--format", "csv"],
+         ["fp-scan", sqrt2_file, "--budget-dim", "2"]),
+    ]
+    for first, second in pairs:
+        alone = _run_captured(second)
+        _run_captured(first)
+        assert _run_captured(second) == alone
+        assert vars(build_parser().parse_args(second)) == \
+            vars(build_parser.__wrapped__().parse_args(second))
+
+
+def test_in_process_run_calls_the_current_subcommand(monkeypatch, sqrt2_file):
+    """A subcommand wrapped after the parser was built is the one called."""
+    import fproot.cli as cli
+    assert _run_captured(["resolve", sqrt2_file, "--simple", "2"])[0] == 0
+    monkeypatch.setattr(cli, "cmd_resolve", lambda args: 7)
+    assert run(["resolve", sqrt2_file, "--simple", "2"]) == 7
