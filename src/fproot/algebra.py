@@ -250,12 +250,8 @@ def path_algebra(q: Quiver, **caps) -> BoundAlgebra:
 
 def opposite(a: BoundAlgebra) -> BoundAlgebra:
     """The opposite algebra: all arrows reversed, all relation paths reversed."""
-    op_quiver = a.quiver.reversed()
-    op_relations = [
-        [(c, tuple(reversed(p.arrows))) for c, p in rel]
-        for rel in a.relations
-    ]
-    return BoundAlgebra(op_quiver, op_relations)
+    return BoundAlgebra(a.quiver.reversed(), [[(c, tuple(reversed(p.arrows))) for c, p in rel]
+                                              for rel in a.relations])
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +270,8 @@ def sqrt2_algebra() -> BoundAlgebra:
     All four length-2 compositions vanish, so the radical squares to zero and
     the basis is the two vertex idempotents plus the three arrows.
     """
-    q = sqrt2_quiver()
-    rels = [
-        [(1, ("b", "a"))],
-        [(1, ("c", "a"))],
-        [(1, ("a", "b"))],
-        [(1, ("a", "c"))],
-    ]
-    return BoundAlgebra(q, rels)
+    return BoundAlgebra(sqrt2_quiver(), [[(1, p)] for p in
+                                         (("b", "a"), ("c", "a"), ("a", "b"), ("a", "c"))])
 
 
 def kronecker_algebra() -> BoundAlgebra:
@@ -298,18 +288,12 @@ def local_two_loop_algebra(m: int, n: int) -> BoundAlgebra:
     if m < 2 or n < 2:
         raise AlgebraError("both truncation exponents must be >= 2")
     q = Quiver(["1"], [("x", "1", "1"), ("y", "1", "1")])
-    rels = [
-        [(1, ("x",) * m)],
-        [(1, ("y",) * n)],
-        [(1, ("x", "y"))],
-    ]
-    return BoundAlgebra(q, rels)
+    return BoundAlgebra(q, [[(1, ("x",) * m)], [(1, ("y",) * n)], [(1, ("x", "y"))]])
 
 
 def dual_numbers_algebra() -> BoundAlgebra:
     """k[x]/(x^2): one vertex, one loop, loop squared to zero."""
-    q = Quiver(["1"], [("x", "1", "1")])
-    return BoundAlgebra(q, [[(1, ("x", "x"))]])
+    return BoundAlgebra(Quiver(["1"], [("x", "1", "1")]), [[(1, ("x", "x"))]])
 
 
 # ---------------------------------------------------------------------------

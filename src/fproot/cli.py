@@ -28,7 +28,7 @@ from .quiver import (QuiverError, classify_underlying_graph, cycle_number,
 from .algebra import AlgebraError, algebra_from_json
 from . import repmod
 from .repmod import (Representation, RepresentationError, is_brick,
-                     is_isomorphic_brick, minimal_resolution, module_from_json,
+                     isomorphic_to_brick, minimal_resolution, module_from_json,
                      simple, simple_resolution_multiplicities, simples)
 from .fpcore import FpBudgets, complexity_estimate, ext_assignment, fp_report
 from .tables import surface_grid_csv
@@ -103,31 +103,44 @@ def cmd_quiver(args) -> int:
 def _random_maps(alg, dimvec, rng):
     """One random draw at a dimension vector, hashable: per arrow None for a
     zero map (often the only way to satisfy the relations), otherwise the
-    integer rows of a small random matrix."""
-    return tuple(None if rng.random() < 0.4 else
-                 tuple(tuple(rng.randint(-2, 2) for _ in range(dimvec[a.source]))
-                       for _ in range(dimvec[a.target]))
-                 for a in alg.quiver.arrows)
+    integer rows of a small random matrix.  Each entry is rng.choice over
+    -2..2, the same draw as rng.randint(-2, 2)."""
+    draw, choice = [], rng.choice
+    for a in alg.quiver.arrows:
+        r, c = dimvec[a.target], dimvec[a.source]
+        if rng.random() < 0.4:
+            draw.append(None)
+        else:  # r rows of c entries, grouped from one flat comprehension
+            flat = [choice((-2, -1, 0, 1, 2)) for _ in range(r * c)]
+            draw.append(tuple(zip(*[iter(flat)] * c)) if c else ((),) * r)
+    return tuple(draw)
 
 
 def _sample(alg, dimvec, draw, name):
-    """The module of a draw, called name, or None when a relation fails."""
-    maps = {a.label: RatMatrix._wrap(rows, dimvec[a.source])
-            for a, rows in zip(alg.quiver.arrows, draw) if rows is not None}
-    try:
-        return Representation(alg, dimvec, maps, name=name, check=True)
-    except RepresentationError:
+    """The module of a draw, called name, or None when a relation fails; the
+    relations are checked on the draw's integer rows, before any module is
+    built."""
+    arrows = alg.quiver.arrows
+    maps = {a.label: rows for a, rows in zip(arrows, draw)}
+    if repmod.failing_relation(alg, dimvec, maps) is not None:
         return None
+    maps = {a.label: RatMatrix._wrap(rows, dimvec[a.source])
+            for a, rows in zip(arrows, draw) if rows is not None}
+    return Representation(alg, dimvec, maps, name=name, check=False)
 
 
 def _dimension_vectors(vertices, budget):
-    """Every dimension vector (a dict over all vertices) of total 1..budget."""
+    """Every dimension vector (a dict over all vertices) of total 1..budget,
+    in scan order: by total, then by the counts in sorted-label order (the
+    labels are sorted once)."""
+    order, dvs = sorted(vertices), []
     for total in range(1, budget + 1):
         for picked in combinations_with_replacement(vertices, total):
             dv = dict.fromkeys(vertices, 0)
             for v in picked:
                 dv[v] += 1
-            yield dv
+            dvs.append(dv)
+    return sorted(dvs, key=lambda d: (sum(d.values()), [d[v] for v in order]))
 
 
 def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
@@ -135,9 +148,12 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
     """Deterministic brick-candidate generation for an arbitrary algebra.
 
     Simples and projectives are always included; the rest comes from seeded
-    random sampling at every dimension vector within the budget, with exact
-    brick verification and exact isomorphism dedup; a draw repeated at one
-    dimension vector is examined once.  Returns (candidates, truncated_flag).
+    random sampling at every dimension vector within the budget.  A draw
+    repeated at one dimension vector is examined once: its relations are
+    checked on its integer rows, a module is built only when they hold, its
+    brick test is exact, and it is compared with each candidate by one Hom
+    system (repmod.isomorphic_to_brick, exact since every candidate is a
+    brick).  Returns (candidates, truncated_flag).
     """
     rng = random.Random(seed)
     cands = []
@@ -145,7 +161,7 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
     def push(rep):
         if len(cands) >= max_candidates:
             return False
-        if any(is_isomorphic_brick(rep, c) for c in cands):
+        if any(isomorphic_to_brick(rep, c) for c in cands):
             return True
         cands.append(rep)
         return True
@@ -158,8 +174,7 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
             push(p)
 
     truncated = False
-    for dv in sorted(_dimension_vectors(list(alg.quiver.vertices), dim_budget),
-                     key=lambda d: (sum(d.values()), tuple(sorted(d.items())))):
+    for dv in _dimension_vectors(list(alg.quiver.vertices), dim_budget):
         dims = "B(" + ",".join(str(dv[v]) for v in alg.quiver.vertices) + ")"
         verdicts = {}  # draw -> whether it is a brick satisfying the relations
         for _ in range(samples_per_dimvec):

@@ -18,6 +18,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import accumulate, count, product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactlin import RatMatrix
@@ -49,12 +50,8 @@ class Assignment:
         self.pair_dim = pair_dim
 
     def matrix(self, objects: Sequence, power: int) -> RatMatrix:
-        n = len(objects)
-        return RatMatrix(
-            [[int(self.pair_dim(objects[i], objects[j], power)) for j in range(n)]
-             for i in range(n)],
-            cols=n,
-        )
+        return RatMatrix([[int(self.pair_dim(x, y, power)) for y in objects]
+                          for x in objects], cols=len(objects))
 
 
 class ExtCalculator:
@@ -124,13 +121,9 @@ def verify_brick_set(objects: Sequence, assignment: Assignment):
     if not objects:
         raise ValueError("a brick set is a nonempty family")
     h = assignment.matrix(objects, 0)
-    n = len(objects)
-    for i in range(n):
-        for j in range(n):
-            want = 1 if i == j else 0
-            got = int(h.data[i][j])
-            if got != want:
-                return BrickSetViolation((i, j), got, want)
+    for i, j in product(range(len(objects)), repeat=2):
+        if int(h.data[i][j]) != (i == j):
+            return BrickSetViolation((i, j), int(h.data[i][j]), int(i == j))
     return BrickSet(tuple(objects), h)
 
 
@@ -255,16 +248,10 @@ class FpReport:
         return self.cells[(set_size, power)].value
 
     def as_dict(self):
-        grid = []
-        for (n, m), cell in sorted(self.cells.items()):
-            grid.append({
-                "set_size": n,
-                "power": m,
-                "value": cell.value.value,
-                "certified": cell.value.certified,
-                "tolerance": cell.value.tolerance,
-                "witness": list(cell.witness),
-            })
+        grid = [{"set_size": n, "power": m, "value": cell.value.value,
+                 "certified": cell.value.certified, "tolerance": cell.value.tolerance,
+                 "witness": list(cell.witness)}
+                for (n, m), cell in sorted(self.cells.items())]
         return {
             "assignment": self.assignment_name,
             "budgets": self.budgets.as_dict(),
@@ -284,8 +271,7 @@ class FpReport:
         w = csv.writer(buf)
         powers = sorted({m for (_, m) in self.cells})
         w.writerow(["set_size"] + [f"power_{m}" for m in powers])
-        sizes = sorted({n for (n, _) in self.cells})
-        for n in sizes:
+        for n in sorted({n for (n, _) in self.cells}):
             w.writerow([n] + [self.cells[(n, m)].value.value for m in powers])
         return buf.getvalue()
 
@@ -334,7 +320,7 @@ def _fill_grid(subsets: Sequence[tuple], matrix: Callable, witness: Callable,
                       if any(cells[(n, m)].value.value > 1e-9 for n in range(1, N + 1))]
     growth = None
     if M >= 4:
-        seq = [max(cells[(n, m)].value.value for n in range(1, N + 1))
+        seq = [max((cells[(n, m)].value.value for n in range(1, N + 1)), default=0.0)
                for m in range(1, M + 1)]
         growth = growth_analyze(seq, start_index=1)
 
@@ -353,12 +339,20 @@ def _fill_grid(subsets: Sequence[tuple], matrix: Callable, witness: Callable,
 
 def fp_report(candidates: Sequence, assignment: Assignment,
               budgets: FpBudgets = FpBudgets(), truncated: bool = False) -> FpReport:
-    """Fill the full grid fpdim^n(sigma^m) for n <= max_set_size and
-    m <= max_power over the brick subsets of the given candidates (see
-    _fill_grid for the aggregates)."""
+    """Fill the grid fpdim^n(sigma^m) for n <= max_set_size and m <= max_power
+    over the brick subsets of the given candidates (see _fill_grid for the
+    aggregates).  The Hom matrix (power 0) is computed in full, since it
+    picks the subsets; a power m >= 1 only at the pairs some subset reads:
+    the diagonal of each brick and the pairs of bricks with Hom vanishing
+    both ways.  The other entries are never read and are left as None."""
     N = min(budgets.max_set_size, len(candidates))
-    mats = [[[int(assignment.pair_dim(x, y, m)) for y in candidates]
-             for x in candidates] for m in range(budgets.max_power + 1)]
+    hom = [[int(assignment.pair_dim(x, y, 0)) for y in candidates] for x in candidates]
+    subsets = _brick_subsets(hom, N)
+    read = {(i, j) for sub in subsets for i in sub for j in sub}
+    mats = [hom] + [[[int(assignment.pair_dim(x, y, m)) if (i, j) in read else None
+                      for j, y in enumerate(candidates)]
+                     for i, x in enumerate(candidates)]
+                    for m in range(1, budgets.max_power + 1)]
 
     def matrix(idx, m):
         return tuple(tuple(mats[m][i][j] for j in idx) for i in idx)
@@ -367,7 +361,7 @@ def fp_report(candidates: Sequence, assignment: Assignment,
         return tuple(getattr(candidates[i], "name", str(candidates[i]))
                      for i in idx)
 
-    return _fill_grid(_brick_subsets(mats[0], N), matrix, witness, N, budgets,
+    return _fill_grid(subsets, matrix, witness, N, budgets,
                       assignment.name,
                       [getattr(c, "name", str(c)) for c in candidates],
                       truncated)
@@ -398,24 +392,15 @@ def ext1_quiver(candidates: Sequence, assignment: Assignment,
         if h.data[i][i] != 1:
             raise ValueError(
                 f"candidate {i} is not a brick (End dim {h.data[i][i]})")
-    names = []
-    seen = set()
+    names = []  # a repeated name gets the first free suffix #1, #2, ...
     for i, c in enumerate(candidates):
         base = getattr(c, "name", str(i))
-        name = base
-        k = 1
-        while name in seen:
-            name = f"{base}#{k}"
-            k += 1
-        seen.add(name)
-        names.append(name)
+        k = next(k for k in count() if (f"{base}#{k}" if k else base) not in names)
+        names.append(f"{base}#{k}" if k else base)
     d = assignment.matrix(candidates, power)
-    arrows = []
-    for i in range(len(candidates)):
-        for j in range(len(candidates)):
-            for k in range(int(d.data[i][j])):
-                arrows.append((f"x{i}_{j}_{k}", names[i], names[j]))
-    return Quiver(names, arrows)
+    return Quiver(names, [(f"x{i}_{j}_{k}", names[i], names[j])
+                          for i in range(len(candidates)) for j in range(len(candidates))
+                          for k in range(int(d.data[i][j]))])
 
 
 @dataclass
@@ -493,19 +478,11 @@ def shift_assignment(table: HomTableCategory, shift: int) -> Assignment:
 def _gap_patterns(max_size: int, cap: int, width: int):
     """All capped gap tuples (g_1..g_{k-1}), g >= 1, realizable in a window
     of the given width; a capped value records 'gap >= cap'."""
-    out = [()]
-    frontier = [()]
+    out = frontier = [()]
     while frontier:
-        new = []
-        for pat in frontier:
-            if len(pat) + 1 >= max_size:
-                continue
-            for g in range(1, cap + 1):
-                cand = pat + (g,)
-                if sum(cand) <= width:
-                    new.append(cand)
-        out.extend(new)
-        frontier = new
+        frontier = [pat + (g,) for pat in frontier if len(pat) + 1 < max_size
+                    for g in range(1, cap + 1) if sum(pat) + g <= width]
+        out = out + frontier
     return out
 
 
@@ -529,9 +506,7 @@ def homtable_fp(table: HomTableCategory, shift: int,
 
     bricks = []
     for pat in _gap_patterns(N, probe, table.hi - table.lo):
-        pos = [0]
-        for g in pat:
-            pos.append(pos[-1] + g)
+        pos = [0, *accumulate(pat)]
         if f(0) == 1 and all(f(b - a) == 0 for a in pos for b in pos if a != b):
             bricks.append(pos)
     return _fill_grid(

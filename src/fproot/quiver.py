@@ -322,8 +322,7 @@ def dynkin_quiver(family: str, rank: int) -> Quiver:
         if rank not in (6, 7, 8):
             raise QuiverError("type E needs rank 6, 7 or 8")
         vs = [str(i) for i in range(1, rank)] + ["q"]
-        ars = [(f"a{i}", str(i), str(i + 1)) for i in range(1, rank - 1)]
-        ars.append(("b", "q", "3"))
+        ars = [(f"a{i}", str(i), str(i + 1)) for i in range(1, rank - 1)] + [("b", "q", "3")]
         return Quiver(vs, ars)
     raise QuiverError(f"unknown Dynkin family {family!r}")
 
@@ -349,8 +348,7 @@ def extended_dynkin_quiver(family: str, rank: int) -> Quiver:
         base = dynkin_quiver("E", rank)
         attach = {6: "q", 7: "1", 8: str(rank - 1)}[rank]
         vs = list(base.vertices) + ["x"]
-        ars = [(a.label, a.source, a.target) for a in base.arrows]
-        ars.append(("ext", "x", attach))
+        ars = [(a.label, a.source, a.target) for a in base.arrows] + [("ext", "x", attach)]
         return Quiver(vs, ars)
     raise QuiverError(f"unknown extended Dynkin family {family!r}")
 
@@ -384,8 +382,7 @@ def positive_roots(q: Quiver) -> List[Tuple[int, ...]]:
                     seen.add(y)
                     new.append(y)
         frontier = new
-    pos = sorted(v for v in seen if all(c >= 0 for c in v) and any(v))
-    return pos
+    return sorted(v for v in seen if all(c >= 0 for c in v) and any(v))
 
 
 # JSON / DOT ----------------------------------------------------------------
@@ -423,10 +420,6 @@ def quiver_from_json(text: str) -> Quiver:
 
 
 def quiver_to_dot(q: Quiver) -> str:
-    lines = ["digraph quiver {"]
-    for v in q.vertices:
-        lines.append(f'  "{v}";')
-    for a in q.arrows:
-        lines.append(f'  "{a.source}" -> "{a.target}" [label="{a.label}"];')
-    lines.append("}")
+    lines = ["digraph quiver {", *(f'  "{v}";' for v in q.vertices),
+             *(f'  "{a.source}" -> "{a.target}" [label="{a.label}"];' for a in q.arrows), "}"]
     return "\n".join(lines) + "\n"

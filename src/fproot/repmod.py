@@ -60,26 +60,12 @@ class Representation:
         object.__setattr__(self, "maps", ms)
         object.__setattr__(self, "name", name or f"M{tuple(dv.values())}")
         if check:
-            self._check_relations()
+            rel = failing_relation(algebra, dv, {k: m.data for k, m in ms.items()})
+            if rel is not None:
+                raise RepresentationError(f"relation {rel} does not vanish on {self.name}")
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Representation is immutable")
-
-    def _check_relations(self):
-        """Every relation sum_k c_k p_k must act as zero; it is checked on its
-        integer coefficients, one basis vector of the source at a time,
-        without path matrices."""
-        for rel, int_rel in zip(self.algebra.relations, self.algebra.integer_relations):
-            p0 = rel[0][1]
-            for j in range(self.dimvec[p0.source]):
-                acc = [0] * self.dimvec[p0.target]
-                for coeff, p in int_rel:
-                    for i, x in enumerate(self.path_column(p, j)):
-                        if x:
-                            acc[i] += coeff * x
-                if any(acc):
-                    raise RepresentationError(
-                        f"relation {rel} does not vanish on {self.name}")
 
     def path_matrix(self, p: Path) -> RatMatrix:
         """Matrix of a path acting V_source -> V_target (identity if trivial),
@@ -89,20 +75,13 @@ class Representation:
             rows=self.dimvec[p.target])
 
     def path_column(self, p: Path, j: int) -> list:
-        """Column j of path_matrix(p), the path applied to the j-th basis
-        vector of V_source one arrow at a time, skipping zero entries (the
-        entries are ints or Fractions)."""
+        """Column j of path_matrix(p) (see _path_column); the entries are
+        ints or Fractions."""
         if not p.arrows:
             col = [Fraction(0)] * self.dimvec[p.source]
             col[j] = Fraction(1)
             return col
-        *rest, first = p.arrows
-        col = [row[j] for row in self.maps[first].data]
-        for label in reversed(rest):
-            nz = [(k, x) for k, x in enumerate(col) if x]
-            col = [sum(row[k] * x for k, x in nz if row[k])
-                   for row in self.maps[label].data]
-        return col
+        return _path_column([self.maps[label].data for label in reversed(p.arrows)], j)
 
     @property
     def total_dim(self) -> int:
@@ -113,6 +92,40 @@ class Representation:
 
     def __repr__(self):
         return f"Representation({self.name}, dimvec={self.dimvec})"
+
+
+def _path_column(mats, j: int) -> list:
+    """Column j of the product of the row matrices mats, mats[0] applied
+    first: the j-th basis vector pushed through one matrix at a time,
+    skipping zero entries."""
+    col = [row[j] for row in mats[0]]
+    for rows in mats[1:]:
+        nz = [(k, x) for k, x in enumerate(col) if x]
+        col = [sum(row[k] * x for k, x in nz if row[k]) for row in rows]
+    return col
+
+
+def failing_relation(alg: BoundAlgebra, dimvec: Dict[str, int], maps):
+    """The first relation of alg that does not act as zero on the arrow maps
+    (label -> integer or rational rows, None for a zero map) at dimvec, or
+    None.  Each relation is checked on its coprime integer coefficients, one
+    basis vector of the source at a time, without path matrices; a term
+    whose path runs through a zero map is skipped."""
+    for rel, int_rel in zip(alg.relations, alg.integer_relations):
+        p0 = rel[0][1]
+        if not (dimvec[p0.source] and dimvec[p0.target]):
+            continue  # it maps into or out of a zero space
+        terms = [(c, [maps[label] for label in reversed(p.arrows)]) for c, p in int_rel]
+        terms = [(c, mats) for c, mats in terms if None not in mats]
+        for j in range(dimvec[p0.source] if terms else 0):
+            acc = [0] * dimvec[p0.target]
+            for c, mats in terms:
+                for i, x in enumerate(_path_column(mats, j)):
+                    if x:
+                        acc[i] += c * x
+            if any(acc):
+                return rel
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +262,20 @@ def _hom_system(m: Representation, n: Representation):
     return rows, total, offsets
 
 
+def _vertex_maps(vec, offsets, m: Representation, n: Representation):
+    """(v, rows of f_v) for a solution vec of _hom_system(m, n), per vertex."""
+    for v, o in offsets.items():
+        c = m.dimvec[v]
+        yield v, [vec[o + i * c:o + (i + 1) * c] for i in range(n.dimvec[v])]
+
+
 def hom(m: Representation, n: Representation) -> HomSpace:
     """Solve the intertwiner system f_t M_a = N_a f_s exactly."""
     rows, total, offsets = _hom_system(m, n)
     kernel, _ = nullspace(rows, total)
-    basis = []
-    for vec in kernel:
-        fs = {}
-        for v in m.algebra.quiver.vertices:
-            r, c, o = n.dimvec[v], m.dimvec[v], offsets[v]
-            fs[v] = RatMatrix([vec[o + i * c:o + (i + 1) * c] for i in range(r)],
-                              cols=c)
-        basis.append(fs)
-    return HomSpace(m, n, tuple(basis), len(kernel))
+    basis = tuple({v: RatMatrix(f, cols=m.dimvec[v])
+                   for v, f in _vertex_maps(vec, offsets, m, n)} for vec in kernel)
+    return HomSpace(m, n, basis, len(kernel))
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
@@ -291,6 +305,20 @@ def is_isomorphic_brick(m: Representation, n: Representation) -> bool:
                 if m.dimvec[v] and not (g[v] @ f[v]).is_zero():
                     return True
     return False
+
+
+def isomorphic_to_brick(m: Representation, brick: Representation) -> bool:
+    """Whether m is isomorphic to brick, from one Hom system; m need not be a
+    brick.  An isomorphism spans Hom(m, brick), which is then End(brick) = k,
+    so m and brick are isomorphic iff their dimension vectors match,
+    dim Hom(m, brick) = 1 and its generator has full rank at every vertex.
+    The scan's dedup uses it, where every candidate is a verified brick."""
+    if m.dimvec != brick.dimvec:
+        return False
+    rows, total, offsets = _hom_system(m, brick)
+    kernel, _ = nullspace(rows, total)
+    return len(kernel) == 1 and all(rank_of_rows(f) == len(f) for _, f in
+                                    _vertex_maps(kernel[0], offsets, m, brick))
 
 
 def direct_sum(ms: Sequence[Representation]) -> Representation:

@@ -4,9 +4,12 @@ import random
 import pytest
 
 from fproot.algebra import (dual_numbers_algebra, kronecker_algebra,
-                            path_algebra, sqrt2_algebra)
+                            local_two_loop_algebra, path_algebra,
+                            sqrt2_algebra)
 from fproot.exactlin import RatMatrix
+from fproot.cli import scan_candidates
 from fproot.fpcore import (Assignment, BrickSet, BrickSetViolation, FpBudgets,
+                           _brick_subsets, _fill_grid,
                            HomTableCategory, adjacency_of, complexity_estimate,
                            dual_numbers_shift_table, ext1_quiver,
                            ext_assignment, fp_report, fpc_vs_cx_check,
@@ -14,8 +17,9 @@ from fproot.fpcore import (Assignment, BrickSet, BrickSetViolation, FpBudgets,
                            shift_assignment, sigma_quiver_bound_check,
                            table_from_difference, verify_brick_set)
 from fproot.quiver import dynkin_quiver, is_acyclic, path_quiver
-from fproot.repmod import (dynkin_indecomposables, projective, regular_brick,
-                           simple, simples, sqrt2_brick_catalogue)
+from fproot.repmod import (direct_sum, dynkin_indecomposables, projective,
+                           regular_brick, simple, simples,
+                           sqrt2_brick_catalogue)
 from fproot.spectral import SpectralValue, rho
 
 SQRT2 = math.sqrt(2.0)
@@ -155,6 +159,65 @@ def test_report_serialization(A, EA, cat17):
     assert any(cell["witness"] for cell in d["grid"])
     csv_text = rep.to_csv()
     assert csv_text.splitlines()[0] == "set_size,power_0,power_1"
+
+
+def _eager_fp_report(candidates, assignment, budgets):
+    """fp_report with every pair filled at every power, the Ext filter's
+    reference."""
+    N = min(budgets.max_set_size, len(candidates))
+    mats = [[[int(assignment.pair_dim(x, y, m)) for y in candidates]
+             for x in candidates] for m in range(budgets.max_power + 1)]
+    return _fill_grid(_brick_subsets(mats[0], N),
+                      lambda idx, m: tuple(tuple(mats[m][i][j] for j in idx) for i in idx),
+                      lambda idx: tuple(candidates[i].name for i in idx), N, budgets,
+                      assignment.name, [c.name for c in candidates])
+
+
+def _filter_families():
+    """Candidate families with pairs that are not Hom-orthogonal: scan
+    candidates (simples next to projectives), brick families, and families
+    with a non-brick (a direct sum, a local projective)."""
+    A, K, L = sqrt2_algebra(), kronecker_algebra(), local_two_loop_algebra(2, 2)
+    return {
+        "sqrt2_scan": (A, scan_candidates(A, 3, 3)[0]),
+        "sqrt2_catalogue": (A, sqrt2_brick_catalogue(A, lambda_count=3, family_depth=1)
+                            + [direct_sum([simple(A, "1"), simple(A, "2")])]),
+        "kronecker_scan": (K, scan_candidates(K, 3, 1)[0]),
+        "two_loop": (L, simples(L) + [projective(L, "1")]),
+    }
+
+
+@pytest.mark.parametrize("family", ["sqrt2_scan", "sqrt2_catalogue",
+                                    "kronecker_scan", "two_loop"])
+def test_fp_report_ext_filter_matches_eager_grid(family):
+    """fp_report computes a power m >= 1 only at the diagonal of a brick and
+    at pairs of Hom-orthogonal bricks, the entries a brick subset reads; its
+    report must equal the eager full-grid one at set sizes 0-4 and powers 0-4
+    (power 4 reaches the growth branch)."""
+    alg, cands = _filter_families()[family]
+    eager = ext_assignment(alg)
+    hom = [[eager.pair_dim(x, y, 0) for y in cands] for x in cands]
+    n = len(cands)
+    assert any(hom[i][j] for i in range(n) for j in range(n) if i != j)
+    index = {id(c): i for i, c in enumerate(cands)}
+    for size in range(5):
+        for power in range(5):
+            budgets = FpBudgets(max_set_size=size, max_power=power)
+            calls, inner = [], ext_assignment(alg)
+
+            def pair_dim(x, y, p):
+                calls.append((index[id(x)], index[id(y)], p))
+                return inner.pair_dim(x, y, p)
+
+            got = fp_report(cands, Assignment("Ext", pair_dim), budgets)
+            assert got.as_dict() == _eager_fp_report(cands, eager, budgets).as_dict()
+            assert got.to_csv() == _eager_fp_report(cands, eager, budgets).to_csv()
+            if power >= 1:  # some pair is not read
+                assert len([c for c in calls if c[2] == 1]) < n * n
+            for i, j, p in calls:
+                if p >= 1:  # read by a brick subset of at most `size` members
+                    assert size >= 1 and hom[i][i] == hom[j][j] == 1
+                    assert i == j or (size >= 2 and hom[i][j] == hom[j][i] == 0)
 
 
 # -- growth analyzer -------------------------------------------------------------

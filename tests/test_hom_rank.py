@@ -8,6 +8,7 @@ the sum of path matrices, and for `is_isomorphic_brick` against the
 basis-only test it screens.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,10 @@ from fproot.algebra import (Path, build_algebra, dual_numbers_algebra,
                             sqrt2_algebra)
 from fproot.exactlin import RatMatrix, rank, rank_of_rows, rref, solve
 from fproot.quiver import Quiver, path_quiver
-from fproot.repmod import (Representation, RepresentationError, hom, hom_dim,
-                           is_brick, is_isomorphic_brick)
+from fproot.repmod import regular_brick
+from fproot.repmod import (Representation, RepresentationError,
+                           failing_relation, hom, hom_dim, is_brick,
+                           is_isomorphic_brick, isomorphic_to_brick)
 
 
 def _commutative_square():
@@ -232,6 +235,48 @@ def test_is_isomorphic_brick_matches_schur_rule(data):
     assert is_isomorphic_brick(m, n) == _isomorphic_by_schur(m, n)
 
 
+# -- the scan's isomorphism helper ----------------------------------------------
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.data())
+def test_isomorphic_to_brick_matches_schur_rule(data):
+    """isomorphic_to_brick(m, n) with n a brick reads one Hom system.  It must
+    agree with the Schur rule above for any m, and with is_isomorphic_brick
+    when m is a brick too: m a conjugate of n, a brick at n's dimension
+    vector, any brick, or a module at n's dimension vector that is not a
+    brick (never isomorphic to n)."""
+    alg = ALGEBRAS[data.draw(st.sampled_from(sorted(ALGEBRAS)))]
+    n = data.draw(bricks(alg))
+    partner = data.draw(st.sampled_from(["conjugate", "same_dimvec", "any", "non_brick"]))
+    if partner == "conjugate":
+        m = _conjugate(n, {v: data.draw(invertibles(d)) for v, d in n.dimvec.items()})
+        assert isomorphic_to_brick(m, n) and isomorphic_to_brick(n, m)
+    elif partner == "non_brick":
+        m = data.draw(modules(alg, dict(n.dimvec)))
+        assume(not is_brick(m))
+        assert not isomorphic_to_brick(m, n)
+    else:
+        m = data.draw(bricks(alg, dict(n.dimvec) if partner == "same_dimvec" else None))
+        assert isomorphic_to_brick(m, n) == is_isomorphic_brick(m, n)
+    assert isomorphic_to_brick(m, n) == _isomorphic_by_schur(m, n)
+
+
+def test_isomorphic_to_brick_on_kronecker_bricks():
+    """Distinct Kronecker bricks of one dimension vector (R(0), R(1), R(inf))
+    are not isomorphic; each is isomorphic to a conjugate of itself, and the
+    semisimple module at (1, 1) is isomorphic to none of them."""
+    alg = ALGEBRAS["kronecker"]
+    rs = [regular_brick(alg, lam) for lam in (0, 1, math.inf)]
+    for i, m in enumerate(rs):
+        for j, n in enumerate(rs):
+            assert isomorphic_to_brick(m, n) == (i == j) == is_isomorphic_brick(m, n)
+        p = {"1": RatMatrix([[Fraction(-2)]]), "2": RatMatrix([[Fraction(3, 5)]])}
+        assert isomorphic_to_brick(_conjugate(m, p), m)
+        semisimple = Representation(alg, {"1": 1, "2": 1}, {})
+        assert not isomorphic_to_brick(semisimple, m)
+
+
 # -- relation check and path columns ------------------------------------------
 
 @st.composite
@@ -302,3 +347,101 @@ def test_path_column_matches_path_matrix(m):
         assert m.path_matrix(p) == pm
         for j in range(pm.cols):
             assert tuple(m.path_column(p, j)) == pm.col(j)
+
+
+# -- the relation check on integer rows ---------------------------------------
+
+def _relations_vanish_by_columns(m):
+    """Every relation as a sum of path_column evaluations, one basis vector of
+    the source at a time, with its Fraction coefficients."""
+    for rel in m.algebra.relations:
+        p0 = rel[0][1]
+        for j in range(m.dimvec[p0.source]):
+            acc = [0] * m.dimvec[p0.target]
+            for coeff, p in rel:
+                for i, x in enumerate(m.path_column(p, j)):
+                    acc[i] += coeff * x
+            if any(acc):
+                return False
+    return True
+
+
+def _relation_sum(m, rel):
+    """The matrix of one relation on m, as a sum of path products."""
+    p0 = rel[0][1]
+    acc = RatMatrix.zeros(m.dimvec[p0.target], m.dimvec[p0.source])
+    for coeff, p in rel:
+        acc = acc + _path_product(m, p).scale(coeff)
+    return acc
+
+
+def _unchecked(alg, dimvec, rows):
+    """The module of integer rows (None for a zero map), built unchecked."""
+    return Representation(alg, dimvec, {label: RatMatrix(r, cols=dimvec[
+        alg.quiver.arrow(label).source]) for label, r in rows.items() if r is not None},
+        check=False)
+
+
+@st.composite
+def integer_draws(draw):
+    """(algebra, dimension vector, arrow rows) as the scan draws them: per
+    arrow None (a zero map), a zero matrix, or entries in -2..2; on the
+    commutative square both paths may get the same rows, so that its
+    two-term relation can hold with nonzero terms."""
+    alg = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
+    dimvec = {v: draw(st.integers(min_value=0, max_value=3)) for v in alg.quiver.vertices}
+    rows = {}
+    for a in alg.quiver.arrows:
+        r, c = dimvec[a.target], dimvec[a.source]
+        kind = draw(st.sampled_from(["none", "zero", "random", "random"]))
+        rows[a.label] = None if kind == "none" else tuple(
+            tuple(draw(st.integers(-2, 2)) if kind == "random" else 0 for _ in range(c))
+            for _ in range(r))
+    if alg is ALGEBRAS["square"] and dimvec["2"] == dimvec["3"] and draw(st.booleans()):
+        rows["b1"], rows["b2"] = rows["a1"], rows["a2"]
+    return alg, dimvec, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_draws())
+def test_failing_relation_matches_column_evaluation(d):
+    """The row-level check, which skips a term whose path runs through a zero
+    map, against path_column sums and matrix products on the built module;
+    it names the first relation that does not vanish."""
+    alg, dimvec, rows = d
+    m = _unchecked(alg, dimvec, rows)
+    rel = failing_relation(alg, dimvec, rows)
+    assert (rel is None) == _relations_vanish_by_columns(m) == _relations_vanish_by_matrices(m)
+    if rel is not None:
+        assert rel == next(r for r in alg.relations if not _relation_sum(m, r).is_zero())
+
+
+@pytest.mark.parametrize("rows, holds", [
+    # a2 a1 - b2 b1 with a1 a zero map: holds iff b2 b1 = 0
+    ({"a1": None, "a2": ((3,),), "b1": ((2,),), "b2": ((0,),)}, True),
+    ({"a1": None, "a2": ((3,),), "b1": ((2,),), "b2": ((1,),)}, False),
+    ({"a1": None, "a2": ((3,),), "b1": None, "b2": ((1,),)}, True),
+    ({"a1": ((2,),), "a2": ((3,),), "b1": ((-6,),), "b2": ((-1,),)}, True),
+    ({"a1": ((2,),), "a2": ((3,),), "b1": ((6,),), "b2": ((-1,),)}, False),
+])
+def test_failing_relation_on_the_commutative_square(rows, holds):
+    alg = ALGEBRAS["square"]
+    dimvec = {v: 1 for v in "1234"}
+    assert (failing_relation(alg, dimvec, rows) is None) == holds
+    assert _relations_vanish_by_columns(_unchecked(alg, dimvec, rows)) == holds
+
+
+@pytest.mark.parametrize("name, rows, holds", [
+    ("dual", {"x": ((0, 1), (0, 0))}, True),       # x^2 = 0
+    ("dual", {"x": ((1, 0), (0, 0))}, False),
+    ("dual", {"x": None}, True),
+    ("two_loop", {"x": ((0, 1), (0, 0)), "y": ((0, 1), (0, 0))}, True),
+    ("two_loop", {"x": ((0, 1), (0, 0)), "y": ((0, 0), (1, 0))}, False),  # xy != 0
+    ("two_loop", {"x": ((0, 1), (0, 0)), "y": None}, True),
+    ("two_loop", {"x": ((0, 0), (1, 0)), "y": ((0, 1), (0, 0))}, False),  # xy != 0
+])
+def test_failing_relation_on_loops(name, rows, holds):
+    alg = ALGEBRAS[name]
+    dimvec = {"1": 2}
+    assert (failing_relation(alg, dimvec, rows) is None) == holds
+    assert _relations_vanish_by_columns(_unchecked(alg, dimvec, rows)) == holds

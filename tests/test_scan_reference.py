@@ -7,18 +7,30 @@ the same truncated flag, including scans cut short at a repeated draw.
 """
 
 import pathlib
+import random
 
 import pytest
 
-from fproot.algebra import (algebra_from_json, dual_numbers_algebra,
-                            kronecker_algebra, local_two_loop_algebra,
-                            sqrt2_algebra)
-from fproot.cli import scan_candidates
+from fproot.algebra import (algebra_from_json, build_algebra,
+                            dual_numbers_algebra, kronecker_algebra,
+                            local_two_loop_algebra, sqrt2_algebra)
+from fproot.cli import _dimension_vectors, _random_maps, scan_candidates
 from fproot.exactlin import rat_str
+from fproot.quiver import Quiver
 
+import scan_reference
 from scan_reference import reference_scan
 
+
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+def _radical_square_zero(vertices, arrows):
+    """kQ with every composable pair of arrows as a relation."""
+    q = Quiver(vertices, arrows)
+    return build_algebra(q, [[(1, (b.label, a.label))] for a in q.arrows
+                             for b in q.arrows if a.target == b.source])
+
 
 ALGEBRAS = {
     "sqrt2": sqrt2_algebra(),
@@ -27,6 +39,9 @@ ALGEBRAS = {
     "two_loop": local_two_loop_algebra(2, 2),
     "square": algebra_from_json(
         (DATA / "commutative_square_algebra.json").read_text()),
+    # three vertices, a loop and two parallel arrows, radical square zero
+    "rsz3": _radical_square_zero(["1", "2", "3"], [("x", "1", "1"), ("b", "1", "2"),
+                                                   ("c", "1", "2"), ("d", "2", "3")]),
 }
 
 
@@ -58,3 +73,33 @@ def test_scan_truncated_by_a_repeated_draw_alone():
     got = scan_candidates(*args)
     assert got[1] is True
     assert _summary(got) == _summary(reference_scan(*args))
+
+
+def test_draws_match_randint_rows():
+    """A draw takes each entry by rng.choice over -2..2, which must give the
+    reference's rng.randint(-2, 2) entries and leave the generator in the
+    same state, also for maps into or out of a zero space."""
+    alg = ALGEBRAS["rsz3"]
+    for dv in ({"1": 2, "2": 1, "3": 0}, {"1": 0, "2": 2, "3": 3}, {"1": 1, "2": 1, "3": 1}):
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            draw = _random_maps(alg, dv, rng)
+            for a, rows in zip(alg.quiver.arrows, draw):
+                r, c = dv[a.target], dv[a.source]
+                want = None if ref.random() < 0.4 else tuple(
+                    tuple(ref.randint(-2, 2) for _ in range(c)) for _ in range(r))
+                assert rows == want
+            assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("vertices", [["1", "2"], ["9", "10", "2"],
+                                      ["10", "9", "b", "a"], ["x"]])
+def test_dimension_vector_order(vertices):
+    """The scan orders dimension vectors by total, then by their counts in
+    sorted-label order.  Every vector holds the same labels, so this is the
+    order of the key (total, sorted items) the reference sorts by, also for
+    labels such as "10" and "9" whose string order is not their numeric one."""
+    for budget in range(5):
+        want = sorted(scan_reference._dimension_vectors(vertices, budget),
+                      key=lambda d: (sum(d.values()), tuple(sorted(d.items()))))
+        assert _dimension_vectors(vertices, budget) == want
