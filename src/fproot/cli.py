@@ -28,8 +28,8 @@ from .quiver import (QuiverError, classify_underlying_graph, cycle_number,
 from .algebra import AlgebraError, algebra_from_json
 from . import repmod
 from .repmod import (Representation, RepresentationError, is_brick,
-                     isomorphic_to_brick, minimal_resolution, module_from_json,
-                     simple, simple_resolution_multiplicities, simples)
+                     minimal_resolution, module_from_json, simple,
+                     simple_resolution_multiplicities, simples)
 from .fpcore import FpBudgets, complexity_estimate, ext_assignment, fp_report
 from .tables import surface_grid_csv
 
@@ -103,30 +103,22 @@ def cmd_quiver(args) -> int:
 def _random_maps(alg, dimvec, rng):
     """One random draw at a dimension vector, hashable: per arrow None for a
     zero map (often the only way to satisfy the relations), otherwise the
-    integer rows of a small random matrix.  Each entry is rng.choice over
-    -2..2, the same draw as rng.randint(-2, 2)."""
-    draw, choice = [], rng.choice
+    integer rows of a small random matrix.  Each entry is k - 2 for the first
+    k = rng.getrandbits(3) below 5, the draw rng.randint(-2, 2) makes."""
+    draw, bits = [], rng.getrandbits
     for a in alg.quiver.arrows:
         r, c = dimvec[a.target], dimvec[a.source]
         if rng.random() < 0.4:
             draw.append(None)
-        else:  # r rows of c entries, grouped from one flat comprehension
-            flat = [choice((-2, -1, 0, 1, 2)) for _ in range(r * c)]
+        else:  # r rows of c entries, grouped from one flat list
+            flat = []
+            for _ in range(r * c):
+                k = bits(3)
+                while k > 4:
+                    k = bits(3)
+                flat.append(k - 2)
             draw.append(tuple(zip(*[iter(flat)] * c)) if c else ((),) * r)
     return tuple(draw)
-
-
-def _sample(alg, dimvec, draw, name):
-    """The module of a draw, called name, or None when a relation fails; the
-    relations are checked on the draw's integer rows, before any module is
-    built."""
-    arrows = alg.quiver.arrows
-    maps = {a.label: rows for a, rows in zip(arrows, draw)}
-    if repmod.failing_relation(alg, dimvec, maps) is not None:
-        return None
-    maps = {a.label: RatMatrix._wrap(rows, dimvec[a.source])
-            for a, rows in zip(arrows, draw) if rows is not None}
-    return Representation(alg, dimvec, maps, name=name, check=False)
 
 
 def _dimension_vectors(vertices, budget):
@@ -149,33 +141,33 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
 
     Simples and projectives are always included; the rest comes from seeded
     random sampling at every dimension vector within the budget.  A draw
-    repeated at one dimension vector is examined once: its relations are
-    checked on its integer rows, a module is built only when they hold, its
-    brick test is exact, and it is compared with each candidate by one Hom
-    system (repmod.isomorphic_to_brick, exact since every candidate is a
-    brick).  Returns (candidates, truncated_flag).
+    repeated at one dimension vector is examined once, on its integer rows
+    (None for a zero map): its relations are checked (failing_relation), its
+    End nullity is exact (row_hom_dim), and it is compared with each
+    candidate of its dimension vector by one Hom system
+    (row_isomorphic_to_brick, exact since every candidate is a brick).  Only
+    a new candidate is built as a module.  Returns (candidates, truncated).
     """
-    rng = random.Random(seed)
-    cands = []
+    rng, arrows = random.Random(seed), alg.quiver.arrows
+    cands, rows_by_support = [], {}
 
-    def push(rep):
+    def push(rows, module):  # module() joins unless rows matches a candidate
         if len(cands) >= max_candidates:
             return False
-        if any(isomorphic_to_brick(rep, c) for c in cands):
-            return True
-        cands.append(rep)
+        same = rows_by_support.setdefault(frozenset(rows[0].items()), [])
+        if not any(repmod.row_isomorphic_to_brick(arrows, rows, c) for c in same):
+            cands.append(module())
+            same.append(rows)
         return True
 
-    for s in simples(alg):
-        push(s)
-    for v in alg.quiver.vertices:
-        p = repmod.projective(alg, v)
-        if not p.is_zero() and is_brick(p):
-            push(p)
+    projectives = (repmod.projective(alg, v) for v in alg.quiver.vertices)
+    for m in simples(alg) + [p for p in projectives if not p.is_zero() and is_brick(p)]:
+        push(m.rows, lambda: m)
 
     truncated = False
     for dv in _dimension_vectors(list(alg.quiver.vertices), dim_budget):
         dims = "B(" + ",".join(str(dv[v]) for v in alg.quiver.vertices) + ")"
+        support = {v: d for v, d in dv.items() if d}
         verdicts = {}  # draw -> whether it is a brick satisfying the relations
         for _ in range(samples_per_dimvec):
             draw = _random_maps(alg, dv, rng)
@@ -184,9 +176,14 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
                     truncated = True
                     break
                 continue
-            rep = _sample(alg, dv, draw, f"{dims}#{len(cands)}")
-            verdicts[draw] = brick = rep is not None and is_brick(rep)
-            if brick and not push(rep):
+            rows = (support, draw)
+            verdicts[draw] = brick = repmod.failing_relation(
+                alg, dv, {a.label: r for a, r in zip(arrows, draw)}) is None \
+                and repmod.row_hom_dim(arrows, rows, rows) == 1
+            if brick and not push(rows, lambda: Representation(
+                    alg, dv, {a.label: RatMatrix._wrap(r, dv[a.source])
+                              for a, r in zip(arrows, draw) if r is not None},
+                    name=f"{dims}#{len(cands)}", check=False)):
                 truncated = True
                 break
         if truncated:

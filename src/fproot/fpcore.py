@@ -18,6 +18,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate, count, product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -59,8 +60,10 @@ class ExtCalculator:
 
     Each module is resolved once: its minimal resolution is cached per module
     identity and extended in place (Resolution.extend) when a higher degree
-    asks for more of it.  Writes must stay single-threaded (the CLI is
-    sequential).
+    asks for more of it.  Ext^m(X, Y) = hom(Ω^m X, Y) - Σ_{v in gens P_{m-1}}
+    dim Y_v + hom(Ω^{m-1} X, Y) (ext_from_resolution), each hom the power-0
+    entry of its syzygy here, solved once for powers m and m + 1; hom(X, Y)
+    is X's own.  Writes must stay single-threaded (the CLI is sequential).
     """
 
     def __init__(self, algebra: BoundAlgebra):
@@ -82,7 +85,8 @@ class ExtCalculator:
                 self._dims[key] = repmod.hom_dim(m, n)
             else:
                 res = self.resolution(m, power + 1)
-                self._dims[key] = ext_from_resolution(res, n, power)
+                self._dims[key] = ext_from_resolution(res, n, power,
+                                                      partial(self.ext, 0))
         return self._dims[key]
 
 

@@ -18,7 +18,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, count, islice
+from itertools import count, islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exactlin import (InvariantViolation, RatMatrix, nullspace, pivot_columns,
@@ -33,9 +33,10 @@ class RepresentationError(ValueError):
 
 class Representation:
     """A module over a BoundAlgebra: one vector space per vertex, one matrix
-    per arrow, with every relation evaluating to zero."""
+    per arrow, with every relation evaluating to zero.  rows is the module as
+    _hom_system reads it: its nonzero dimensions and the arrow rows."""
 
-    __slots__ = ("algebra", "dimvec", "maps", "name")
+    __slots__ = ("algebra", "dimvec", "maps", "name", "rows")
 
     def __init__(self, algebra: BoundAlgebra, dimvec: Dict[str, int],
                  maps: Dict[str, RatMatrix], name: str = "", check: bool = True):
@@ -58,6 +59,8 @@ class Representation:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "dimvec", dv)
         object.__setattr__(self, "maps", ms)
+        object.__setattr__(self, "rows", ({v: d for v, d in dv.items() if d}, tuple(
+            m.data if any(map(any, m.data)) else None for m in ms.values())))
         object.__setattr__(self, "name", name or f"M{tuple(dv.values())}")
         if check:
             rel = failing_relation(algebra, dv, {k: m.data for k, m in ms.items()})
@@ -88,7 +91,7 @@ class Representation:
         return sum(self.dimvec.values())
 
     def is_zero(self) -> bool:
-        return self.total_dim == 0
+        return not self.rows[0]
 
     def __repr__(self):
         return f"Representation({self.name}, dimvec={self.dimvec})"
@@ -226,63 +229,70 @@ class HomSpace:
     dim: int
 
 
-def _hom_system(m: Representation, n: Representation):
-    """The intertwiner equations f_t M_a = N_a f_s as (rows, total, offsets).
-
-    The unknowns are the entries of every f_v (dim n_v x dim m_v, row-major)
-    stacked by vertex from offsets[v]; total counts them.  Each row holds one
-    equation's coefficients; rows that are identically zero are dropped.
-    """
-    if m.algebra is not n.algebra:
-        raise RepresentationError("hom needs two modules over the same algebra")
-    q = m.algebra.quiver
-    offsets = {}
-    total = 0
-    for v in q.vertices:
-        offsets[v] = total
-        total += n.dimvec[v] * m.dimvec[v]  # f_v is dim_n x dim_m
-
+def _hom_system(arrows, m, n):
+    """The intertwiner equations f_t M_a = N_a f_s between row-level modules
+    m and n as (rows, total, offsets).  A row-level module is (support, maps):
+    its nonzero dimensions by vertex and, per arrow of arrows, the map's
+    integer or rational rows, None for a zero map.  The unknowns are the
+    entries of f_v (dim n_v x dim m_v, row-major) only at the vertices where
+    both are nonzero, stacked from offsets[v]; total counts them.  An arrow
+    with two zero maps gives no equation, and zero rows are dropped."""
+    (dm, mm), (dn, mn) = m, n
+    offsets, total = {}, 0
+    for v, d in dm.items():
+        if v in dn:
+            offsets[v], total = total, total + dn[v] * d
     rows = []
-    for a in q.arrows:
+    for a, Ma, Na in zip(arrows, mm, mn):
         s, t = a.source, a.target
-        Ma, Na = m.maps[a.label].data, n.maps[a.label].data
-        mt, ms, ot, os_ = m.dimvec[t], m.dimvec[s], offsets[t], offsets[s]
-        for i in range(n.dimvec[t]):
-            Ni = Na[i]
-            for j in range(ms):
+        left, right = Ma is not None and t in offsets, Na is not None and s in offsets
+        if not (left or right):  # neither f_t M_a nor N_a f_s has an unknown
+            continue
+        ms, mt = dm.get(s, 0), dm.get(t, 0)
+        cols = list(zip(*Ma)) if left else [()] * ms
+        for i in range(dn.get(t, 0)):
+            Ni, base = Na[i] if right else (), offsets[t] + i * mt if left else 0
+            for j, col in enumerate(cols):
                 row = [0] * total
-                for k in range(mt):
-                    if Ma[k][j]:
-                        row[ot + i * mt + k] += Ma[k][j]
+                row[base:base + len(col)] = col
                 for l, x in enumerate(Ni):
                     if x:
-                        row[os_ + l * ms + j] -= x
+                        row[offsets[s] + l * ms + j] -= x
                 if any(row):
                     rows.append(row)
     return rows, total, offsets
 
 
-def _vertex_maps(vec, offsets, m: Representation, n: Representation):
-    """(v, rows of f_v) for a solution vec of _hom_system(m, n), per vertex."""
-    for v, o in offsets.items():
-        c = m.dimvec[v]
-        yield v, [vec[o + i * c:o + (i + 1) * c] for i in range(n.dimvec[v])]
+def _vertex_maps(vec, offsets, dm, dn):
+    """{v: rows of f_v} for a solution vec of _hom_system(.., (dm, ..), (dn, ..))."""
+    return {v: [vec[o + i * dm[v]:o + (i + 1) * dm[v]] for i in range(dn[v])]
+            for v, o in offsets.items()}
+
+
+def _rows_of(m: Representation, n: Representation):
+    if m.algebra is not n.algebra:
+        raise RepresentationError("hom needs two modules over the same algebra")
+    return m.algebra.quiver.arrows, m.rows, n.rows
 
 
 def hom(m: Representation, n: Representation) -> HomSpace:
     """Solve the intertwiner system f_t M_a = N_a f_s exactly."""
-    rows, total, offsets = _hom_system(m, n)
-    kernel, _ = nullspace(rows, total)
-    basis = tuple({v: RatMatrix(f, cols=m.dimvec[v])
-                   for v, f in _vertex_maps(vec, offsets, m, n)} for vec in kernel)
-    return HomSpace(m, n, basis, len(kernel))
+    rows, total, offsets = _hom_system(*_rows_of(m, n))
+    fs = [_vertex_maps(vec, offsets, m.rows[0], n.rows[0])
+          for vec in nullspace(rows, total)[0]]
+    return HomSpace(m, n, tuple({v: RatMatrix(f.get(v, [()] * n.dimvec[v]), cols=d)
+                                 for v, d in m.dimvec.items()} for f in fs), len(fs))
+
+
+def row_hom_dim(arrows, m, n) -> int:
+    """dim Hom(m, n) of row-level modules: the nullity of _hom_system, by rank alone."""
+    rows, total, _ = _hom_system(arrows, m, n)
+    return total - rank_of_rows(rows)
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
-    """dim Hom(m, n) as the nullity of the intertwiner system; only its rank
-    is computed, on integers, and no basis is built."""
-    rows, total, _ = _hom_system(m, n)
-    return total - rank_of_rows(rows)
+    """dim Hom(m, n), on integers where the maps are (see row_hom_dim)."""
+    return row_hom_dim(*_rows_of(m, n))
 
 
 def is_brick(m: Representation) -> bool:
@@ -307,18 +317,22 @@ def is_isomorphic_brick(m: Representation, n: Representation) -> bool:
     return False
 
 
-def isomorphic_to_brick(m: Representation, brick: Representation) -> bool:
-    """Whether m is isomorphic to brick, from one Hom system; m need not be a
-    brick.  An isomorphism spans Hom(m, brick), which is then End(brick) = k,
-    so m and brick are isomorphic iff their dimension vectors match,
-    dim Hom(m, brick) = 1 and its generator has full rank at every vertex.
-    The scan's dedup uses it, where every candidate is a verified brick."""
-    if m.dimvec != brick.dimvec:
+def row_isomorphic_to_brick(arrows, m, brick) -> bool:
+    """Whether the row-level module m is isomorphic to brick, from one Hom
+    system; m need not be a brick.  An isomorphism spans Hom(m, brick) =
+    End(brick) = k, so the two are isomorphic iff their supports match,
+    dim Hom(m, brick) = 1 and its generator has full rank at every vertex."""
+    if m[0] != brick[0]:
         return False
-    rows, total, offsets = _hom_system(m, brick)
+    rows, total, offsets = _hom_system(arrows, m, brick)
     kernel, _ = nullspace(rows, total)
-    return len(kernel) == 1 and all(rank_of_rows(f) == len(f) for _, f in
-                                    _vertex_maps(kernel[0], offsets, m, brick))
+    return len(kernel) == 1 and all(rank_of_rows(f) == len(f) for f in _vertex_maps(
+        kernel[0], offsets, m[0], brick[0]).values())
+
+
+def isomorphic_to_brick(m: Representation, brick: Representation) -> bool:
+    """Whether m is isomorphic to brick (see row_isomorphic_to_brick)."""
+    return row_isomorphic_to_brick(*_rows_of(m, brick))
 
 
 def direct_sum(ms: Sequence[Representation]) -> Representation:
@@ -355,11 +369,13 @@ class ResolutionStep:
     differential: per generator, its image in the basis of the previous step
                   as {(copy, path): coeff}; for step 0 the image is in the
                   resolved module, stored as {vertex: column vector}.
+    module:       the module P covers: at step k the k-th syzygy Ω^k.
     """
 
     generators: List[str]
     basis: Dict[str, List[Tuple[int, Path]]]
     differential: list
+    module: Representation = field(repr=False, compare=False)
 
 
 @dataclass
@@ -426,7 +442,7 @@ def resolution_steps(m: Representation) -> Iterator[ResolutionStep]:
                 raise InvariantViolation(
                     "minimality violated: differential leaves the radical")
 
-        yield ResolutionStep(gens, basis, differential)
+        yield ResolutionStep(gens, basis, differential, current)
 
         # syzygy = kernel of the cover map, whose column (copy, path) at w is
         # the path acting on the lift
@@ -459,30 +475,18 @@ def ext(i: int, m: Representation, n: Representation) -> int:
     return ext_from_resolution(res, n, i)
 
 
-def _hom_complex_rank(res: Resolution, n: Representation, i: int) -> int:
-    """Rank of Hom(P_{i-1}, n) -> Hom(P_i, n) induced by the differential,
-    whose blocks are sums of c times path matrices, read column by column."""
-    col_off = list(accumulate((n.dimvec[v] for v in res.steps[i - 1].generators),
-                              initial=0))
-    rows = []
-    for gv, entry in zip(res.steps[i].generators, res.steps[i].differential):
-        block = [[0] * col_off[-1] for _ in range(n.dimvec[gv])]
-        for (pcopy, ppath), c in entry.items():
-            for b in range(n.dimvec[ppath.source]):
-                for a, x in enumerate(n.path_column(ppath, b)):
-                    if x:
-                        block[a][col_off[pcopy] + b] += c * x
-        rows += block
-    return rank_of_rows(rows)
-
-
-def ext_from_resolution(res: Resolution, n: Representation, i: int) -> int:
+def ext_from_resolution(res: Resolution, n: Representation, i: int, dim_hom=None) -> int:
+    """dim Ext^i(X, n), X = res.module, by dimension shift: Hom(-, n) on
+    0 -> Ω^i X -> P_{i-1} -> Ω^{i-1} X -> 0 and Ext^i(X, -) = Ext^1(Ω^{i-1} X, -) give
+    hom(Ω^i X, n) - Σ_{v in gens P_{i-1}} dim n_v + hom(Ω^{i-1} X, n) for i >= 1,
+    hom(X, n) at 0.  Ω^k X is step k's module, zero past the last step; each
+    hom is dim_hom(module, n), hom_dim by default."""
     if i >= len(res.steps):
         return 0
-    dim_ci = sum(n.dimvec[v] for v in res.steps[i].generators)
-    rank_in = _hom_complex_rank(res, n, i) if i >= 1 else 0
-    rank_out = _hom_complex_rank(res, n, i + 1) if i + 1 < len(res.steps) else 0
-    return dim_ci - rank_in - rank_out
+    dim_hom, steps = dim_hom or hom_dim, res.steps
+    shift = i and (dim_hom(steps[i - 1].module, n)
+                   - sum(n.dimvec[v] for v in steps[i - 1].generators))
+    return dim_hom(steps[i].module, n) + shift
 
 
 def _obstructions(alg: BoundAlgebra) -> Optional[List[Tuple[str, ...]]]:

@@ -4,11 +4,14 @@
 fraction-free elimination, while `hom` builds the kernel basis with
 `Fraction` Gauss-Jordan; the two must agree on every module pair.  The same
 goes for `rank` against the pivots of `rref`, for the relation check against
-the sum of path matrices, and for `is_isomorphic_brick` against the
-basis-only test it screens.
+the sum of path matrices, for `is_isomorphic_brick` against the
+basis-only test it screens, and for the scan's verdicts on a draw's integer
+rows (`row_hom_dim`, `row_isomorphic_to_brick`) against the same verdicts on
+the module built from them.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,10 +23,14 @@ from fproot.algebra import (Path, build_algebra, dual_numbers_algebra,
                             sqrt2_algebra)
 from fproot.exactlin import RatMatrix, rank, rank_of_rows, rref, solve
 from fproot.quiver import Quiver, path_quiver
-from fproot.repmod import regular_brick
+from fproot.cli import _random_maps
+from fproot.repmod import _hom_system, regular_brick
 from fproot.repmod import (Representation, RepresentationError,
                            failing_relation, hom, hom_dim, is_brick,
-                           is_isomorphic_brick, isomorphic_to_brick)
+                           is_isomorphic_brick, isomorphic_to_brick,
+                           row_hom_dim, row_isomorphic_to_brick,
+                           simple)
+from test_scan_reference import ALGEBRAS as SCAN_ALGEBRAS
 
 
 def _commutative_square():
@@ -445,3 +452,80 @@ def test_failing_relation_on_loops(name, rows, holds):
     dimvec = {"1": 2}
     assert (failing_relation(alg, dimvec, rows) is None) == holds
     assert _relations_vanish_by_columns(_unchecked(alg, dimvec, rows)) == holds
+
+
+# -- the scan's verdicts on integer rows ----------------------------------------
+
+def _built(alg, dimvec, draw):
+    """The module of a draw (None for a zero map), built unchecked."""
+    return Representation(alg, dimvec, {a.label: RatMatrix(r, cols=dimvec[a.source])
+                                        for a, r in zip(alg.quiver.arrows, draw)
+                                        if r is not None}, check=False)
+
+
+@st.composite
+def scan_draws(draw):
+    """(algebra, dimension vector, draws): the distinct draws among eight
+    that fproot.cli._random_maps makes from a drawn seed at a nonzero
+    dimension vector, over every scan-reference algebra (loops, two parallel
+    arrows, one- and two-term relations), kept when the relations hold."""
+    alg = SCAN_ALGEBRAS[draw(st.sampled_from(sorted(SCAN_ALGEBRAS)))]
+    dimvec = {v: draw(st.integers(min_value=0, max_value=2)) for v in alg.quiver.vertices}
+    assume(any(dimvec.values()))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    draws = dict.fromkeys(_random_maps(alg, dimvec, rng) for _ in range(8))
+    labels = [a.label for a in alg.quiver.arrows]
+    return alg, dimvec, [d for d in draws
+                         if failing_relation(alg, dimvec, dict(zip(labels, d))) is None]
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_draws())
+def test_row_end_nullity_matches_is_brick(case):
+    """The End nullity the scan computes on a draw's rows is dim End of the
+    module built from them, so it is 1 exactly when is_brick holds."""
+    alg, dimvec, draws = case
+    support = {v: d for v, d in dimvec.items() if d}
+    for d in draws:
+        m = _built(alg, dimvec, d)
+        nullity = row_hom_dim(alg.quiver.arrows, (support, d), (support, d))
+        assert nullity == hom_dim(m, m) == hom(m, m).dim
+        assert (nullity == 1) == is_brick(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scan_draws(), st.data())
+def test_row_dedup_matches_isomorphic_to_brick(case, data):
+    """The scan's dedup on rows against isomorphic_to_brick on the built
+    modules, with the second draw a brick as in the scan, and against
+    is_isomorphic_brick when the first is a brick too; a conjugate of a brick
+    by rational vertex maps, given as its rows, matches it."""
+    alg, dimvec, draws = case
+    arrows, support = alg.quiver.arrows, {v: d for v, d in dimvec.items() if d}
+    built = [_built(alg, dimvec, d) for d in draws]
+    for d2, n in zip(draws, built):
+        if not is_brick(n):
+            continue
+        for d1, m in zip(draws, built):
+            got = row_isomorphic_to_brick(arrows, (support, d1), (support, d2))
+            assert got == isomorphic_to_brick(m, n)
+            if is_brick(m):
+                assert got == is_isomorphic_brick(m, n)
+        c = _conjugate(n, {v: data.draw(invertibles(k)) for v, k in dimvec.items()})
+        assert row_isomorphic_to_brick(arrows, c.rows, (support, d2))
+        assert is_isomorphic_brick(c, n)
+
+
+def test_hom_system_of_two_simples_on_900_vertices():
+    """The Hom system lays out unknowns only where both modules are nonzero.
+    Between two simples of a 900-vertex arrowless quiver it has at most one
+    unknown; it is given the arrows and the supports, one vertex each, so it
+    has no vertex list to walk."""
+    alg = build_algebra(Quiver([str(i) for i in range(900)], []), [])
+    s0, s1 = simple(alg, "0"), simple(alg, "899")
+    assert s0.rows == ({"0": 1}, ())
+    for m, n, dim in ((s0, s0, 1), (s0, s1, 0), (s1, s0, 0)):
+        rows, total, offsets = _hom_system(alg.quiver.arrows, m.rows, n.rows)
+        assert (rows, total, len(offsets)) == ([], dim, dim)
+        assert hom_dim(m, n) == hom(m, n).dim == dim
+    assert is_brick(s0) and isomorphic_to_brick(s0, s0) and not isomorphic_to_brick(s1, s0)
