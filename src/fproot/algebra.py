@@ -106,7 +106,8 @@ class BoundAlgebra:
     Attributes:
         quiver:     the underlying quiver
         relations:  normalized relation list
-        integer_relations: the same relations with coprime integer coefficients
+        integer_relations: the same relations with coprime integer coefficients,
+                    each term's path as arrow indices in application order
         basis:      residue classes of paths, ordered by length then creation
         dim:        total dimension over the rationals
     """
@@ -117,8 +118,9 @@ class BoundAlgebra:
         self.quiver = quiver
         self.relations = _normalize_relations(quiver, relations)
         # a homogeneous relation vanishes iff its coprime integer multiple does
-        self.integer_relations = [tuple(zip(primitive_row([c for c, _ in r]),
-                                            [p for _, p in r])) for r in self.relations]
+        self.integer_relations = [tuple(zip(primitive_row([c for c, _ in r]), [
+            tuple(map(quiver.arrow_index, reversed(p.arrows))) for _, p in r]))
+            for r in self.relations]
         self._build(length_cap, dim_cap)
 
     # -- construction -------------------------------------------------

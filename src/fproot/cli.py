@@ -177,12 +177,11 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
                     break
                 continue
             rows = (support, draw)
-            verdicts[draw] = brick = repmod.failing_relation(
-                alg, dv, {a.label: r for a, r in zip(arrows, draw)}) is None \
+            verdicts[draw] = brick = repmod.failing_relation(alg, rows) is None \
                 and repmod.row_hom_dim(arrows, rows, rows) == 1
             if brick and not push(rows, lambda: Representation(
-                    alg, dv, {a.label: RatMatrix._wrap(r, dv[a.source])
-                              for a, r in zip(arrows, draw) if r is not None},
+                    alg, support, {a.label: RatMatrix._wrap(r, dv[a.source])
+                                   for a, r in zip(arrows, draw) if r is not None},
                     name=f"{dims}#{len(cands)}", check=False)):
                 truncated = True
                 break
@@ -221,11 +220,9 @@ def cmd_resolve(args) -> int:
             m = module_from_json(alg, fh.read())
         res = minimal_resolution(m, args.depth)
         pattern, length = res.multiplicity_pattern(), res.length
-    elif args.simple:
+    else:
         m = simple(alg, args.simple)
         pattern, length = simple_resolution_multiplicities(alg, args.simple, args.depth)
-    else:
-        raise AlgebraError("resolve needs --module FILE or --simple VERTEX")
     comp = complexity_estimate(alg, max(args.depth, 4))
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digits and max(map(max, comp.ext_table.values()), default=0) >= 10 ** digits:
@@ -306,8 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     rp = sub.add_parser("resolve", help="minimal resolution and Ext tables")
     rp.add_argument("algebra")
-    rp.add_argument("--module", help="module JSON file")
-    rp.add_argument("--simple", help="vertex label of a simple module")
+    one = rp.add_mutually_exclusive_group(required=True)
+    one.add_argument("--module", help="module JSON file")
+    one.add_argument("--simple", help="vertex label of a simple module")
     rp.add_argument("--depth", type=nonnegative, default=8)
 
     tp = sub.add_parser("tables", help="closed-form fp tables as CSV")

@@ -195,30 +195,28 @@ class GrowthEstimate:
                 "window": list(self.window)}
 
 
-def growth_analyze(seq: Sequence[float], start_index: int = 1) -> GrowthEstimate:
+def growth_analyze(seq: Sequence[float]) -> GrowthEstimate:
     """Growth and curvature estimates from a finite window.
 
-    The limsup proxies take the max over the last half of the window:
-    fpg from log(a_n)/log(n) (log_n 0 = -inf), fpv from a_n^(1/n).  A count
-    beyond the double range stays an int, whose logs math.log takes exactly.
+    The limsup proxies take the max over the last half of the window, with
+    n counted from 1: fpg from log(a_n)/log(n) (log_n 0 = -inf), fpv from
+    a_n^(1/n).  A count beyond the double range stays an int, whose logs
+    math.log takes exactly.
     """
     vals = [float(x) if x <= sys.float_info.max else x for x in seq]
     if len(vals) < 4:
         raise ValueError("growth analysis needs at least 4 values")
     if any(x < 0 for x in vals):
         raise ValueError("growth analysis needs nonnegative values")
-    ns = list(range(start_index, start_index + len(vals)))
     half = len(vals) // 2
-    tail = list(zip(ns[half:], vals[half:]))
-    fpg = -math.inf
-    fpv = 0.0
-    for n, a in tail:
+    fpg, fpv = -math.inf, 0.0
+    for n, a in list(enumerate(vals, 1))[half:]:
         if n >= 2:
             fpg = max(fpg, math.log(a) / math.log(n) if a > 0 else -math.inf)
         if a > 0:
             fpv = max(fpv, a ** (1.0 / n) if isinstance(a, float)
                       else math.exp(math.log(a) / n))
-    return GrowthEstimate(fpg, fpv, (ns[half], ns[-1]), vals)
+    return GrowthEstimate(fpg, fpv, (half + 1, len(vals)), vals)
 
 
 @dataclass
@@ -326,7 +324,7 @@ def _fill_grid(subsets: Sequence[tuple], matrix: Callable, witness: Callable,
     if M >= 4:
         seq = [max((cells[(n, m)].value.value for n in range(1, N + 1)), default=0.0)
                for m in range(1, M + 1)]
-        growth = growth_analyze(seq, start_index=1)
+        growth = growth_analyze(seq)
 
     return FpReport(
         assignment_name=assignment_name,
@@ -557,8 +555,7 @@ class ComplexityReport:
     agc: AGCResult
 
 
-def complexity_estimate(alg: BoundAlgebra, depth: int,
-                        agc_constant: int = 2, agc_radius: int = 2) -> ComplexityReport:
+def complexity_estimate(alg: BoundAlgebra, depth: int) -> ComplexityReport:
     """Complexity of the algebra from the Ext window of its simples, read from
     repmod.ext_simple_table: Anick chain counts, exact at any depth, on a
     monomial algebra, and linear minimal resolutions otherwise.
@@ -566,8 +563,8 @@ def complexity_estimate(alg: BoundAlgebra, depth: int,
     cx = limsup log_n dim Ext^n(T, T) + 1 with T the direct sum of the
     simples; the limsup is proxied on the last half window, an exponential
     window (curvature > 1) is flagged as infinite, and an eventually zero
-    window gives 0.  The averaging growth condition is checked for the given
-    constant and radius over the same window.
+    window gives 0.  The averaging growth condition (each entry at most twice
+    the largest pmax within 2 steps) is checked over the same window.
     """
     if depth < 4:
         raise ValueError("complexity estimation needs depth >= 4")
@@ -583,12 +580,9 @@ def complexity_estimate(alg: BoundAlgebra, depth: int,
             for n in range(depth + 1)]
     violation = next(
         ((n, i, j) for n in range(depth + 1) for i in verts for j in verts
-         if table[(i, j)][n] > agc_constant * max(
-             pmax[max(0, n - agc_radius):n + agc_radius + 1])),
+         if table[(i, j)][n] > 2 * max(pmax[max(0, n - 2):n + 3])),
         None)
-    return ComplexityReport(table, seq, cx, fpv,
-                            AGCResult(violation is None, agc_constant, agc_radius,
-                                      violation))
+    return ComplexityReport(table, seq, cx, fpv, AGCResult(violation is None, 2, 2, violation))
 
 
 @dataclass

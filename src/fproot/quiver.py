@@ -39,7 +39,7 @@ class Arrow:
 class Quiver:
     """A finite directed multigraph with labeled arrows (loops allowed)."""
 
-    __slots__ = ("vertices", "arrows", "_vindex")
+    __slots__ = ("vertices", "arrows", "_vindex", "_aindex")
 
     def __init__(self, vertices: Sequence[str], arrows: Sequence):
         vs = tuple(str(v) for v in vertices)
@@ -63,6 +63,7 @@ class Quiver:
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "arrows", tuple(ars))
         object.__setattr__(self, "_vindex", {v: i for i, v in enumerate(vs)})
+        object.__setattr__(self, "_aindex", {a.label: i for i, a in enumerate(ars)})
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Quiver is immutable")
@@ -70,14 +71,14 @@ class Quiver:
     def vertex_index(self, v: str) -> int:
         return self._vindex[str(v)]
 
-    def arrows_into(self, v: str):
-        return [a for a in self.arrows if a.target == str(v)]
+    def arrow_index(self, label: str) -> int:
+        try:  # a label read from JSON may be unhashable
+            return self._aindex[label]
+        except (KeyError, TypeError):
+            raise QuiverError(f"no arrow labeled {label!r}") from None
 
     def arrow(self, label: str) -> Arrow:
-        for a in self.arrows:
-            if a.label == label:
-                return a
-        raise QuiverError(f"no arrow labeled {label!r}")
+        return self.arrows[self.arrow_index(label)]
 
     def reversed(self) -> "Quiver":
         return Quiver(self.vertices,

@@ -24,7 +24,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .exactlin import (InvariantViolation, RatMatrix, nullspace, pivot_columns,
                        rank_of_rows, rat, rat_str)
 from .algebra import DEFAULT_DIM_CAP, AlgebraError, BoundAlgebra, Path
-from .quiver import classify_underlying_graph, json_array, positive_roots
+from .quiver import QuiverError, classify_underlying_graph, json_array, positive_roots
 
 
 class RepresentationError(ValueError):
@@ -33,62 +33,78 @@ class RepresentationError(ValueError):
 
 class Representation:
     """A module over a BoundAlgebra: one vector space per vertex, one matrix
-    per arrow, with every relation evaluating to zero.  rows is the module as
-    _hom_system reads it: its nonzero dimensions and the arrow rows."""
+    per arrow, with every relation evaluating to zero.  rows is its one stored
+    form, the row-level module _hom_system reads: the nonzero dimensions in
+    vertex order and, per quiver arrow, the given map's rows as entered (a
+    RatMatrix's entries kept), None where no map was given; dimvec and maps
+    are views of it."""
 
-    __slots__ = ("algebra", "dimvec", "maps", "name", "rows")
+    __slots__ = ("algebra", "name", "rows")
 
     def __init__(self, algebra: BoundAlgebra, dimvec: Dict[str, int],
                  maps: Dict[str, RatMatrix], name: str = "", check: bool = True):
-        q = algebra.quiver
-        dv = {str(v): int(dimvec.get(str(v), 0)) for v in q.vertices}
-        if any(d < 0 for d in dv.values()):
+        q, rows = algebra.quiver, [None] * len(algebra.quiver.arrows)
+        try:
+            dims = {str(v): int(dimvec[v]) for v in sorted(dimvec, key=q.vertex_index)}
+        except KeyError as e:
+            raise RepresentationError(f"dimvec names unknown vertex {e.args[0]!r}") from None
+        if any(d < 0 for d in dims.values()):
             raise RepresentationError("negative dimension")
-        ms = {}
-        for a in q.arrows:
-            m = maps.get(a.label)
-            if m is None:
-                m = RatMatrix.zeros(dv[a.target], dv[a.source])
-            elif not isinstance(m, RatMatrix):
-                m = RatMatrix(m)
-            if m.shape != (dv[a.target], dv[a.source]):
-                raise RepresentationError(
-                    f"map for arrow {a.label} has shape {m.shape}, expected "
-                    f"({dv[a.target]}, {dv[a.source]})")
-            ms[a.label] = m
+        support = {v: d for v, d in dims.items() if d}
+        for label, m in maps.items():
+            try:
+                i = q.arrow_index(label)
+            except QuiverError:
+                raise RepresentationError(f"maps names unknown arrow {label!r}") from None
+            if m is not None:
+                a, m = q.arrows[i], m if isinstance(m, RatMatrix) else RatMatrix(m)
+                shape = (support.get(a.target, 0), support.get(a.source, 0))
+                if m.shape != shape:
+                    raise RepresentationError(f"map for arrow {label} has shape "
+                                              f"{m.shape}, expected {shape}")
+                rows[i] = m.data
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "dimvec", dv)
-        object.__setattr__(self, "maps", ms)
-        object.__setattr__(self, "rows", ({v: d for v, d in dv.items() if d}, tuple(
-            m.data if any(map(any, m.data)) else None for m in ms.values())))
-        object.__setattr__(self, "name", name or f"M{tuple(dv.values())}")
+        object.__setattr__(self, "rows", (support, tuple(rows)))
+        object.__setattr__(self, "name", name or f"M{tuple(self.dimvec.values())}")
         if check:
-            rel = failing_relation(algebra, dv, {k: m.data for k, m in ms.items()})
+            rel = failing_relation(algebra, self.rows)
             if rel is not None:
                 raise RepresentationError(f"relation {rel} does not vanish on {self.name}")
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Representation is immutable")
 
+    @property
+    def dimvec(self) -> Dict[str, int]:
+        """The dimension at every vertex, zeros included (a fresh dict)."""
+        return {v: self.rows[0].get(v, 0) for v in self.algebra.quiver.vertices}
+
+    @property
+    def maps(self) -> Dict[str, RatMatrix]:
+        """The matrix of every arrow, a zero matrix where no map was given."""
+        d, arrows = self.dimvec, self.algebra.quiver.arrows
+        return {a.label: RatMatrix.zeros(d[a.target], d[a.source]) if r is None
+                else RatMatrix._wrap(r, d[a.source]) for a, r in zip(arrows, self.rows[1])}
+
     def path_matrix(self, p: Path) -> RatMatrix:
         """Matrix of a path acting V_source -> V_target (identity if trivial),
         one path_column at a time."""
-        return RatMatrix.from_columns(
-            [self.path_column(p, j) for j in range(self.dimvec[p.source])],
-            rows=self.dimvec[p.target])
+        d = self.rows[0]
+        return RatMatrix.from_columns([self.path_column(p, j) for j in range(
+            d.get(p.source, 0))], rows=d.get(p.target, 0))
 
     def path_column(self, p: Path, j: int) -> list:
         """Column j of path_matrix(p) (see _path_column); the entries are
-        ints or Fractions."""
+        ints or Fractions, all zero when the path runs through a zero map."""
+        d, maps = self.rows
         if not p.arrows:
-            col = [Fraction(0)] * self.dimvec[p.source]
-            col[j] = Fraction(1)
-            return col
-        return _path_column([self.maps[label].data for label in reversed(p.arrows)], j)
+            return [Fraction(int(i == j)) for i in range(d[p.source])]
+        mats = [maps[i] for i in map(self.algebra.quiver.arrow_index, reversed(p.arrows))]
+        return [0] * d.get(p.target, 0) if None in mats else _path_column(mats, j)
 
     @property
     def total_dim(self) -> int:
-        return sum(self.dimvec.values())
+        return sum(self.rows[0].values())
 
     def is_zero(self) -> bool:
         return not self.rows[0]
@@ -108,20 +124,21 @@ def _path_column(mats, j: int) -> list:
     return col
 
 
-def failing_relation(alg: BoundAlgebra, dimvec: Dict[str, int], maps):
-    """The first relation of alg that does not act as zero on the arrow maps
-    (label -> integer or rational rows, None for a zero map) at dimvec, or
-    None.  Each relation is checked on its coprime integer coefficients, one
-    basis vector of the source at a time, without path matrices; a term
-    whose path runs through a zero map is skipped."""
+def failing_relation(alg: BoundAlgebra, m):
+    """The first relation of alg that does not act as zero on the row-level
+    module m = (support, maps) (see _hom_system), or None.  Each relation is
+    checked on its integer terms (alg.integer_relations), one basis vector of
+    the source at a time, without path matrices; a term whose path runs
+    through a zero map is skipped."""
+    dims, maps = m
     for rel, int_rel in zip(alg.relations, alg.integer_relations):
         p0 = rel[0][1]
-        if not (dimvec[p0.source] and dimvec[p0.target]):
+        if p0.source not in dims or p0.target not in dims:
             continue  # it maps into or out of a zero space
-        terms = [(c, [maps[label] for label in reversed(p.arrows)]) for c, p in int_rel]
-        terms = [(c, mats) for c, mats in terms if None not in mats]
-        for j in range(dimvec[p0.source] if terms else 0):
-            acc = [0] * dimvec[p0.target]
+        terms = [(c, mats) for c, path in int_rel
+                 if None not in (mats := [maps[i] for i in path])]
+        for j in range(dims[p0.source] if terms else 0):
+            acc = [0] * dims[p0.target]
             for c, mats in terms:
                 for i, x in enumerate(_path_column(mats, j)):
                     if x:
@@ -136,10 +153,8 @@ def failing_relation(alg: BoundAlgebra, dimvec: Dict[str, int], maps):
 # ---------------------------------------------------------------------------
 
 def simple(algebra: BoundAlgebra, v) -> Representation:
-    v = str(v)
-    if v not in algebra.quiver.vertices:
-        raise AlgebraError(f"unknown vertex {v!r}")
-    return Representation(algebra, {v: 1}, {}, name=f"S{v}")
+    """The simple at v (RepresentationError for an unknown vertex)."""
+    return Representation(algebra, {str(v): 1}, {}, name=f"S{v}")
 
 
 def simples(algebra: BoundAlgebra) -> List[Representation]:
@@ -198,10 +213,10 @@ def _top(m: Representation, w: str) -> List[int]:
     """The basis indices of m at w outside the pivots of its radical (the
     span of the columns of every arrow map into w); each lifts one
     generator of the top of m."""
-    radical = [col for a in m.algebra.quiver.arrows_into(w)
-               for col in m.maps[a.label].transpose().data]
+    radical = [col for a, r in zip(m.algebra.quiver.arrows, m.rows[1])
+               if a.target == w and r is not None for col in zip(*r)]
     covered = set(pivot_columns(radical))
-    return [j for j in range(m.dimvec[w]) if j not in covered]
+    return [j for j in range(m.rows[0].get(w, 0)) if j not in covered]
 
 
 def projective_cover_multiplicities(m: Representation) -> Dict[str, int]:
@@ -213,8 +228,8 @@ def projective_cover_multiplicities(m: Representation) -> Dict[str, int]:
 def dual_representation(m: Representation, op_algebra: BoundAlgebra) -> Representation:
     """The linear dual as a module over the opposite algebra: same dimension
     vector, every arrow matrix transposed."""
-    maps = {a.label: m.maps[a.label].transpose() for a in m.algebra.quiver.arrows}
-    return Representation(op_algebra, dict(m.dimvec), maps, name=f"D({m.name})")
+    maps = {label: f.transpose() for label, f in m.maps.items()}
+    return Representation(op_algebra, m.rows[0], maps, name=f"D({m.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +293,10 @@ def _rows_of(m: Representation, n: Representation):
 def hom(m: Representation, n: Representation) -> HomSpace:
     """Solve the intertwiner system f_t M_a = N_a f_s exactly."""
     rows, total, offsets = _hom_system(*_rows_of(m, n))
-    fs = [_vertex_maps(vec, offsets, m.rows[0], n.rows[0])
-          for vec in nullspace(rows, total)[0]]
-    return HomSpace(m, n, tuple({v: RatMatrix(f.get(v, [()] * n.dimvec[v]), cols=d)
-                                 for v, d in m.dimvec.items()} for f in fs), len(fs))
+    dm, dn = m.dimvec, n.dimvec
+    fs = [_vertex_maps(vec, offsets, dm, dn) for vec in nullspace(rows, total)[0]]
+    return HomSpace(m, n, tuple({v: RatMatrix(f.get(v, [()] * dn[v]), cols=d)
+                                 for v, d in dm.items()} for f in fs), len(fs))
 
 
 def row_hom_dim(arrows, m, n) -> int:
@@ -306,13 +321,13 @@ def is_isomorphic_brick(m: Representation, n: Representation) -> bool:
     """Exact isomorphism test for two bricks: they are isomorphic iff some
     composite of a map each way is a nonzero endomorphism (there is none
     when either Hom space is zero)."""
-    if m.dimvec != n.dimvec:
+    if m.rows[0] != n.rows[0]:
         return False
     fwd, bwd = hom(m, n), hom(n, m)
     for f in fwd.basis:
         for g in bwd.basis:
-            for v in m.algebra.quiver.vertices:
-                if m.dimvec[v] and not (g[v] @ f[v]).is_zero():
+            for v in m.rows[0]:
+                if not (g[v] @ f[v]).is_zero():
                     return True
     return False
 
@@ -341,14 +356,14 @@ def direct_sum(ms: Sequence[Representation]) -> Representation:
     alg = ms[0].algebra
     if any(m.algebra is not alg for m in ms):
         raise RepresentationError("direct sum needs a common algebra")
-    q = alg.quiver
-    dimvec = {v: sum(m.dimvec[v] for m in ms) for v in q.vertices}
+    views = [(m.dimvec, m.maps) for m in ms]
+    dimvec = {v: sum(d[v] for d, _ in views) for v in alg.quiver.vertices}
     maps = {}
-    for a in q.arrows:  # block diagonal: each block's rows padded with zeros
+    for a in alg.quiver.arrows:  # block diagonal: each block's rows padded with zeros
         cols, big, c0 = dimvec[a.source], [], 0
-        for m in ms:
-            c = m.dimvec[a.source]
-            big += [[0] * c0 + list(row) + [0] * (cols - c0 - c) for row in m.maps[a.label].data]
+        for d, mm in views:
+            c = d[a.source]
+            big += [[0] * c0 + list(row) + [0] * (cols - c0 - c) for row in mm[a.label].data]
             c0 += c
         maps[a.label] = RatMatrix(big, cols=cols)
     name = "+".join(m.name for m in ms)
@@ -425,7 +440,7 @@ def resolution_steps(m: Representation) -> Iterator[ResolutionStep]:
     current = m
     syzygy = None  # per vertex, the previous syzygy's vectors
     for step_idx in count():
-        lifts = [(v, j) for v in alg.quiver.vertices for j in _top(current, v)]
+        lifts = [(v, j) for v in current.rows[0] for j in _top(current, v)]
         if not lifts:
             return
         gens = [v for v, _ in lifts]
@@ -434,7 +449,7 @@ def resolution_steps(m: Representation) -> Iterator[ResolutionStep]:
         # differential of this step expressed over the previous step
         if syzygy is None:
             differential = [
-                {v: tuple(Fraction(1 if t == j else 0) for t in range(m.dimvec[v]))}
+                {v: tuple(Fraction(1 if t == j else 0) for t in range(m.rows[0][v]))}
                 for v, j in lifts]
         else:
             differential = [syzygy[v][j] for v, j in lifts]
@@ -466,7 +481,7 @@ def minimal_resolution(m: Representation, depth: int) -> Resolution:
 
 
 def ext(i: int, m: Representation, n: Representation) -> int:
-    """dim Ext^i(m, n), from the Hom complex of a minimal resolution of m."""
+    """dim Ext^i(m, n), by dimension shift (see ext_from_resolution)."""
     if i < 0:
         raise RepresentationError("ext degree must be >= 0")
     if m.algebra is not n.algebra:
@@ -485,7 +500,7 @@ def ext_from_resolution(res: Resolution, n: Representation, i: int, dim_hom=None
         return 0
     dim_hom, steps = dim_hom or hom_dim, res.steps
     shift = i and (dim_hom(steps[i - 1].module, n)
-                   - sum(n.dimvec[v] for v in steps[i - 1].generators))
+                   - sum(n.rows[0].get(v, 0) for v in steps[i - 1].generators))
     return dim_hom(steps[i].module, n) + shift
 
 
@@ -594,13 +609,13 @@ class SearchBudgetExhausted(RuntimeError):
     pass
 
 
-def dynkin_indecomposables(alg: BoundAlgebra, seed: int = 0,
-                           tries: int = 400) -> List[Representation]:
+def dynkin_indecomposables(alg: BoundAlgebra, seed: int = 0) -> List[Representation]:
     """One brick per positive root of an ADE path algebra.
 
     Arrow matrices are sampled with small random rational entries at the root
-    dimension vector until the brick test passes; correctness is certified
-    post hoc (is_brick plus the Tits form <d,d> = 1), never assumed.
+    dimension vector, up to 400 times, until the brick test passes;
+    correctness is certified post hoc (is_brick plus the Tits form <d,d> = 1),
+    never assumed.
     """
     if alg.relations:
         raise AlgebraError("dynkin_indecomposables needs a path algebra")
@@ -615,8 +630,7 @@ def dynkin_indecomposables(alg: BoundAlgebra, seed: int = 0,
         dimvec = {v: root[i] for i, v in enumerate(verts)}
         if euler_form(alg, dimvec, dimvec) != 1:
             raise InvariantViolation(f"root {root} fails <d,d>=1")
-        found = None
-        for _ in range(tries):
+        for _ in range(400):
             maps = {}
             for a in alg.quiver.arrows:
                 r, c = dimvec[a.target], dimvec[a.source]
@@ -627,12 +641,11 @@ def dynkin_indecomposables(alg: BoundAlgebra, seed: int = 0,
                                   name="M(" + ",".join(map(str, root)) + ")",
                                   check=False)
             if is_brick(cand):
-                found = cand
+                out.append(cand)
                 break
-        if found is None:
+        else:
             raise SearchBudgetExhausted(
-                f"no brick found at root {root} after {tries} samples")
-        out.append(found)
+                f"no brick found at root {root} after 400 samples")
     return out
 
 
@@ -662,9 +675,7 @@ def regular_brick(alg: BoundAlgebra, lam) -> Representation:
         lam = rat(lam)
         maps = {b: [[1]], c: [[lam]]}
         name = f"R({rat_str(lam)})"
-    return Representation(alg, {s: 1, t: 1},
-                          {k: RatMatrix(v) for k, v in maps.items()},
-                          name=name)
+    return Representation(alg, {s: 1, t: 1}, maps, name=name)
 
 
 def _stacked(n: int, top: bool) -> RatMatrix:
@@ -733,10 +744,9 @@ def kronecker_brick_catalogue(alg: BoundAlgebra, max_total_dim: int = 6,
 
 def module_to_json(m: Representation) -> str:
     return json.dumps({
-        "dimvec": dict(m.dimvec),
-        "maps": {a.label: [[rat_str(x) for x in row]
-                           for row in m.maps[a.label].data]
-                 for a in m.algebra.quiver.arrows},
+        "dimvec": m.dimvec,
+        "maps": {label: [[rat_str(x) for x in row] for row in f.data]
+                 for label, f in m.maps.items()},
         "name": m.name,
     }, indent=2, sort_keys=True)
 
@@ -754,24 +764,19 @@ def module_from_json(alg: BoundAlgebra, text: str) -> Representation:
             raise TypeError(f"name is not a JSON string: {name!r}")
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise RepresentationError(f"malformed module file: {e}") from e
-    for v, d in dimvec.items():
-        if v not in alg.quiver.vertices:
-            raise RepresentationError(f"dimvec names unknown vertex {v!r}")
+    for v, d in dimvec.items():  # Representation rejects an unknown vertex or arrow
         if type(d) is not int:  # not a float, a bool or a string
             raise RepresentationError(f"dimension at vertex {v!r} is not an integer: {d!r}")
         if d > DEFAULT_DIM_CAP:  # its zero maps alone would not fit in memory
             raise RepresentationError(
                 f"dimension at vertex {v!r} exceeds the size cap {DEFAULT_DIM_CAP}")
     maps = {}
-    source = {a.label: a.source for a in alg.quiver.arrows}
     for label, rows in arrow_rows:
-        if label not in source:
-            raise RepresentationError(f"maps names unknown arrow {label!r}")
         try:  # a map into a zero space has no rows to read its width from
             maps[label] = RatMatrix(
                 [[rat(x) for x in json_array(row, "row")]
                  for row in json_array(rows, "map")],
-                cols=len(rows[0]) if rows else dimvec.get(source[label], 0))
+                cols=len(rows[0]) if rows else dimvec.get(alg.quiver.arrow(label).source, 0))
         except (TypeError, ValueError, ZeroDivisionError) as e:
             raise RepresentationError(
                 f"malformed map for arrow {label!r}: {e}") from e

@@ -238,6 +238,19 @@ def test_invariant_violation_exit_code():
     assert dispatch(ns) == EXIT_INVARIANT
 
 
+@pytest.mark.parametrize("which", [[], ["--module", "m.json", "--simple", "1"]],
+                         ids=["neither", "both"])
+def test_resolve_needs_exactly_one_of_module_and_simple(tmp_path, sqrt2_file, which):
+    """argparse rejects resolve without --module or --simple, or with both:
+    exit 2, a named error, empty stdout and no traceback."""
+    mf = tmp_path / "m.json"
+    mf.write_text(module_to_json(regular_brick(sqrt2_algebra(), 0)))
+    argv = [str(mf) if a == "m.json" else a for a in which]
+    code, out, err = run_cli(["resolve", sqrt2_file, "--depth", "2"] + argv)
+    assert code == 2 and out == ""
+    assert "--module" in err and "--simple" in err and "Traceback" not in err
+
+
 def test_resolve_unknown_simple_exit_2(sqrt2_file):
     code, out, err = run_cli(["resolve", sqrt2_file, "--simple", "9",
                               "--depth", "2"])

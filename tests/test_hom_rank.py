@@ -23,13 +23,15 @@ from fproot.algebra import (Path, build_algebra, dual_numbers_algebra,
                             sqrt2_algebra)
 from fproot.exactlin import RatMatrix, rank, rank_of_rows, rref, solve
 from fproot.quiver import Quiver, path_quiver
+from fproot import repmod
 from fproot.cli import _random_maps
 from fproot.repmod import _hom_system, regular_brick
 from fproot.repmod import (Representation, RepresentationError,
                            failing_relation, hom, hom_dim, is_brick,
                            is_isomorphic_brick, isomorphic_to_brick,
-                           row_hom_dim, row_isomorphic_to_brick,
-                           simple)
+                           minimal_resolution, module_from_json,
+                           module_to_json, row_hom_dim,
+                           row_isomorphic_to_brick, simple)
 from test_scan_reference import ALGEBRAS as SCAN_ALGEBRAS
 
 
@@ -153,6 +155,22 @@ def modules(draw, alg, dimvec=None):
     except RepresentationError:
         assume(False)
     return _conjugate(m, {v: draw(invertibles(d)) for v, d in dimvec.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(ALGEBRAS)).flatmap(lambda k: modules(ALGEBRAS[k])))
+def test_views_rebuild_the_stored_rows(m):
+    """rows is a module's one stored form, and dimvec and maps are views of
+    it: given back to the constructor they rebuild the same rows; dimvec
+    lists every vertex in quiver order; each map has shape (dim target,
+    dim source); and a JSON round trip prints the same bytes."""
+    q, dimvec, maps = m.algebra.quiver, m.dimvec, m.maps
+    assert Representation(m.algebra, dimvec, maps).rows == m.rows
+    assert list(dimvec) == list(q.vertices)
+    for a in q.arrows:
+        assert maps[a.label].shape == (dimvec[a.target], dimvec[a.source])
+    text = module_to_json(m)
+    assert module_to_json(module_from_json(m.algebra, text)) == text
 
 
 @st.composite
@@ -382,6 +400,13 @@ def _relation_sum(m, rel):
     return acc
 
 
+def _row_level(alg, dimvec, rows):
+    """The row-level module (support, maps) that failing_relation takes, of
+    arrow rows by label (None for a zero map)."""
+    return ({v: d for v, d in dimvec.items() if d},
+            tuple(rows[a.label] for a in alg.quiver.arrows))
+
+
 def _unchecked(alg, dimvec, rows):
     """The module of integer rows (None for a zero map), built unchecked."""
     return Representation(alg, dimvec, {label: RatMatrix(r, cols=dimvec[
@@ -417,7 +442,7 @@ def test_failing_relation_matches_column_evaluation(d):
     it names the first relation that does not vanish."""
     alg, dimvec, rows = d
     m = _unchecked(alg, dimvec, rows)
-    rel = failing_relation(alg, dimvec, rows)
+    rel = failing_relation(alg, _row_level(alg, dimvec, rows))
     assert (rel is None) == _relations_vanish_by_columns(m) == _relations_vanish_by_matrices(m)
     if rel is not None:
         assert rel == next(r for r in alg.relations if not _relation_sum(m, r).is_zero())
@@ -434,7 +459,7 @@ def test_failing_relation_matches_column_evaluation(d):
 def test_failing_relation_on_the_commutative_square(rows, holds):
     alg = ALGEBRAS["square"]
     dimvec = {v: 1 for v in "1234"}
-    assert (failing_relation(alg, dimvec, rows) is None) == holds
+    assert (failing_relation(alg, _row_level(alg, dimvec, rows)) is None) == holds
     assert _relations_vanish_by_columns(_unchecked(alg, dimvec, rows)) == holds
 
 
@@ -450,7 +475,7 @@ def test_failing_relation_on_the_commutative_square(rows, holds):
 def test_failing_relation_on_loops(name, rows, holds):
     alg = ALGEBRAS[name]
     dimvec = {"1": 2}
-    assert (failing_relation(alg, dimvec, rows) is None) == holds
+    assert (failing_relation(alg, _row_level(alg, dimvec, rows)) is None) == holds
     assert _relations_vanish_by_columns(_unchecked(alg, dimvec, rows)) == holds
 
 
@@ -474,9 +499,8 @@ def scan_draws(draw):
     assume(any(dimvec.values()))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
     draws = dict.fromkeys(_random_maps(alg, dimvec, rng) for _ in range(8))
-    labels = [a.label for a in alg.quiver.arrows]
-    return alg, dimvec, [d for d in draws
-                         if failing_relation(alg, dimvec, dict(zip(labels, d))) is None]
+    support = {v: d for v, d in dimvec.items() if d}
+    return alg, dimvec, [d for d in draws if failing_relation(alg, (support, d)) is None]
 
 
 @settings(max_examples=150, deadline=None)
@@ -529,3 +553,20 @@ def test_hom_system_of_two_simples_on_900_vertices():
         assert (rows, total, len(offsets)) == ([], dim, dim)
         assert hom_dim(m, n) == hom(m, n).dim == dim
     assert is_brick(s0) and isomorphic_to_brick(s0, s0) and not isomorphic_to_brick(s1, s0)
+
+
+def test_simple_on_3000_vertices_is_stored_by_its_support(monkeypatch):
+    """A simple stores its one nonzero dimension and no arrow rows, while its
+    dimvec view lists all 3,000 vertices.  Resolving a simple over 3,000
+    vertices with one arrow reads the top of each syzygy only where the
+    syzygy is nonzero, one _top call per step."""
+    alg = build_algebra(Quiver([str(i) for i in range(3000)], []), [])
+    s = simple(alg, "2999")
+    assert s.rows == ({"2999": 1}, ())
+    assert len(s.dimvec) == 3000 and s.dimvec["2999"] == 1 == sum(s.dimvec.values())
+    alg = build_algebra(Quiver([str(i) for i in range(3000)], [("a", "0", "1")]), [])
+    calls, top = [], repmod._top
+    monkeypatch.setattr(repmod, "_top", lambda m, w: calls.append((m.name, w)) or top(m, w))
+    res = minimal_resolution(simple(alg, "0"), 3)
+    assert (res.multiplicity_pattern(), res.length) == ([{"0": 1}, {"1": 1}], 1)
+    assert calls == [("S0", "0"), ("syzygy1(S0)", "1")]

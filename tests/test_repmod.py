@@ -64,6 +64,18 @@ def test_shape_mismatch_rejected(A):
         Representation(A, {"1": 1, "2": 2}, {"a": [[1]]})
 
 
+def test_unknown_vertex_or_arrow_rejected(A):
+    """A dimension at a vertex, or a map for an arrow, that the quiver lacks
+    is an error that names it, not a silently dropped key."""
+    with pytest.raises(RepresentationError, match="unknown vertex '7'"):
+        Representation(A, {"7": 1}, {})
+    with pytest.raises(RepresentationError, match="unknown vertex '7'"):
+        simple(A, "7")
+    for m in ([[1]], None):
+        with pytest.raises(RepresentationError, match="unknown arrow 'zz'"):
+            Representation(A, {"1": 1, "2": 1}, {"zz": m})
+
+
 # -- hom ---------------------------------------------------------------------
 
 def test_hom_simples_vanish_between_vertices(A):
