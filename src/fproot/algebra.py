@@ -21,14 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactlin import RatMatrix, primitive_row, rat, rat_str, rref
+from .exactlin import (InputError, RatMatrix, load_json, primitive_row, rat,
+                       rat_str, rref)
 from .quiver import Quiver, QuiverError, json_array, kronecker_quiver
 
 DEFAULT_LENGTH_CAP = 32
 DEFAULT_DIM_CAP = 20000
 
 
-class AlgebraError(ValueError):
+class AlgebraError(InputError):
     pass
 
 
@@ -317,10 +318,7 @@ def algebra_to_json(a: BoundAlgebra) -> str:
 def algebra_from_json(text: str) -> BoundAlgebra:
     """Parse the algebra JSON format: a quiver block plus relations whose
     paths list arrow labels in application order (rightmost applied first)."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise AlgebraError(f"invalid JSON: {e}") from e
+    raw = load_json(text, AlgebraError)
     try:
         q = Quiver(json_array(raw["vertices"], "vertices"),
                    [(x["label"], x["from"], x["to"])

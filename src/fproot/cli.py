@@ -18,14 +18,15 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from itertools import combinations_with_replacement
 
 from . import __version__
-from .exactlin import InvariantViolation, RatMatrix
-from .spectral import SpectralError, matrix_from_json, rho_extended
-from .quiver import (QuiverError, classify_underlying_graph, cycle_number,
-                     quiver_from_json, quiver_fpdim, quiver_to_dot)
-from .algebra import AlgebraError, algebra_from_json
+from .exactlin import InputError, InvariantViolation, RatMatrix
+from .spectral import matrix_from_json, rho_extended
+from .quiver import (classify_underlying_graph, cycle_number, quiver_from_json,
+                     quiver_fpdim, quiver_to_dot)
+from .algebra import algebra_from_json
 from . import repmod
 from .repmod import (Representation, RepresentationError, is_brick,
                      minimal_resolution, module_from_json, simple,
@@ -101,13 +102,14 @@ def cmd_quiver(args) -> int:
 
 
 def _random_maps(alg, dimvec, rng):
-    """One random draw at a dimension vector, hashable: per arrow None for a
-    zero map (often the only way to satisfy the relations), otherwise the
-    integer rows of a small random matrix.  Each entry is k - 2 for the first
-    k = rng.getrandbits(3) below 5, the draw rng.randint(-2, 2) makes."""
+    """One random draw at a dimension vector (zeros may be left out),
+    hashable: per arrow None for a zero map (often the only way to satisfy
+    the relations), otherwise the integer rows of a small random matrix.
+    Each entry is k - 2 for the first k = rng.getrandbits(3) below 5, the
+    draw rng.randint(-2, 2) makes."""
     draw, bits = [], rng.getrandbits
     for a in alg.quiver.arrows:
-        r, c = dimvec[a.target], dimvec[a.source]
+        r, c = dimvec.get(a.target, 0), dimvec.get(a.source, 0)
         if rng.random() < 0.4:
             draw.append(None)
         else:  # r rows of c entries, grouped from one flat list
@@ -122,17 +124,15 @@ def _random_maps(alg, dimvec, rng):
 
 
 def _dimension_vectors(vertices, budget):
-    """Every dimension vector (a dict over all vertices) of total 1..budget,
-    in scan order: by total, then by the counts in sorted-label order (the
-    labels are sorted once)."""
-    order, dvs = sorted(vertices), []
-    for total in range(1, budget + 1):
-        for picked in combinations_with_replacement(vertices, total):
-            dv = dict.fromkeys(vertices, 0)
-            for v in picked:
-                dv[v] += 1
-            dvs.append(dv)
-    return sorted(dvs, key=lambda d: (sum(d.values()), [d[v] for v in order]))
+    """Every dimension vector of total 1..budget as its support (the nonzero
+    counts, in the order of vertices), in scan order: by total, then by the
+    counts in sorted-label order, which orders supports of one total as their
+    (-position, count) pairs listed by sorted-label position do."""
+    position = {v: i for i, v in enumerate(sorted(vertices))}
+    dvs = [dict(Counter(picked)) for total in range(1, budget + 1)
+           for picked in combinations_with_replacement(vertices, total)]
+    return sorted(dvs, key=lambda d: (sum(d.values()), [(-i, k) for i, k in sorted(
+        (position[v], k) for v, k in d.items())]))
 
 
 def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
@@ -164,13 +164,11 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
     for m in simples(alg) + [p for p in projectives if not p.is_zero() and is_brick(p)]:
         push(m.rows, lambda: m)
 
-    truncated = False
-    for dv in _dimension_vectors(list(alg.quiver.vertices), dim_budget):
-        dims = "B(" + ",".join(str(dv[v]) for v in alg.quiver.vertices) + ")"
-        support = {v: d for v, d in dv.items() if d}
+    truncated, vertices = False, alg.quiver.vertices
+    for support in _dimension_vectors(vertices, dim_budget):
         verdicts = {}  # draw -> whether it is a brick satisfying the relations
         for _ in range(samples_per_dimvec):
-            draw = _random_maps(alg, dv, rng)
+            draw = _random_maps(alg, support, rng)
             if draw in verdicts:  # its first copy is, or matches, a candidate
                 if verdicts[draw] and len(cands) >= max_candidates:
                     truncated = True
@@ -180,9 +178,10 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
             verdicts[draw] = brick = repmod.failing_relation(alg, rows) is None \
                 and repmod.row_hom_dim(arrows, rows, rows) == 1
             if brick and not push(rows, lambda: Representation(
-                    alg, support, {a.label: RatMatrix._wrap(r, dv[a.source])
+                    alg, support, {a.label: RatMatrix._wrap(r, support.get(a.source, 0))
                                    for a, r in zip(arrows, draw) if r is not None},
-                    name=f"{dims}#{len(cands)}", check=False)):
+                    name=f"B({','.join(str(support.get(v, 0)) for v in vertices)})"
+                         f"#{len(cands)}", check=False)):
                 truncated = True
                 break
         if truncated:
@@ -324,8 +323,7 @@ def dispatch(args) -> int:
     except InvariantViolation as e:
         print(f"internal invariant violated: {e}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (SpectralError, QuiverError, AlgebraError, RepresentationError,
-            OSError, UnicodeDecodeError) as e:
+    except (InputError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -16,6 +16,7 @@ to call concurrently.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -28,6 +29,19 @@ _INT_ONLY = frozenset({int})
 class InvariantViolation(AssertionError):
     """Raised when an internal consistency check fails; the CLI maps it to
     exit 4.  Defined here, in the bottom layer, so every layer can raise it."""
+
+
+class InputError(ValueError):
+    """The base of each layer's input error (SpectralError, QuiverError,
+    AlgebraError, RepresentationError); the CLI maps it to exit 2."""
+
+
+def load_json(text: str, error: type):
+    """json.loads(text), raising error("invalid JSON: ...") on a decode error."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise error(f"invalid JSON: {e}") from e
 
 
 def rat(x) -> Fraction:

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .exactlin import RatMatrix
+from .exactlin import InputError, RatMatrix, load_json
 from .spectral import (SpectralValue, rho_nonnegative_via_scc,
                        strongly_connected_components)
 
@@ -25,7 +25,7 @@ CYCLE_ENUM_MAX_VERTICES = 12
 CYCLE_ENUM_MAX_ARROWS = 24
 
 
-class QuiverError(ValueError):
+class QuiverError(InputError):
     pass
 
 
@@ -406,10 +406,7 @@ def json_array(value, field: str) -> list:
 
 
 def quiver_from_json(text: str) -> Quiver:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise QuiverError(f"invalid JSON: {e}") from e
+    raw = load_json(text, QuiverError)
     try:
         return Quiver(json_array(raw["vertices"], "vertices"),
                       [(a["label"], a["from"], a["to"])

@@ -21,13 +21,13 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .exactlin import (InvariantViolation, RatMatrix, nullspace, pivot_columns,
-                       rank_of_rows, rat, rat_str)
+from .exactlin import (InputError, InvariantViolation, RatMatrix, load_json,
+                       nullspace, pivot_columns, rank_of_rows, rat, rat_str)
 from .algebra import DEFAULT_DIM_CAP, AlgebraError, BoundAlgebra, Path
 from .quiver import QuiverError, classify_underlying_graph, json_array, positive_roots
 
 
-class RepresentationError(ValueError):
+class RepresentationError(InputError):
     pass
 
 
@@ -199,8 +199,10 @@ def projective(algebra: BoundAlgebra, v) -> Representation:
     with source v; an arrow acts by left multiplication reduced modulo the
     relation ideal."""
     v = str(v)
-    if v not in algebra.quiver.vertices:
-        raise AlgebraError(f"unknown vertex {v!r}")
+    try:
+        algebra.quiver.vertex_index(v)
+    except KeyError:
+        raise AlgebraError(f"unknown vertex {v!r}") from None
     basis = _projective_of_multiset(algebra, [v])
     units = {w: [{bp: 1} for bp in b] for w, b in basis.items()}
     free = {w: range(len(b)) for w, b in basis.items()}
@@ -317,21 +319,6 @@ def is_brick(m: Representation) -> bool:
     return hom_dim(m, m) == 1
 
 
-def is_isomorphic_brick(m: Representation, n: Representation) -> bool:
-    """Exact isomorphism test for two bricks: they are isomorphic iff some
-    composite of a map each way is a nonzero endomorphism (there is none
-    when either Hom space is zero)."""
-    if m.rows[0] != n.rows[0]:
-        return False
-    fwd, bwd = hom(m, n), hom(n, m)
-    for f in fwd.basis:
-        for g in bwd.basis:
-            for v in m.rows[0]:
-                if not (g[v] @ f[v]).is_zero():
-                    return True
-    return False
-
-
 def row_isomorphic_to_brick(arrows, m, brick) -> bool:
     """Whether the row-level module m is isomorphic to brick, from one Hom
     system; m need not be a brick.  An isomorphism spans Hom(m, brick) =
@@ -345,9 +332,10 @@ def row_isomorphic_to_brick(arrows, m, brick) -> bool:
         kernel[0], offsets, m[0], brick[0]).values())
 
 
-def isomorphic_to_brick(m: Representation, brick: Representation) -> bool:
-    """Whether m is isomorphic to brick (see row_isomorphic_to_brick)."""
-    return row_isomorphic_to_brick(*_rows_of(m, brick))
+def is_isomorphic_brick(m: Representation, n: Representation) -> bool:
+    """Whether m is isomorphic to n and n is a brick, so for a brick n exactly
+    whether m is isomorphic to it (see row_isomorphic_to_brick)."""
+    return row_isomorphic_to_brick(*_rows_of(m, n))
 
 
 def direct_sum(ms: Sequence[Representation]) -> Representation:
@@ -400,6 +388,8 @@ class Resolution:
     extend(depth) draws steps from the module's one resolution_steps
     generator until depth + 1 steps exist or they run out; only then is length
     known, so a resolution of length L reports None at depth L and L at L + 1.
+    A finite resolution is exact, so it checks that sum_i (-1)^i dim P_i =
+    dim module and raises InvariantViolation when it does not.
     """
 
     module: Representation
@@ -414,6 +404,12 @@ class Resolution:
         while self.length is None and len(self.steps) < depth + 1:
             step = next(self._pending, None)
             if step is None:
+                euler = sum((-1) ** i * sum(map(len, s.basis.values()))
+                            for i, s in enumerate(self.steps))
+                if euler != self.module.total_dim:
+                    raise InvariantViolation(
+                        f"the resolution of {self.module.name} has alternating "
+                        f"dimension sum {euler}, not its dimension {self.module.total_dim}")
                 self.length = len(self.steps) - 1
             else:
                 self.steps.append(step)
@@ -752,10 +748,7 @@ def module_to_json(m: Representation) -> str:
 
 
 def module_from_json(alg: BoundAlgebra, text: str) -> Representation:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise RepresentationError(f"invalid JSON: {e}") from e
+    raw = load_json(text, RepresentationError)
     try:
         dimvec = dict(raw["dimvec"].items())
         arrow_rows = raw.get("maps", {}).items()

@@ -27,7 +27,6 @@ reduction; a substitution grid produces an uncertified estimate.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -35,7 +34,8 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import List, Optional, Sequence, Union
 
-from .exactlin import InvariantViolation, RatMatrix, primitive_row, rat
+from .exactlin import (InputError, InvariantViolation, RatMatrix, load_json,
+                       primitive_row, rat)
 
 INF = math.inf
 NEG_INF = -math.inf
@@ -47,7 +47,7 @@ POWER_STEPS = 64
 Entry = Union[Fraction, float]
 
 
-class SpectralError(ValueError):
+class SpectralError(InputError):
     pass
 
 
@@ -118,10 +118,7 @@ def matrix_from_json(text: str) -> ExtendedMatrix:
     Entries may be finite numbers, 'p/q' strings, 'inf' or '-inf'.  Errors
     name the offending entry.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SpectralError(f"invalid JSON: {e}") from e
+    raw = load_json(text, SpectralError)
     if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
         raise SpectralError("matrix file must be a JSON array of arrays")
     for i, row in enumerate(raw):

@@ -2,7 +2,8 @@
 `fproot.cli.scan_candidates` with every draw examined, repeats included,
 and every sampled entry a `Fraction`.  It makes the same rng calls in the
 same order, so for a seed it must find the same candidates, under the same
-names, and stop at the same point.
+names, and stop at the same point.  Its dedup is the composite test on Hom
+bases, not the scan's one Hom system.
 """
 
 import random
@@ -10,8 +11,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from fproot.exactlin import RatMatrix
-from fproot.repmod import (Representation, RepresentationError, is_brick,
-                           is_isomorphic_brick, projective, simples)
+from fproot.repmod import (Representation, RepresentationError, hom, is_brick,
+                           projective, simples)
 
 
 def _random_representation(alg, dimvec, rng, name):
@@ -28,6 +29,16 @@ def _random_representation(alg, dimvec, rng, name):
         return Representation(alg, dimvec, maps, name=name, check=True)
     except RepresentationError:
         return None
+
+
+def _isomorphic_bricks(m, n):
+    """Two bricks are isomorphic iff their dimension vectors match and some
+    composite g f of a map f: m -> n and a map g: n -> m, taken from the Hom
+    bases, is nonzero (End(m) = k, so a nonzero g f is invertible)."""
+    if m.dimvec != n.dimvec:
+        return False
+    return any(not (g[v] @ f[v]).is_zero() for f in hom(m, n).basis
+               for g in hom(n, m).basis for v in m.rows[0])
 
 
 def _dimension_vectors(vertices, budget):
@@ -48,7 +59,7 @@ def reference_scan(alg, dim_budget, seed, samples_per_dimvec=40,
     def push(rep):
         if len(cands) >= max_candidates:
             return False
-        if any(is_isomorphic_brick(rep, c) for c in cands):
+        if any(_isomorphic_bricks(rep, c) for c in cands):
             return True
         cands.append(rep)
         return True

@@ -238,6 +238,35 @@ def test_invariant_violation_exit_code():
     assert dispatch(ns) == EXIT_INVARIANT
 
 
+def test_input_errors_share_one_base_and_one_json_reader(capsys):
+    """Each layer's input error is an InputError, the one class dispatch
+    maps to exit 2, and load_json raises the class it is given with the
+    decoder's message."""
+    import argparse
+    from fproot.algebra import AlgebraError
+    from fproot.cli import EXIT_PARSE, dispatch
+    from fproot.exactlin import InputError, load_json
+    from fproot.quiver import QuiverError
+    from fproot.repmod import RepresentationError
+    from fproot.spectral import SpectralError
+
+    try:
+        json.loads("[1,")
+    except json.JSONDecodeError as e:
+        want = f"invalid JSON: {e}"
+    for cls in (SpectralError, QuiverError, AlgebraError, RepresentationError):
+        assert issubclass(cls, InputError)
+        with pytest.raises(cls) as info:
+            load_json("[1,", cls)
+        assert str(info.value) == want
+
+    def bad_input(args):
+        raise InputError("hook")
+
+    assert dispatch(argparse.Namespace(func=bad_input)) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: hook\n"
+
+
 @pytest.mark.parametrize("which", [[], ["--module", "m.json", "--simple", "1"]],
                          ids=["neither", "both"])
 def test_resolve_needs_exactly_one_of_module_and_simple(tmp_path, sqrt2_file, which):
@@ -408,7 +437,9 @@ def test_dimension_vectors_match_a_product_reference():
     for n in range(1, 5):
         vertices = [str(v) for v in range(n)]
         for budget in range(4):
-            got = [tuple(dv.values()) for dv in _dimension_vectors(vertices, budget)]
+            dvs = _dimension_vectors(vertices, budget)
+            assert all(all(dv.values()) for dv in dvs)  # supports: no zero counts
+            got = [tuple(dv.get(v, 0) for v in vertices) for dv in dvs]
             want = {d for d in product(range(budget + 1), repeat=n)
                     if 1 <= sum(d) <= budget}
             assert len(got) == len(want) and set(got) == want
@@ -417,11 +448,11 @@ def test_dimension_vectors_match_a_product_reference():
 def test_dimension_vectors_of_many_vertices():
     from fproot.cli import _dimension_vectors
     vertices = [f"v{i}" for i in range(2000)]
-    count = 0
-    for dv in _dimension_vectors(vertices, 1):
-        assert len(dv) == 2000 and sum(dv.values()) == 1
-        count += 1
-    assert count == 2000
+    seen = []
+    for dv in _dimension_vectors(vertices, 1):  # each a support of one vertex
+        assert len(dv) == 1 and sum(dv.values()) == 1
+        seen += dv
+    assert len(seen) == 2000 and set(seen) == set(vertices)
 
 
 def test_resolve_module_dimension_beyond_the_size_cap_exit_2(tmp_path, sqrt2_file):

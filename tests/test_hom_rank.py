@@ -4,10 +4,11 @@
 fraction-free elimination, while `hom` builds the kernel basis with
 `Fraction` Gauss-Jordan; the two must agree on every module pair.  The same
 goes for `rank` against the pivots of `rref`, for the relation check against
-the sum of path matrices, for `is_isomorphic_brick` against the
-basis-only test it screens, and for the scan's verdicts on a draw's integer
-rows (`row_hom_dim`, `row_isomorphic_to_brick`) against the same verdicts on
-the module built from them.
+the sum of path matrices, for `is_isomorphic_brick` (m is isomorphic to the
+brick n) against the Schur rule and, on two bricks, the composite test on Hom
+bases, and for the scan's verdicts on a draw's integer rows (`row_hom_dim`,
+`row_isomorphic_to_brick`) against the same verdicts on the module built
+from them.
 """
 
 import math
@@ -28,8 +29,7 @@ from fproot.cli import _random_maps
 from fproot.repmod import _hom_system, regular_brick
 from fproot.repmod import (Representation, RepresentationError,
                            failing_relation, hom, hom_dim, is_brick,
-                           is_isomorphic_brick, isomorphic_to_brick,
-                           minimal_resolution, module_from_json,
+                           is_isomorphic_brick, minimal_resolution, module_from_json,
                            module_to_json, row_hom_dim,
                            row_isomorphic_to_brick, simple)
 from test_scan_reference import ALGEBRAS as SCAN_ALGEBRAS
@@ -194,8 +194,8 @@ def test_hom_dim_matches_hom_basis(pair):
 
 
 def _isomorphic_by_bases(m, n):
-    """The basis-only brick isomorphism test, without the Hom-dimension
-    screen."""
+    """The composite test on Hom bases, exact for two bricks: they are
+    isomorphic iff some composite of a map each way is nonzero."""
     if m.dimvec != n.dimvec:
         return False
     for f in hom(m, n).basis:
@@ -206,11 +206,29 @@ def _isomorphic_by_bases(m, n):
     return False
 
 
+def _isomorphic_by_schur(m, n):
+    """Whether m is isomorphic to n and n is a brick: their dimension vectors
+    match and Hom(m, n) is spanned by one map of full rank at every vertex
+    (an isomorphism spans Hom(m, n), which is then End(n) = k)."""
+    if m.dimvec != n.dimvec:
+        return False
+    h = hom(m, n)
+    return h.dim == 1 and all(rank(h.basis[0][v]) == d for v, d in m.dimvec.items())
+
+
+def _check_is_isomorphic_brick(m, n):
+    """is_isomorphic_brick(m, n) against the Schur rule, and against the
+    composite test when both are bricks."""
+    got = is_isomorphic_brick(m, n)
+    assert got == _isomorphic_by_schur(m, n)
+    if not m.is_zero() and not n.is_zero() and is_brick(m) and is_brick(n):
+        assert got == _isomorphic_by_bases(m, n)
+
+
 @settings(max_examples=150, deadline=None)
 @given(module_pairs())
 def test_is_isomorphic_brick_matches_basis_test(pair):
-    m, n = pair
-    assert is_isomorphic_brick(m, n) == _isomorphic_by_bases(m, n)
+    _check_is_isomorphic_brick(*pair)
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,17 +237,7 @@ def test_is_isomorphic_brick_on_conjugate_pairs(data):
     alg = ALGEBRAS[data.draw(st.sampled_from(sorted(ALGEBRAS)))]
     m = data.draw(modules(alg))
     n = _conjugate(m, {v: data.draw(invertibles(d)) for v, d in m.dimvec.items()})
-    assert is_isomorphic_brick(m, n) == _isomorphic_by_bases(m, n)
-
-
-def _isomorphic_by_schur(m, n):
-    """Bricks m and n are isomorphic iff their dimension vectors match and
-    Hom(m, n) is spanned by one map of full rank at every vertex (an
-    isomorphism spans Hom(m, n), which is End(m) = k)."""
-    if m.dimvec != n.dimvec:
-        return False
-    h = hom(m, n)
-    return h.dim == 1 and all(rank(h.basis[0][v]) == d for v, d in m.dimvec.items())
+    _check_is_isomorphic_brick(m, n)
 
 
 @st.composite
@@ -247,47 +255,26 @@ def bricks(draw, alg, dimvec=None):
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(st.data())
 def test_is_isomorphic_brick_matches_schur_rule(data):
-    """Against the rule above, on pairs of bricks; a conjugate of a brick
-    must come out isomorphic to it."""
-    alg = ALGEBRAS[data.draw(st.sampled_from(sorted(ALGEBRAS)))]
-    m = data.draw(bricks(alg))
-    partner = data.draw(st.sampled_from(["conjugate", "same_dimvec", "any"]))
-    if partner == "conjugate":
-        n = _conjugate(m, {v: data.draw(invertibles(d)) for v, d in m.dimvec.items()})
-        assert is_isomorphic_brick(m, n) and is_isomorphic_brick(n, m)
-    else:
-        n = data.draw(bricks(alg, dict(m.dimvec) if partner == "same_dimvec" else None))
-    assert is_isomorphic_brick(m, n) == _isomorphic_by_schur(m, n)
-
-
-# -- the scan's isomorphism helper ----------------------------------------------
-
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.filter_too_much])
-@given(st.data())
-def test_isomorphic_to_brick_matches_schur_rule(data):
-    """isomorphic_to_brick(m, n) with n a brick reads one Hom system.  It must
-    agree with the Schur rule above for any m, and with is_isomorphic_brick
-    when m is a brick too: m a conjugate of n, a brick at n's dimension
-    vector, any brick, or a module at n's dimension vector that is not a
-    brick (never isomorphic to n)."""
+    """is_isomorphic_brick(m, n) with n a brick, against the rule above and,
+    when m is a brick too, the composite test: m a conjugate of n (isomorphic
+    both ways), a brick at n's dimension vector, any brick, or a module at
+    n's dimension vector that is not a brick (never isomorphic to n)."""
     alg = ALGEBRAS[data.draw(st.sampled_from(sorted(ALGEBRAS)))]
     n = data.draw(bricks(alg))
     partner = data.draw(st.sampled_from(["conjugate", "same_dimvec", "any", "non_brick"]))
     if partner == "conjugate":
         m = _conjugate(n, {v: data.draw(invertibles(d)) for v, d in n.dimvec.items()})
-        assert isomorphic_to_brick(m, n) and isomorphic_to_brick(n, m)
+        assert is_isomorphic_brick(m, n) and is_isomorphic_brick(n, m)
     elif partner == "non_brick":
         m = data.draw(modules(alg, dict(n.dimvec)))
         assume(not is_brick(m))
-        assert not isomorphic_to_brick(m, n)
+        assert not is_isomorphic_brick(m, n)
     else:
         m = data.draw(bricks(alg, dict(n.dimvec) if partner == "same_dimvec" else None))
-        assert isomorphic_to_brick(m, n) == is_isomorphic_brick(m, n)
-    assert isomorphic_to_brick(m, n) == _isomorphic_by_schur(m, n)
+    _check_is_isomorphic_brick(m, n)
 
 
-def test_isomorphic_to_brick_on_kronecker_bricks():
+def test_is_isomorphic_brick_on_kronecker_bricks():
     """Distinct Kronecker bricks of one dimension vector (R(0), R(1), R(inf))
     are not isomorphic; each is isomorphic to a conjugate of itself, and the
     semisimple module at (1, 1) is isomorphic to none of them."""
@@ -295,11 +282,11 @@ def test_isomorphic_to_brick_on_kronecker_bricks():
     rs = [regular_brick(alg, lam) for lam in (0, 1, math.inf)]
     for i, m in enumerate(rs):
         for j, n in enumerate(rs):
-            assert isomorphic_to_brick(m, n) == (i == j) == is_isomorphic_brick(m, n)
+            assert is_isomorphic_brick(m, n) == (i == j) == _isomorphic_by_bases(m, n)
         p = {"1": RatMatrix([[Fraction(-2)]]), "2": RatMatrix([[Fraction(3, 5)]])}
-        assert isomorphic_to_brick(_conjugate(m, p), m)
+        assert is_isomorphic_brick(_conjugate(m, p), m)
         semisimple = Representation(alg, {"1": 1, "2": 1}, {})
-        assert not isomorphic_to_brick(semisimple, m)
+        assert not is_isomorphic_brick(semisimple, m)
 
 
 # -- relation check and path columns ------------------------------------------
@@ -519,11 +506,11 @@ def test_row_end_nullity_matches_is_brick(case):
 
 @settings(max_examples=100, deadline=None)
 @given(scan_draws(), st.data())
-def test_row_dedup_matches_isomorphic_to_brick(case, data):
-    """The scan's dedup on rows against isomorphic_to_brick on the built
-    modules, with the second draw a brick as in the scan, and against
-    is_isomorphic_brick when the first is a brick too; a conjugate of a brick
-    by rational vertex maps, given as its rows, matches it."""
+def test_row_dedup_matches_schur_rule(case, data):
+    """The scan's dedup on rows against the Schur rule on the built modules,
+    with the second draw a brick as in the scan, and against the composite
+    test when the first is a brick too; a conjugate of a brick by rational
+    vertex maps, given as its rows, matches it."""
     alg, dimvec, draws = case
     arrows, support = alg.quiver.arrows, {v: d for v, d in dimvec.items() if d}
     built = [_built(alg, dimvec, d) for d in draws]
@@ -532,9 +519,9 @@ def test_row_dedup_matches_isomorphic_to_brick(case, data):
             continue
         for d1, m in zip(draws, built):
             got = row_isomorphic_to_brick(arrows, (support, d1), (support, d2))
-            assert got == isomorphic_to_brick(m, n)
+            assert got == _isomorphic_by_schur(m, n)
             if is_brick(m):
-                assert got == is_isomorphic_brick(m, n)
+                assert got == _isomorphic_by_bases(m, n)
         c = _conjugate(n, {v: data.draw(invertibles(k)) for v, k in dimvec.items()})
         assert row_isomorphic_to_brick(arrows, c.rows, (support, d2))
         assert is_isomorphic_brick(c, n)
@@ -552,7 +539,7 @@ def test_hom_system_of_two_simples_on_900_vertices():
         rows, total, offsets = _hom_system(alg.quiver.arrows, m.rows, n.rows)
         assert (rows, total, len(offsets)) == ([], dim, dim)
         assert hom_dim(m, n) == hom(m, n).dim == dim
-    assert is_brick(s0) and isomorphic_to_brick(s0, s0) and not isomorphic_to_brick(s1, s0)
+    assert is_brick(s0) and is_isomorphic_brick(s0, s0) and not is_isomorphic_brick(s1, s0)
 
 
 def test_simple_on_3000_vertices_is_stored_by_its_support(monkeypatch):

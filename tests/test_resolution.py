@@ -10,6 +10,7 @@ that one resolution, which must agree with the general Hom-complex engine
 
 import functools
 import json
+from dataclasses import replace
 import os
 import tempfile
 
@@ -21,7 +22,8 @@ from fproot.algebra import (algebra_to_json, build_algebra,
                             dual_numbers_algebra, kronecker_algebra,
                             local_two_loop_algebra, sqrt2_algebra)
 from fproot.cli import run, scan_candidates
-from fproot.exactlin import RatMatrix, rank_of_rows
+from fproot import repmod
+from fproot.exactlin import InvariantViolation, RatMatrix, rank_of_rows
 from fproot.fpcore import ExtCalculator
 from fproot.quiver import Quiver
 from fproot.repmod import (Representation, RepresentationError, direct_sum,
@@ -84,6 +86,31 @@ def test_zero_module_has_length_minus_one():
                           {a.label: RatMatrix.zeros(0, 0) for a in alg.quiver.arrows})
     assert minimal_resolution(zero, 0).length == -1
     assert minimal_resolution(zero, 0).steps == []
+
+
+def _tamper_first_step(steps):
+    """steps with a basis path at vertex 2 of the first one dropped."""
+    for i, step in enumerate(steps):
+        yield replace(step, basis={**step.basis, "2": step.basis["2"][1:]}) if i == 0 else step
+
+
+def test_tampered_step_fails_the_dimension_check(monkeypatch, tmp_path):
+    """A finite resolution satisfies sum_i (-1)^i dim P_i = dim M; for S1
+    over the Kronecker algebra that is 3 - 2 = 1.  With a path dropped from
+    P_0 the sum is 0, so learning the length raises InvariantViolation, and
+    resolve exits 4."""
+    alg = ALGEBRAS["kronecker"]
+    res = minimal_resolution(simple(alg, "1"), 0)
+    assert minimal_resolution(simple(alg, "1"), 2).length == 1
+    res.steps[0] = next(_tamper_first_step(res.steps))
+    with pytest.raises(InvariantViolation, match="alternating dimension sum 0"):
+        res.extend(2)
+    real = repmod.resolution_steps
+    monkeypatch.setattr(repmod, "resolution_steps", lambda m: _tamper_first_step(real(m)))
+    (tmp_path / "a.json").write_text(algebra_to_json(alg))
+    (tmp_path / "m.json").write_text(module_to_json(simple(alg, "1")))
+    assert run(["resolve", str(tmp_path / "a.json"), "--module",
+                str(tmp_path / "m.json"), "--depth", "2"]) == 4
 
 
 # -- resolve reads Ext into the simples off the multiplicities -----------------
