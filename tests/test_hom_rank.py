@@ -255,10 +255,28 @@ def bricks(draw, alg, dimvec=None):
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(st.data())
 def test_is_isomorphic_brick_matches_schur_rule(data):
-    """is_isomorphic_brick(m, n) with n a brick, against the rule above and,
-    when m is a brick too, the composite test: m a conjugate of n (isomorphic
-    both ways), a brick at n's dimension vector, any brick, or a module at
-    n's dimension vector that is not a brick (never isomorphic to n)."""
+    """Against the rule above and the composite test, on pairs of bricks; a
+    conjugate of a brick must come out isomorphic to it."""
+    alg = ALGEBRAS[data.draw(st.sampled_from(sorted(ALGEBRAS)))]
+    m = data.draw(bricks(alg))
+    partner = data.draw(st.sampled_from(["conjugate", "same_dimvec", "any"]))
+    if partner == "conjugate":
+        n = _conjugate(m, {v: data.draw(invertibles(d)) for v, d in m.dimvec.items()})
+        assert is_isomorphic_brick(m, n) and is_isomorphic_brick(n, m)
+    else:
+        n = data.draw(bricks(alg, dict(m.dimvec) if partner == "same_dimvec" else None))
+    _check_is_isomorphic_brick(m, n)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.data())
+def test_isomorphic_to_brick_matches_schur_rule(data):
+    """is_isomorphic_brick(m, n) with n a brick, as the scan calls it, against
+    the rule above and, when m is a brick too, the composite test: m a
+    conjugate of n (isomorphic both ways), a brick at n's dimension vector,
+    any brick, or a module at n's dimension vector that is not a brick
+    (never isomorphic to n)."""
     alg = ALGEBRAS[data.draw(st.sampled_from(sorted(ALGEBRAS)))]
     n = data.draw(bricks(alg))
     partner = data.draw(st.sampled_from(["conjugate", "same_dimvec", "any", "non_brick"]))
