@@ -58,12 +58,11 @@ class Assignment:
 class ExtCalculator:
     """Memoized Ext dimensions over one algebra.
 
-    Each module is resolved once: its minimal resolution is cached per module
-    identity and extended in place (Resolution.extend) when a higher degree
-    asks for more of it.  Ext^m(X, Y) = hom(Ω^m X, Y) - Σ_{v in gens P_{m-1}}
-    dim Y_v + hom(Ω^{m-1} X, Y) (ext_from_resolution), each hom the power-0
-    entry of its syzygy here, solved once for powers m and m + 1; hom(X, Y)
-    is X's own.  Writes must stay single-threaded (the CLI is sequential).
+    Each module is resolved once, to depth m for Ext^m: its resolution is
+    cached per module identity and extended in place (Resolution.extend).
+    Ext^m(X, Y) = hom(Ω^m X, Y) - Σ_{v in gens P_{m-1}} dim Y_v + hom(Ω^{m-1}
+    X, Y) (ext_from_resolution), each hom the power-0 entry of its syzygy
+    here, shared by powers m and m + 1.  Writes must stay single-threaded.
     """
 
     def __init__(self, algebra: BoundAlgebra):
@@ -84,7 +83,7 @@ class ExtCalculator:
             if power == 0:
                 self._dims[key] = repmod.hom_dim(m, n)
             else:
-                res = self.resolution(m, power + 1)
+                res = self.resolution(m, power)
                 self._dims[key] = ext_from_resolution(res, n, power,
                                                       partial(self.ext, 0))
         return self._dims[key]
@@ -137,17 +136,17 @@ def adjacency_of(phi: BrickSet, assignment: Assignment, power: int = 1) -> RatMa
     return assignment.matrix(phi.members, power)
 
 
-def _brick_subsets(hom: Sequence[Sequence[int]], max_size: int):
-    """Indices of all brick subsets of a candidate family, by DFS extension.
+def _brick_subsets(n: int, hom: Callable[[int, int], int], max_size: int):
+    """Indices of all brick subsets of a family of n candidates, by DFS
+    extension, reading hom(i, j) = dim Hom(X_i, X_j) only where it decides.
 
-    hom holds the integer rows of the family's Hom-dimension matrix.
-    Candidate i participates at all iff hom[i][i] == 1; a pair (i, j) is
-    compatible iff hom[i][j] == hom[j][i] == 0.
+    Candidate i participates at all iff hom(i, i) == 1; a pair of bricks
+    i < j is compatible iff hom(i, j) == hom(j, i) == 0, the reverse read
+    only after a zero forward entry, and only when subsets of two fit.
     """
-    n = len(hom)
-    bricks = [i for i in range(n) if hom[i][i] == 1]
-    compat = [[hom[i][j] == 0 and hom[j][i] == 0 for j in range(n)]
-              for i in range(n)]
+    bricks = [i for i in range(n) if hom(i, i) == 1]
+    compat = {(i, j) for k, i in enumerate(bricks) for j in bricks[k + 1:]
+              if max_size > 1 and hom(i, j) == 0 and hom(j, i) == 0}
     out: List[Tuple[int, ...]] = []
 
     def extend(current: Tuple[int, ...], start: int):
@@ -157,7 +156,7 @@ def _brick_subsets(hom: Sequence[Sequence[int]], max_size: int):
             return
         for k in range(start, len(bricks)):
             i = bricks[k]
-            if all(compat[i][j] for j in current):
+            if all((j, i) in compat for j in current):
                 extend(current + (i,), k + 1)
 
     extend((), 0)
@@ -284,10 +283,11 @@ def _fill_grid(subsets: Sequence[tuple], matrix: Callable, witness: Callable,
     """Fill the grid fpdim^n(sigma^m) for n <= max_size and
     m <= budgets.max_power over the given brick subsets, plus aggregates.
 
-    matrix(subset, m) is the subset's adjacency at power m as a tuple of
+    matrix(subset, m) is the subset's adjacency at power m >= 1 as a tuple of
     integer rows, and witness(subset) names its members.  Each cell keeps the
     first subset of its size with the largest radius; a size without subsets
-    gets a certified 0 and no witness.
+    gets a certified 0 and no witness.  At power 0 a brick subset's matrix is
+    the identity, of certified radius 1, so that column needs no matrix.
 
     Aggregates: fpdim is the best value in the power-1 column; the
     stabilization index is the least set size at which the running max of
@@ -302,7 +302,9 @@ def _fill_grid(subsets: Sequence[tuple], matrix: Callable, witness: Callable,
     for m in range(M + 1):
         best: Dict[int, Tuple[SpectralValue, tuple]] = {
             n: (SpectralValue(0.0, True, 0.0), ()) for n in range(1, N + 1)}
-        for sub in subsets:
+        for sub in reversed(subsets) if m == 0 else ():  # identities; first wins
+            best[len(sub)] = (SpectralValue(1.0, True, 0.0), sub)
+        for sub in subsets if m else ():
             rows = matrix(sub, m)
             r = rho_cache.get(rows)
             if r is None:
@@ -343,18 +345,18 @@ def fp_report(candidates: Sequence, assignment: Assignment,
               budgets: FpBudgets = FpBudgets(), truncated: bool = False) -> FpReport:
     """Fill the grid fpdim^n(sigma^m) for n <= max_set_size and m <= max_power
     over the brick subsets of the given candidates (see _fill_grid for the
-    aggregates).  The Hom matrix (power 0) is computed in full, since it
-    picks the subsets; a power m >= 1 only at the pairs some subset reads:
+    aggregates).  Hom (power 0) is read only where it picks the subsets (see
+    _brick_subsets) and a power m >= 1 only at the pairs some subset reads:
     the diagonal of each brick and the pairs of bricks with Hom vanishing
     both ways.  The other entries are never read and are left as None."""
     N = min(budgets.max_set_size, len(candidates))
-    hom = [[int(assignment.pair_dim(x, y, 0)) for y in candidates] for x in candidates]
-    subsets = _brick_subsets(hom, N)
+    subsets = _brick_subsets(len(candidates), lambda i, j: int(assignment.pair_dim(
+        candidates[i], candidates[j], 0)), N)
     read = {(i, j) for sub in subsets for i in sub for j in sub}
-    mats = [hom] + [[[int(assignment.pair_dim(x, y, m)) if (i, j) in read else None
-                      for j, y in enumerate(candidates)]
-                     for i, x in enumerate(candidates)]
-                    for m in range(1, budgets.max_power + 1)]
+    mats = [None] + [[[int(assignment.pair_dim(x, y, m)) if (i, j) in read else None
+                       for j, y in enumerate(candidates)]
+                      for i, x in enumerate(candidates)]
+                     for m in range(1, budgets.max_power + 1)]
 
     def matrix(idx, m):
         return tuple(tuple(mats[m][i][j] for j in idx) for i in idx)

@@ -175,8 +175,8 @@ def _submodule_maps(alg: BoundAlgebra, basis, vectors, free) -> Dict[str, RatMat
     """Arrow matrices of the submodule spanned at each vertex w by vectors[w],
     sparse {(copy, path): coeff} over basis[w] in rref form with free columns
     free[w] (from nullspace): an image's coordinates are its entries at the
-    target's free columns.  An arrow whose source has no vectors, or whose
-    target has no free columns, is left out and gets a zero map."""
+    target's free columns.  An arrow whose source has no vectors, whose target
+    has no free columns, or whose matrix is zero is left out, so it is None."""
     maps = {}
     for a in alg.quiver.arrows:
         if a.source not in vectors or a.target not in free:
@@ -190,7 +190,8 @@ def _submodule_maps(alg: BoundAlgebra, basis, vectors, free) -> Dict[str, RatMat
                     k = index.get((copy, tp))
                     if k is not None:
                         m[k][j] += x * c
-        maps[a.label] = RatMatrix(m, cols=len(cols))
+        if any(map(any, m)):
+            maps[a.label] = RatMatrix(m, cols=len(cols))
     return maps
 
 
@@ -482,16 +483,15 @@ def ext(i: int, m: Representation, n: Representation) -> int:
         raise RepresentationError("ext degree must be >= 0")
     if m.algebra is not n.algebra:
         raise RepresentationError("ext needs modules over the same algebra")
-    res = minimal_resolution(m, i + 1)
-    return ext_from_resolution(res, n, i)
+    return ext_from_resolution(minimal_resolution(m, i), n, i)
 
 
 def ext_from_resolution(res: Resolution, n: Representation, i: int, dim_hom=None) -> int:
     """dim Ext^i(X, n), X = res.module, by dimension shift: Hom(-, n) on
     0 -> Ω^i X -> P_{i-1} -> Ω^{i-1} X -> 0 and Ext^i(X, -) = Ext^1(Ω^{i-1} X, -) give
     hom(Ω^i X, n) - Σ_{v in gens P_{i-1}} dim n_v + hom(Ω^{i-1} X, n) for i >= 1,
-    hom(X, n) at 0.  Ω^k X is step k's module, zero past the last step; each
-    hom is dim_hom(module, n), hom_dim by default."""
+    hom(X, n) at 0.  Ω^k X is step k's module, zero past the last step; only
+    steps <= i are read, each hom as dim_hom(module, n), hom_dim by default."""
     if i >= len(res.steps):
         return 0
     dim_hom, steps = dim_hom or hom_dim, res.steps

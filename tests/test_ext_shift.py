@@ -14,14 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fproot.algebra import (algebra_from_json, dual_numbers_algebra,
-                            kronecker_algebra, local_two_loop_algebra,
-                            sqrt2_algebra)
+from fproot.algebra import (algebra_from_json, build_algebra,
+                            dual_numbers_algebra, kronecker_algebra,
+                            local_two_loop_algebra, sqrt2_algebra)
 from fproot.cli import scan_candidates
 from fproot import repmod
 from fproot.fpcore import ExtCalculator
-from fproot.repmod import (direct_sum, ext, ext_from_resolution,
-                           minimal_resolution, projective, simple, simples)
+from fproot.quiver import Quiver
+from fproot.repmod import (Representation, direct_sum, ext, ext_from_resolution,
+                           hom_dim, minimal_resolution, projective, simple,
+                           simples)
 
 from hom_complex_reference import ext_by_hom_complex
 from test_resolution import resolved_modules
@@ -42,14 +44,15 @@ FIXTURES = {
 
 def _assert_shift_matches_reference(m, targets):
     """Ext^i(m, y) for i <= TOP by the shift equals the Hom-complex value,
-    on a resolution of depth i + 1 (as ExtCalculator resolves) and on one of
-    depth TOP + 1."""
+    on a resolution of depth i (as ExtCalculator resolves), on one of depth
+    i + 1 and on one of depth TOP + 1."""
     deep = minimal_resolution(m, TOP + 1)
     for i in range(TOP + 1):
-        res = minimal_resolution(m, i + 1)
+        res, short = minimal_resolution(m, i + 1), minimal_resolution(m, i)
         for y in targets:
             want = ext_by_hom_complex(deep, y, i)
-            assert ext_from_resolution(res, y, i) == want, (m.name, y.name, i)
+            assert ext_from_resolution(short, y, i) == want, (m.name, y.name, i)
+            assert ext_from_resolution(res, y, i) == want
             assert ext_from_resolution(deep, y, i) == want
 
 
@@ -83,6 +86,39 @@ def test_shift_matches_hom_complex_on_syzygies(name):
                 assert now.dimvec[w] + nxt.dimvec[w] == len(res.steps[k].basis.get(w, ()))
         for step in res.steps[1:]:
             _assert_shift_matches_reference(step.module, family)
+
+
+def _radical_square_zero(nverts, pairs):
+    """kQ/J² on the arrows (source, target) between vertices 1..nverts: every
+    composable pair of arrows is a relation."""
+    q = Quiver([str(v + 1) for v in range(nverts)],
+               [(f"a{k}", str(s + 1), str(t + 1)) for k, (s, t) in enumerate(pairs)])
+    return build_algebra(q, [[(1, (y.label, x.label))] for x in q.arrows
+                             for y in q.arrows if x.target == y.source])
+
+
+@pytest.mark.parametrize("alg", [
+    FIXTURES["sqrt2"],
+    _radical_square_zero(2, [(0, 0), (0, 1), (1, 0), (1, 1)]),
+    _radical_square_zero(3, [(0, 0), (0, 1), (0, 2), (2, 0)]),
+], ids=["sqrt2", "rsz2_loops", "rsz3"])
+def test_syzygies_over_radical_square_zero_keep_no_maps(alg):
+    """Over kQ/J² a syzygy lies in the radical of a projective, which J
+    kills, so it is semisimple: every arrow map of a step >= 1 module is
+    stored as None.  Its Homs equal those of the same module given explicit
+    zero matrices."""
+    family, seen = _family(alg), 0
+    for m in family:
+        for step in minimal_resolution(m, 3).steps[1:]:
+            syz = step.module
+            assert syz.rows[1] == (None,) * len(alg.quiver.arrows), syz.name
+            explicit = Representation(alg, syz.dimvec, syz.maps, check=False)
+            assert None not in explicit.rows[1]
+            for y in family:
+                assert hom_dim(syz, y) == hom_dim(explicit, y)
+                assert hom_dim(y, syz) == hom_dim(y, explicit)
+            seen += not syz.is_zero()
+    assert seen >= len(family)
 
 
 @settings(max_examples=40, deadline=None)

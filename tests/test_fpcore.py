@@ -9,7 +9,7 @@ from fproot.algebra import (dual_numbers_algebra, kronecker_algebra,
 from fproot.exactlin import RatMatrix
 from fproot.cli import scan_candidates
 from fproot.fpcore import (Assignment, BrickSet, BrickSetViolation, FpBudgets,
-                           _brick_subsets, _fill_grid,
+                           FpCell, _brick_subsets, _fill_grid,
                            HomTableCategory, adjacency_of, complexity_estimate,
                            dual_numbers_shift_table, ext1_quiver,
                            ext_assignment, fp_report, fpc_vs_cx_check,
@@ -20,7 +20,7 @@ from fproot.quiver import dynkin_quiver, is_acyclic, path_quiver
 from fproot.repmod import (direct_sum, dynkin_indecomposables, projective,
                            regular_brick, simple, simples,
                            sqrt2_brick_catalogue)
-from fproot.spectral import SpectralValue, rho
+from fproot.spectral import SpectralValue, rho, rho_nonnegative_via_scc
 
 SQRT2 = math.sqrt(2.0)
 
@@ -163,14 +163,31 @@ def test_report_serialization(A, EA, cat17):
 
 def _eager_fp_report(candidates, assignment, budgets):
     """fp_report with every pair filled at every power, the Ext filter's
-    reference."""
+    reference.  Its power-0 cells are the radii of the brick subsets' Hom
+    submatrices (the first subset of the largest radius per size), not the
+    identity shortcut of _fill_grid."""
     N = min(budgets.max_set_size, len(candidates))
     mats = [[[int(assignment.pair_dim(x, y, m)) for y in candidates]
              for x in candidates] for m in range(budgets.max_power + 1)]
-    return _fill_grid(_brick_subsets(mats[0], N),
-                      lambda idx, m: tuple(tuple(mats[m][i][j] for j in idx) for i in idx),
-                      lambda idx: tuple(candidates[i].name for i in idx), N, budgets,
-                      assignment.name, [c.name for c in candidates])
+    subsets = _brick_subsets(len(candidates), lambda i, j: mats[0][i][j], N)
+
+    def witness(idx):
+        return tuple(candidates[i].name for i in idx)
+
+    rep = _fill_grid(subsets,
+                     lambda idx, m: tuple(tuple(mats[m][i][j] for j in idx) for i in idx),
+                     witness, N, budgets, assignment.name, [c.name for c in candidates])
+    for n in range(1, N + 1):
+        best = (SpectralValue(0.0, True, 0.0), ())
+        for sub in (s for s in subsets if len(s) == n):
+            r = rho_nonnegative_via_scc(RatMatrix([[mats[0][i][j] for j in sub]
+                                                   for i in sub], cols=n))
+            if r.value > best[0].value:
+                best = (r, sub)
+        rep.cells[(n, 0)] = FpCell(n, 0, best[0], witness(best[1]))
+    rep.fpgldim_window = max((m for (_, m), c in rep.cells.items()
+                              if c.value.value > 1e-9), default=None)
+    return rep
 
 
 def _filter_families():
@@ -218,6 +235,58 @@ def test_fp_report_ext_filter_matches_eager_grid(family):
                 if p >= 1:  # read by a brick subset of at most `size` members
                     assert size >= 1 and hom[i][i] == hom[j][j] == 1
                     assert i == j or (size >= 2 and hom[i][j] == hom[j][i] == 0)
+
+
+@pytest.mark.parametrize("family", ["sqrt2_scan", "sqrt2_catalogue",
+                                    "kronecker_scan", "two_loop"])
+def test_fp_report_reads_hom_only_where_it_picks_subsets(family):
+    """fp_report reads each diagonal Hom entry once, a pair only when both
+    members are bricks, and the reverse of a pair only after its forward
+    entry read 0; at set size 1 it reads no pair at all."""
+    alg, cands = _filter_families()[family]
+    eager = ext_assignment(alg)
+    hom = [[eager.pair_dim(x, y, 0) for y in cands] for x in cands]
+    n, index = len(cands), {id(c): i for i, c in enumerate(cands)}
+    bricks = {i for i in range(n) if hom[i][i] == 1}
+    if not family.endswith("_scan"):  # scan candidates are all bricks
+        assert bricks != set(range(n))
+    for size in (1, 4):
+        calls, inner = [], ext_assignment(alg)
+
+        def pair_dim(x, y, p):
+            if p == 0:
+                calls.append((index[id(x)], index[id(y)]))
+            return inner.pair_dim(x, y, p)
+
+        fp_report(cands, Assignment("Ext", pair_dim), FpBudgets(max_set_size=size))
+        assert sorted((i, j) for i, j in calls if i == j) == [(i, i) for i in range(n)]
+        pairs = [(i, j) for i, j in calls if i != j]
+        assert len(pairs) == len(set(pairs))
+        assert size > 1 or not pairs
+        for k, (i, j) in enumerate(pairs):
+            assert i in bricks and j in bricks
+            if i > j:  # a reverse read follows its zero forward read
+                assert (j, i) in pairs[:k] and hom[j][i] == 0
+        if size > 1:
+            want = {(i, j) for i in bricks for j in bricks if i < j}
+            want |= {(j, i) for i, j in want if hom[i][j] == 0}
+            assert set(pairs) == want
+
+
+def test_identity_radius_is_the_power0_cell():
+    """_fill_grid fills the power-0 column without a matrix: the Hom matrix of
+    a brick subset is the identity, whose radius is a certified 1."""
+    for n in range(1, 7):
+        assert rho_nonnegative_via_scc(RatMatrix.identity(n)) == \
+            SpectralValue(1.0, True, 0.0)
+    subsets = [(0,), (1,), (0, 2), (1, 2)]
+    built = []
+    rep = _fill_grid(subsets, lambda sub, m: built.append(m) or ((2,) * len(sub),) * len(sub),
+                     lambda sub: sub, 3, FpBudgets(max_set_size=3, max_power=1), "t", [])
+    assert 0 not in built and len(built) == len(subsets)
+    assert [(rep.value(n, 0), rep.cells[(n, 0)].witness) for n in (1, 2, 3)] == [
+        (SpectralValue(1.0, True, 0.0), (0,)), (SpectralValue(1.0, True, 0.0), (0, 2)),
+        (SpectralValue(0.0, True, 0.0), ())]
 
 
 # -- growth analyzer -------------------------------------------------------------

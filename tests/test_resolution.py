@@ -53,12 +53,33 @@ def test_extended_resolution_equals_fresh_one(name, top):
     for power in range(1, top + 1):
         calc.ext(power, m, simple(alg, "2"))
     res = calc.resolution(m, 0)  # the cached resolution, not extended again
-    fresh = minimal_resolution(m, top + 1)
+    fresh = minimal_resolution(m, top)
     assert res is first and res.steps[0] is step0  # extended, never rebuilt
     assert res.length == fresh.length
     assert [s.generators for s in res.steps] == [s.generators for s in fresh.steps]
     assert [s.basis for s in res.steps] == [s.basis for s in fresh.steps]
     assert [s.differential for s in res.steps] == [s.differential for s in fresh.steps]
+
+
+def test_ext_resolves_to_its_own_degree():
+    """Ext^m reads steps <= m only, so ExtCalculator builds no step past m:
+    Ext^2 out of √2 S1, which resolves forever, leaves 3 steps.  Kronecker
+    S1 still learns its length 1 at Ext^2, where step 2 is asked for and
+    found missing."""
+    alg = ALGEBRAS["sqrt2"]
+    calc = ExtCalculator(alg)
+    s1 = simple(alg, "1")
+    assert calc.ext(2, s1, s1) == ext(2, s1, s1) == 2
+    res = calc.resolution(s1, 0)
+    assert (len(res.steps), res.length) == (3, None)
+    alg = ALGEBRAS["kronecker"]
+    calc = ExtCalculator(alg)
+    s1 = simple(alg, "1")
+    assert calc.ext(1, s1, simple(alg, "2")) == 2
+    assert calc.resolution(s1, 0).length is None
+    assert calc.ext(2, s1, simple(alg, "2")) == 0
+    res = calc.resolution(s1, 0)
+    assert (len(res.steps), res.length) == (2, 1)
 
 
 # -- the length boundary --------------------------------------------------------
