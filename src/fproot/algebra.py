@@ -7,11 +7,14 @@ trivial path at a vertex has an empty label tuple.
 The basis of kQ/(R) is computed breadth-first in the path length: at each
 length the candidate paths are arrow * (basis path of the previous length),
 and the consequences r * v of the relations (r a relation, v a shorter basis
-path) are row-reduced against them.  Every relation must be a rational
-combination of parallel paths of a single common length >= 2; this is what
-makes the length-by-length elimination exact, and it covers every algebra
-that appears here.  A length cap and a size cap reject inputs that are not
-finite dimensional.
+path ending at its source) are row-reduced against them by the integer
+elimination of exactlin.reduced_echelon.  The candidates that are not pivots
+are the new basis paths; a pivot candidate's normal form is minus each other
+entry of its reduced row over the pivot entry.  Every relation must be a
+rational combination of parallel paths of a single common length >= 2; this
+is what makes the length-by-length elimination exact, and it covers every
+algebra that appears here.  A length cap and a size cap reject inputs that
+are not finite dimensional.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .exactlin import (InputError, RatMatrix, load_json, primitive_row, rat,
-                       rat_str, rref)
+from .exactlin import (InputError, load_json, primitive_row, rat, rat_str,
+                       reduced_echelon)
 from .quiver import Quiver, QuiverError, json_array, kronecker_quiver
 
 DEFAULT_LENGTH_CAP = 32
@@ -127,70 +130,42 @@ class BoundAlgebra:
     # -- construction -------------------------------------------------
     def _build(self, length_cap: int, dim_cap: int):
         q = self.quiver
-        trivial = [Path((), v, v) for v in q.vertices]
-        levels: List[List[Path]] = [trivial]
+        levels: List[List[Path]] = [[Path((), v, v) for v in q.vertices]]
         # normal form of arrow*path for every basis path, as {basis_path: coeff}
         nf: Dict[Tuple[str, Path], Dict[Path, Fraction]] = {}
-
-        by_length_end: Dict[int, Dict[str, List[Path]]] = {0: {}}
-        for p in trivial:
-            by_length_end[0].setdefault(p.target, []).append(p)
-
-        total = len(trivial)
-        L = 0
+        total, L = len(levels[0]), 0
         while levels[L]:
             if L + 1 > length_cap:
                 raise LengthCapExceeded(
                     f"no finite basis within length cap {length_cap}; "
                     "the algebra does not look finite dimensional")
-            candidates: List[Tuple[str, Path]] = []
-            for p in levels[L]:
-                for a in q.arrows:
-                    if a.source == p.target:
-                        candidates.append((a.label, p))
+            candidates = [(a.label, p) for p in levels[L] for a in q.arrows
+                          if a.source == p.target]
             cindex = {c: i for i, c in enumerate(candidates)}
+            rows = [self._relation_consequence(rel, v, nf, cindex)
+                    for rel in self.relations if len(rel[0][1]) <= L + 1
+                    for v in levels[L + 1 - len(rel[0][1])]
+                    if v.target == rel[0][1].source]
+            reduced, pivots = reduced_echelon(rows)
 
-            rows = []
-            for rel in self.relations:
-                ell = len(rel[0][1])
-                if ell > L + 1:
-                    continue
-                src = rel[0][1].source
-                for v in by_length_end.get(L + 1 - ell, {}).get(src, []):
-                    vec = self._relation_consequence(rel, v, nf, cindex)
-                    if vec is not None and any(vec):
-                        rows.append(vec)
-
-            reduced, pivots = rref(RatMatrix(rows, cols=len(candidates)))
+            # the candidates that are not pivots are the new basis paths; a
+            # pivot candidate is minus the rest of its reduced row
             pivset = set(pivots)
+            new = {i: Path((a,) + p.arrows, p.source, q.arrow(a).target)
+                   for i, (a, p) in enumerate(candidates) if i not in pivset}
+            for i, path in new.items():
+                nf[candidates[i]] = {path: Fraction(1)}
+            for row, i in zip(reduced, pivots):
+                nf[candidates[i]] = {new[j]: Fraction(-x, row[i])
+                                     for j, x in enumerate(row) if x and j != i}
 
-            new_paths: List[Path] = []
-            path_of_candidate: List[Optional[Path]] = [None] * len(candidates)
-            for i, (a, p) in enumerate(candidates):
-                if i not in pivset:
-                    path_of_candidate[i] = Path((a,) + p.arrows, p.source, q.arrow(a).target)
-                    new_paths.append(path_of_candidate[i])
-
-            # a pivot candidate is minus the free part of its reduced row
-            for i, c in enumerate(candidates):
-                if i in pivset:
-                    row = reduced.row(pivots.index(i))
-                    nf[c] = {path_of_candidate[j]: -x for j, x in enumerate(row)
-                             if x and j not in pivset}
-                else:
-                    nf[c] = {path_of_candidate[i]: Fraction(1)}
-
-            levels.append(new_paths)
-            by_length_end[L + 1] = {}
-            for p in new_paths:
-                by_length_end[L + 1].setdefault(p.target, []).append(p)
-            total += len(new_paths)
+            levels.append(list(new.values()))
+            total += len(new)
             if total > dim_cap:
                 raise LengthCapExceeded(
                     f"basis exceeded the size cap {dim_cap}")
             L += 1
 
-        self.levels = levels
         self.basis: Tuple[Path, ...] = tuple(p for lvl in levels for p in lvl)
         self.dim = len(self.basis)
         self._nf = nf
@@ -199,8 +174,8 @@ class BoundAlgebra:
             self._by_source.setdefault(p.source, []).append(p)
 
     def _relation_consequence(self, rel: Relation, v: Path, nf, cindex):
-        """Coordinates of rel * v on the current candidate list, or None when
-        some term dies before the last arrow application."""
+        """Coordinates of rel * v on the current candidate list (a zero row
+        when every term dies before its last arrow)."""
         vec = [Fraction(0)] * len(cindex)
         for coeff, p in rel:
             state: Dict[Path, Fraction] = {v: Fraction(1)}

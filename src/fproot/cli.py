@@ -146,7 +146,8 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
     End nullity is exact (row_hom_dim), and it is compared with each
     candidate of its dimension vector by one Hom system
     (row_isomorphic_to_brick, exact since every candidate is a brick).  Only
-    a new candidate is built as a module.  Returns (candidates, truncated).
+    a new candidate is built as a module.  Returns (candidates, truncated),
+    truncated when the cap refuses a simple, a projective or a brick draw.
     """
     rng, arrows = random.Random(seed), alg.quiver.arrows
     cands, rows_by_support = [], {}
@@ -161,11 +162,12 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
         return True
 
     projectives = (repmod.projective(alg, v) for v in alg.quiver.vertices)
-    for m in simples(alg) + [p for p in projectives if not p.is_zero() and is_brick(p)]:
-        push(m.rows, lambda: m)
-
-    truncated, vertices = False, alg.quiver.vertices
+    truncated = not all(push(m.rows, lambda: m) for m in simples(alg) + [
+        p for p in projectives if not p.is_zero() and is_brick(p)])
+    vertices = alg.quiver.vertices
     for support in _dimension_vectors(vertices, dim_budget):
+        if truncated:
+            break
         verdicts = {}  # draw -> whether it is a brick satisfying the relations
         for _ in range(samples_per_dimvec):
             draw = _random_maps(alg, support, rng)
@@ -184,8 +186,6 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
                          f"#{len(cands)}", check=False)):
                 truncated = True
                 break
-        if truncated:
-            break
     return cands, truncated
 
 

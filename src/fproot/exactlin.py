@@ -259,10 +259,11 @@ def _echelon(rows):
     return echelon, pivots
 
 
-def _reduced(rows):
+def reduced_echelon(rows):
     """_echelon followed by back-substitution: each pivot column is cleared
-    from the pivot rows above it, last pivot first.  Entry j of row k of the
-    reduced row echelon form is then Fraction(row[j], row[pivots[k]])."""
+    from the pivot rows above it, last pivot first.  Returns (primitive
+    integer rows, pivot columns); entry j of row k of the reduced row echelon
+    form is Fraction(row[j], row[pivots[k]])."""
     echelon, pivots = _echelon(rows)
     for k in range(len(pivots) - 1, 0, -1):
         pivot, c = echelon[k], pivots[k]
@@ -277,7 +278,7 @@ def rref(m: RatMatrix):
 
     Returns (rrefmatrix, pivot_columns).  The rank of m is len(pivot_columns).
     """
-    echelon, pivots = _reduced(m.data)
+    echelon, pivots = reduced_echelon(m.data)
     data = [[Fraction(x, row[p]) for x in row] for row, p in zip(echelon, pivots)]
     data += [(_ZERO,) * m.cols] * (m.rows - len(data))
     return RatMatrix._wrap(data, m.cols), tuple(pivots)
@@ -307,7 +308,7 @@ def nullspace(rows: Sequence[Sequence], ncols: int):
     column, so the coordinates of any kernel vector in this basis can be read
     off its values at the free columns.
     """
-    echelon, pivots = _reduced(rows)
+    echelon, pivots = reduced_echelon(rows)
     pivset = set(pivots)
     free = [j for j in range(ncols) if j not in pivset]
     vectors = []
@@ -333,7 +334,7 @@ def solve(m: RatMatrix, b: RatMatrix) -> Optional[RatMatrix]:
     """
     if b.cols != 1 or b.rows != m.rows:
         raise ValueError(f"right-hand side shape {b.shape} does not match {m.shape}")
-    echelon, pivots = _reduced(m.hstack(b).data)
+    echelon, pivots = reduced_echelon(m.hstack(b).data)
     if pivots and pivots[-1] == m.cols:
         return None
     x = [_ZERO] * m.cols

@@ -524,8 +524,8 @@ def homtable_fp(table: HomTableCategory, shift: int,
 # complexity
 # ---------------------------------------------------------------------------
 
-def _capped_growth_summary(values: Sequence[float]) -> Tuple[float, float, float]:
-    """(fpg-or-conventions, fpv, raw fpg) for a window of Ext dimensions.
+def _capped_growth_summary(values: Sequence[float]) -> Tuple[float, float]:
+    """(fpg-or-conventions, fpv) for a window of Ext dimensions.
 
     Eventually-zero windows give growth 0 by the finite-global-dimension
     convention; curvature above 1 flags exponential growth (infinite
@@ -534,17 +534,15 @@ def _capped_growth_summary(values: Sequence[float]) -> Tuple[float, float, float
     g = growth_analyze(values)
     half = len(values) // 2
     if all(v == 0 for v in values[half:]):
-        return 0.0, g.fpv, g.fpg
+        return 0.0, g.fpv
     if g.fpv > 1.0 + 1e-6:
-        return math.inf, g.fpv, g.fpg
-    return g.fpg + 1.0, g.fpv, g.fpg
+        return math.inf, g.fpv
+    return g.fpg + 1.0, g.fpv
 
 
 @dataclass
 class AGCResult:
     holds: bool
-    constant: int
-    radius: int
     first_violation: Optional[Tuple[int, str, str]]
 
 
@@ -574,7 +572,7 @@ def complexity_estimate(alg: BoundAlgebra, depth: int) -> ComplexityReport:
     verts = list(alg.quiver.vertices)
     seq = [sum(table[(i, j)][n] for i in verts for j in verts)
            for n in range(depth + 1)]
-    cx, fpv, _ = _capped_growth_summary(seq[1:])
+    cx, fpv = _capped_growth_summary(seq[1:])
 
     # averaging growth condition over the window; no vertices, no Ext
     pmax = [max((min(table[(i, j)][n], table[(j, i)][n])
@@ -584,7 +582,7 @@ def complexity_estimate(alg: BoundAlgebra, depth: int) -> ComplexityReport:
         ((n, i, j) for n in range(depth + 1) for i in verts for j in verts
          if table[(i, j)][n] > 2 * max(pmax[max(0, n - 2):n + 3])),
         None)
-    return ComplexityReport(table, seq, cx, fpv, AGCResult(violation is None, 2, 2, violation))
+    return ComplexityReport(table, seq, cx, fpv, AGCResult(violation is None, violation))
 
 
 @dataclass
@@ -609,7 +607,7 @@ def fpc_vs_cx_check(alg: BoundAlgebra, depth: int = 10,
     sims = repmod.simples(alg)
     rep = fp_report(sims, ext_assignment(alg),
                     FpBudgets(max_set_size=len(sims), max_power=depth))
-    fpc, _, _ = _capped_growth_summary(rep.growth.values)
+    fpc, _ = _capped_growth_summary(rep.growth.values)
     if math.isinf(fpc) and math.isinf(comp.cx_estimate):
         holds, gap = True, 0.0
     else:

@@ -418,6 +418,10 @@ def quiver_from_json(text: str) -> Quiver:
 
 
 def quiver_to_dot(q: Quiver) -> str:
-    lines = ["digraph quiver {", *(f'  "{v}";' for v in q.vertices),
-             *(f'  "{a.source}" -> "{a.target}" [label="{a.label}"];' for a in q.arrows), "}"]
+    """Graphviz DOT text; each name is a quoted ID with \\ and " escaped."""
+    def quote(name):
+        return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    lines = ["digraph quiver {", *(f"  {quote(v)};" for v in q.vertices),
+             *(f"  {quote(a.source)} -> {quote(a.target)} [label={quote(a.label)}];"
+               for a in q.arrows), "}"]
     return "\n".join(lines) + "\n"

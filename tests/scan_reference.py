@@ -64,16 +64,20 @@ def reference_scan(alg, dim_budget, seed, samples_per_dimvec=40,
         cands.append(rep)
         return True
 
+    truncated = False
     for s in simples(alg):
-        push(s)
+        if not push(s):
+            truncated = True
     for v in alg.quiver.vertices:
         p = projective(alg, v)
         if not p.is_zero() and is_brick(p):
-            push(p)
+            if not push(p):
+                truncated = True
 
-    truncated = False
     for dv in sorted(_dimension_vectors(list(alg.quiver.vertices), dim_budget),
                      key=lambda d: (sum(d.values()), tuple(sorted(d.items())))):
+        if truncated:
+            break
         dims = "B(" + ",".join(str(dv[v]) for v in alg.quiver.vertices) + ")"
         for _ in range(samples_per_dimvec):
             rep = _random_representation(alg, dv, rng, f"{dims}#{len(cands)}")
@@ -83,6 +87,4 @@ def reference_scan(alg, dim_budget, seed, samples_per_dimvec=40,
                 if not push(rep):
                     truncated = True
                     break
-        if truncated:
-            break
     return cands, truncated

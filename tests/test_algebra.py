@@ -1,7 +1,10 @@
 import itertools
+import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fproot.algebra import (AlgebraError, BoundAlgebra, LengthCapExceeded,
                             NonAdmissibleRelation, algebra_from_json,
@@ -11,6 +14,10 @@ from fproot.algebra import (AlgebraError, BoundAlgebra, LengthCapExceeded,
                             sqrt2_algebra)
 from fproot.exactlin import RatMatrix, rank
 from fproot.quiver import Quiver, path_quiver
+
+from gauss_jordan import gauss_jordan
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 # -- word-enumeration oracle for monomial quotients ---------------------------
@@ -134,3 +141,132 @@ def test_algebra_json_roundtrip():
         algebra_from_json('{"arrows": []}')  # vertices block missing
     # a vertex-only file is a legal semisimple algebra
     assert algebra_from_json('{"vertices": ["1", "2"]}').dim == 2
+
+
+# -- oracle: the definition of the ideal ---------------------------------------
+
+def _paths(q, length):
+    """Every path of the given length, as a label tuple with the first label
+    applied last (the relation format)."""
+    walks = [((a.label,), a.target) for a in q.arrows]
+    for _ in range(length - 1):
+        walks = [(w + (a.label,), end) for w, end in walks
+                 for a in q.arrows if a.target == q.arrow(w[-1]).source]
+    return [w for w, _ in walks]
+
+
+def _ideal_rows(alg, paths):
+    """I_L in path coordinates: u r v for every relation r and all paths u, v
+    with u p v a path of length L, p a term of r.  paths indexes the paths of
+    length L."""
+    rows = set()
+    for w in paths:
+        for rel in alg.relations:
+            terms = [(c, p.arrows) for c, p in rel]
+            ell = len(terms[0][1])
+            for i in range(len(w) - ell + 1):
+                if w[i:i + ell] in {p for _, p in terms}:
+                    row = [Fraction(0)] * len(paths)
+                    for c, p in terms:
+                        row[paths[w[:i] + p + w[i + ell:]]] += c
+                    rows.add(tuple(row))
+    return list(rows)
+
+
+def _independent(rows, ncols):
+    reduced, pivots = gauss_jordan(rows, ncols)
+    return reduced[:len(pivots)]
+
+
+def assert_algebra_matches_its_ideal(alg):
+    """At each length L the basis has (paths of length L) - rank I_L paths,
+    and a p - nf(a, p) lies in I_{L+1} for every arrow a and basis path p:
+    adding it to I_{L+1} does not raise the rank."""
+    q = alg.quiver
+    assert sum(len(p) == 0 for p in alg.basis) == len(q.vertices)
+    top = max(len(p) for p in alg.basis)
+    ideal = {}
+    for length in range(1, top + 2):
+        paths = {w: i for i, w in enumerate(_paths(q, length))}
+        ideal[length] = paths, _independent(_ideal_rows(alg, paths), len(paths))
+        basis = [p.arrows for p in alg.basis if len(p) == length]
+        assert all(w in paths for w in basis)
+        assert len(basis) == len(paths) - len(ideal[length][1]), (alg, length)
+    for p in alg.basis:
+        paths, span = ideal[len(p) + 1]
+        for a in q.arrows:
+            if a.source != p.target:
+                continue
+            nf = alg.left_multiply(a.label, p)
+            assert set(nf) <= set(alg.basis)
+            row = [Fraction(0)] * len(paths)
+            row[paths[(a.label,) + p.arrows]] += 1
+            for b, c in nf.items():
+                row[paths[b.arrows]] -= c
+            assert len(_independent(span + [row], len(paths))) == len(span), \
+                (alg, a.label, p, nf)
+
+
+def _loops(relations):
+    return build_algebra(Quiver(["1"], [("x", "1", "1"), ("y", "1", "1")]),
+                         relations)
+
+
+IDEAL_CASES = {
+    "sqrt2": sqrt2_algebra,
+    "two_loop_2_2": lambda: local_two_loop_algebra(2, 2),
+    "two_loop_3_2": lambda: local_two_loop_algebra(3, 2),
+    "dual_numbers": dual_numbers_algebra,
+    "commutative_square": lambda: algebra_from_json(
+        (DATA / "commutative_square_algebra.json").read_text()),
+    "exterior": lambda: _loops([[(1, ("x", "x"))], [(1, ("y", "y"))],
+                                [(1, ("x", "y")), (1, ("y", "x"))]]),
+    "quantum_plane": lambda: _loops([[(1, ("x", "x"))], [(1, ("y", "y"))],
+                                     [(1, ("x", "y")), (-2, ("y", "x"))]]),
+    "commutative_x2_y3": lambda: _loops([[(1, ("x", "x"))], [(1, ("y", "y", "y"))],
+                                         [(1, ("x", "y")), (-1, ("y", "x"))]]),
+    "ap_equals_aq": lambda: build_algebra(
+        Quiver(["1", "2", "3"], [("p", "1", "2"), ("q", "1", "2"), ("a", "2", "3")]),
+        [[(1, ("a", "p")), (-1, ("a", "q"))]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDEAL_CASES))
+def test_basis_and_normal_forms_match_the_ideal(name):
+    assert_algebra_matches_its_ideal(IDEAL_CASES[name]())
+
+
+@st.composite
+def two_term_algebras(draw):
+    """Up to three vertices and three arrows (loops allowed); one to five
+    relations, each one path or a combination of two parallel paths of
+    length 2 or 3 with nonzero coefficients in -3..3; on a quiver with a
+    cycle, often every path of length 3 or 4 as well."""
+    verts = [str(i) for i in range(draw(st.integers(1, 3)))]
+    q = Quiver(verts, [(f"x{k}", draw(st.sampled_from(verts)), draw(st.sampled_from(verts)))
+                       for k in range(draw(st.integers(1, 3)))])
+    coeff = st.integers(-3, 3).filter(bool)
+    rels = []
+    for _ in range(draw(st.integers(1, 5))):
+        groups = {}
+        for w in _paths(q, draw(st.integers(2, 3))):
+            groups.setdefault((q.arrow(w[-1]).source, q.arrow(w[0]).target), []).append(w)
+        if not groups:
+            continue
+        group = draw(st.sampled_from(sorted(groups.values())))
+        p1, p2 = draw(st.sampled_from(group)), draw(st.sampled_from(group))
+        rels.append([(draw(coeff), p1)] + ([(draw(coeff), p2)] if p2 != p1 else []))
+    truncation = draw(st.sampled_from([None, 3, 4]))
+    if truncation:
+        rels += [[(1, w)] for w in _paths(q, truncation)]
+    try:
+        return build_algebra(q, rels, length_cap=6, dim_cap=40)
+    except AlgebraError:  # not finite dimensional within the caps
+        return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_term_algebras())
+def test_random_two_term_algebras_match_their_ideal(alg):
+    assume(alg is not None and max(len(p) for p in alg.basis) <= 4)
+    assert_algebra_matches_its_ideal(alg)

@@ -3,6 +3,7 @@ import io
 import json
 from fractions import Fraction
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -122,6 +123,17 @@ def test_fp_scan_budget_exhaustion_exit_3(sqrt2_file):
                             "--budget-dim", "3"])
     assert code == 3
     assert json.loads(out)["truncated"] is True
+
+
+def test_fp_scan_truncated_when_the_cap_refuses_a_simple():
+    """With no dimension budget the scan only pushes simples and projectives;
+    a cap that refuses S2 and P1 must still set the truncated flag."""
+    kronecker = pathlib.Path(__file__).parent / "data" / "kronecker_algebra.json"
+    code, out, _ = run_cli(["fp-scan", str(kronecker),
+                            "--budget-dim", "0", "--max-candidates", "1"])
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["truncated"] is True and payload["candidates"] == ["S1"]
 
 
 def test_fp_scan_csv_format(sqrt2_file):

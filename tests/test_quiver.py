@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -230,6 +231,26 @@ def test_json_roundtrip_and_dot():
         quiver_from_json("{}")
     with pytest.raises(QuiverError):
         quiver_from_json("not json")
+
+
+def test_dot_quotes_unescape_to_the_names():
+    """Every quoted ID and label of the DOT text, with \\ and \" read back,
+    is the quiver's name in its place, also for names holding quotes or
+    backslashes."""
+    names = ['a"b', "c\\d", '\\"', "x\\", '"', "plain"]
+    q = Quiver(names, [(f'{s}{t}"', s, t) for s, t in zip(names, names[1:] + names[:1])])
+    lines = quiver_to_dot(q).splitlines()
+    assert lines[0] == "digraph quiver {" and lines[-1] == "}"
+
+    quoted = r'"((?:[^"\\]|\\.)*)"'
+
+    def ids(line, skeleton):
+        assert re.sub(quoted, "Q", line) == skeleton
+        return [re.sub(r"\\(.)", r"\1", x) for x in re.findall(quoted, line)]
+
+    assert [ids(line, "  Q;") for line in lines[1:1 + len(names)]] == [[v] for v in names]
+    assert [ids(line, "  Q -> Q [label=Q];") for line in lines[1 + len(names):-1]] == [
+        [a.source, a.target, a.label] for a in q.arrows]
 
 
 def test_validation_errors():

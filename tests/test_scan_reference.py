@@ -53,7 +53,7 @@ def _summary(scan):
     return [c.name for c in cands], truncated, maps
 
 
-@pytest.mark.parametrize("budget", [2, 3])
+@pytest.mark.parametrize("budget", [0, 2, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_scan_matches_reference(name, seed, budget):
