@@ -139,54 +139,48 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
                     max_candidates=64):
     """Deterministic brick-candidate generation for an arbitrary algebra.
 
-    Simples and projectives are always included; the rest comes from seeded
-    random sampling at every dimension vector within the budget.  A draw
-    repeated at one dimension vector is examined once, on its integer rows
-    (None for a zero map): its relations are checked (failing_relation), its
-    End nullity is exact (row_hom_dim), and it is compared with each
-    candidate of its dimension vector by one Hom system
+    Simples and projectives come first, then seeded random draws at every
+    dimension vector within the budget.  A draw repeated at one dimension
+    vector is examined once, on its integer rows (None for a zero map): its
+    relations (failing_relation), its End nullity (row_hom_dim) and, by one
+    Hom system each, whether it is isomorphic to a candidate of its support
     (row_isomorphic_to_brick, exact since every candidate is a brick).  Only
-    a new candidate is built as a module.  Returns (candidates, truncated),
-    truncated when the cap refuses a simple, a projective or a brick draw.
+    a brick new up to isomorphism meets the cap and is built as a module.
+    Returns (candidates, truncated): capped at N, the scan lists the first N
+    candidates of the uncapped scan, truncated iff that lists more than N.
     """
     rng, arrows = random.Random(seed), alg.quiver.arrows
     cands, rows_by_support = [], {}
 
-    def push(rows, module):  # module() joins unless rows matches a candidate
+    def admit(rows, module):  # False iff the cap refuses a new brick
+        same = rows_by_support.setdefault(frozenset(rows[0].items()), [])
+        if any(repmod.row_isomorphic_to_brick(arrows, rows, c) for c in same):
+            return True
         if len(cands) >= max_candidates:
             return False
-        same = rows_by_support.setdefault(frozenset(rows[0].items()), [])
-        if not any(repmod.row_isomorphic_to_brick(arrows, rows, c) for c in same):
-            cands.append(module())
-            same.append(rows)
+        cands.append(module())
+        same.append(rows)
         return True
 
     projectives = (repmod.projective(alg, v) for v in alg.quiver.vertices)
-    truncated = not all(push(m.rows, lambda: m) for m in simples(alg) + [
-        p for p in projectives if not p.is_zero() and is_brick(p)])
+    if not all(admit(m.rows, lambda: m) for m in simples(alg) + [
+            p for p in projectives if is_brick(p)]):
+        return cands, True
     vertices = alg.quiver.vertices
     for support in _dimension_vectors(vertices, dim_budget):
-        if truncated:
-            break
-        verdicts = {}  # draw -> whether it is a brick satisfying the relations
-        for _ in range(samples_per_dimvec):
-            draw = _random_maps(alg, support, rng)
-            if draw in verdicts:  # its first copy is, or matches, a candidate
-                if verdicts[draw] and len(cands) >= max_candidates:
-                    truncated = True
-                    break
-                continue
+        # a repeated draw is, or matches, a candidate, or is no brick
+        for draw in dict.fromkeys(_random_maps(alg, support, rng)
+                                  for _ in range(samples_per_dimvec)):
             rows = (support, draw)
-            verdicts[draw] = brick = repmod.failing_relation(alg, rows) is None \
-                and repmod.row_hom_dim(arrows, rows, rows) == 1
-            if brick and not push(rows, lambda: Representation(
-                    alg, support, {a.label: RatMatrix._wrap(r, support.get(a.source, 0))
-                                   for a, r in zip(arrows, draw) if r is not None},
-                    name=f"B({','.join(str(support.get(v, 0)) for v in vertices)})"
-                         f"#{len(cands)}", check=False)):
-                truncated = True
-                break
-    return cands, truncated
+            if repmod.failing_relation(alg, rows) is None \
+                    and repmod.row_hom_dim(arrows, rows, rows) == 1 \
+                    and not admit(rows, lambda: Representation(
+                        alg, support, {a.label: RatMatrix._wrap(r, support.get(a.source, 0))
+                                       for a, r in zip(arrows, draw) if r is not None},
+                        name=f"B({','.join(str(support.get(v, 0)) for v in vertices)})"
+                             f"#{len(cands)}", check=False)):
+                return cands, True
+    return cands, False
 
 
 def cmd_fp_scan(args) -> int:
@@ -200,10 +194,9 @@ def cmd_fp_scan(args) -> int:
                         extra={"seed": args.seed,
                                "max_candidates": args.max_candidates,
                                "candidate_count": len(cands)})
-    report = fp_report(cands, ext_assignment(alg), budgets,
-                       truncated=truncated)
+    report = fp_report(cands, ext_assignment(alg), budgets)
     payload = {"tool": {"name": "fproot", "version": __version__},
-               **report.as_dict()}
+               **report.as_dict(), "truncated": truncated}
     if args.format == "csv":
         _emit(report.to_csv(), args.out, fmt="raw")
     else:

@@ -129,9 +129,6 @@ class RatMatrix:
         return RatMatrix([[x] for x in entries], cols=1)
 
     # -- access -------------------------------------------------------
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
     def col(self, j: int) -> tuple:
         return tuple(self.data[i][j] for i in range(self.rows))
 

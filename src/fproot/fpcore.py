@@ -243,7 +243,6 @@ class FpReport:
     stabilization_index: Optional[int]
     fpgldim_window: Optional[int]
     growth: Optional[GrowthEstimate]
-    truncated: bool = False
 
     def value(self, set_size: int, power: int) -> SpectralValue:
         return self.cells[(set_size, power)].value
@@ -264,7 +263,6 @@ class FpReport:
                 "fpgldim_window": self.fpgldim_window,
                 "growth": self.growth.as_dict() if self.growth else None,
             },
-            "truncated": self.truncated,
         }
 
     def to_csv(self) -> str:
@@ -279,7 +277,7 @@ class FpReport:
 
 def _fill_grid(subsets: Sequence[tuple], matrix: Callable, witness: Callable,
                max_size: int, budgets: FpBudgets, assignment_name: str,
-               candidate_names: List[str], truncated: bool = False) -> FpReport:
+               candidate_names: List[str]) -> FpReport:
     """Fill the grid fpdim^n(sigma^m) for n <= max_size and
     m <= budgets.max_power over the given brick subsets, plus aggregates.
 
@@ -337,12 +335,11 @@ def _fill_grid(subsets: Sequence[tuple], matrix: Callable, witness: Callable,
         stabilization_index=si,
         fpgldim_window=max(nonzero_powers, default=None),
         growth=growth,
-        truncated=truncated,
     )
 
 
 def fp_report(candidates: Sequence, assignment: Assignment,
-              budgets: FpBudgets = FpBudgets(), truncated: bool = False) -> FpReport:
+              budgets: FpBudgets = FpBudgets()) -> FpReport:
     """Fill the grid fpdim^n(sigma^m) for n <= max_set_size and m <= max_power
     over the brick subsets of the given candidates (see _fill_grid for the
     aggregates).  Hom (power 0) is read only where it picks the subsets (see
@@ -367,8 +364,7 @@ def fp_report(candidates: Sequence, assignment: Assignment,
 
     return _fill_grid(subsets, matrix, witness, N, budgets,
                       assignment.name,
-                      [getattr(c, "name", str(c)) for c in candidates],
-                      truncated)
+                      [getattr(c, "name", str(c)) for c in candidates])
 
 
 def fpdim_n(n: int, candidates: Sequence, assignment: Assignment,

@@ -3,8 +3,8 @@
 Two computation paths coexist:
 
 * a numeric path (LAPACK eigenvalues on doubles, i.e. balancing + Hessenberg
-  + QR iteration) with a declared absolute tolerance of 1e-9 for sizes up to
-  64; numpy is imported on its first use, and
+  + QR iteration) for n > 6, with a declared, unproven absolute tolerance
+  of 1e-9; numpy is imported on its first use, and
 * an exact path for small matrices (n <= 6): the characteristic polynomial p
   is computed in integers by Faddeev-LeVerrier, and its largest real root
   isolated by dyadic bisection with the Sturm chain of p's squarefree part
@@ -390,7 +390,9 @@ def rho(m) -> SpectralValue:
 
     Accepts a RatMatrix, a finite ExtendedMatrix, or nested sequences.  For
     sizes up to 6 the value is certified through the exact characteristic
-    polynomial; otherwise it is numeric with tolerance 1e-9 (n <= 64).  An
+    polynomial; otherwise it is numeric with tolerance 1e-9, even when its
+    SCC blocks are small (rho does not split them: the 7x7 nilpotent shift
+    gets an uncertified 0.0, rho_nonnegative_via_scc a certified 0).  An
     entry or radius beyond the double range raises SpectralError.
     """
     rm = _as_ratmatrix(m)

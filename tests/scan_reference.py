@@ -52,32 +52,31 @@ def _dimension_vectors(vertices, budget):
 
 def reference_scan(alg, dim_budget, seed, samples_per_dimvec=40,
                    max_candidates=64):
-    """(candidates, truncated), as scan_candidates returns them."""
+    """(candidates, truncated), as scan_candidates returns them: a brick
+    isomorphic to a candidate is skipped before the cap is consulted, and
+    the first brick the cap refuses ends the scan as truncated."""
     rng = random.Random(seed)
     cands = []
 
     def push(rep):
-        if len(cands) >= max_candidates:
-            return False
         if any(_isomorphic_bricks(rep, c) for c in cands):
             return True
+        if len(cands) >= max_candidates:
+            return False
         cands.append(rep)
         return True
 
-    truncated = False
     for s in simples(alg):
         if not push(s):
-            truncated = True
+            return cands, True
     for v in alg.quiver.vertices:
         p = projective(alg, v)
         if not p.is_zero() and is_brick(p):
             if not push(p):
-                truncated = True
+                return cands, True
 
     for dv in sorted(_dimension_vectors(list(alg.quiver.vertices), dim_budget),
                      key=lambda d: (sum(d.values()), tuple(sorted(d.items())))):
-        if truncated:
-            break
         dims = "B(" + ",".join(str(dv[v]) for v in alg.quiver.vertices) + ")"
         for _ in range(samples_per_dimvec):
             rep = _random_representation(alg, dv, rng, f"{dims}#{len(cands)}")
@@ -85,6 +84,5 @@ def reference_scan(alg, dim_budget, seed, samples_per_dimvec=40,
                 continue
             if is_brick(rep):
                 if not push(rep):
-                    truncated = True
-                    break
-    return cands, truncated
+                    return cands, True
+    return cands, False

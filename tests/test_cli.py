@@ -136,6 +136,18 @@ def test_fp_scan_truncated_when_the_cap_refuses_a_simple():
     assert payload["truncated"] is True and payload["candidates"] == ["S1"]
 
 
+def test_fp_scan_not_truncated_when_the_refused_brick_is_a_candidate():
+    """P2 of the Kronecker algebra is S2: with S1, S2 and P1 listed, a cap
+    of 3 refuses nothing new, so the scan is complete and exits 0."""
+    kronecker = pathlib.Path(__file__).parent / "data" / "kronecker_algebra.json"
+    code, out, _ = run_cli(["fp-scan", str(kronecker),
+                            "--budget-dim", "0", "--max-candidates", "3"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["truncated"] is False
+    assert payload["candidates"] == ["S1", "S2", "P1"]
+
+
 def test_fp_scan_csv_format(sqrt2_file):
     code, out, _ = run_cli(["fp-scan", sqrt2_file, "--format", "csv",
                             "--budget-dim", "3"])

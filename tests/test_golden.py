@@ -62,8 +62,8 @@ def test_cli_output_is_byte_identical(argv, expected):
 
 
 def test_fp_scan_truncated_at_repeated_draw_is_byte_identical():
-    """A scan whose candidate list fills up at a draw that repeats an
-    earlier one at its dimension vector: exit 3 and the same partial report."""
+    """A scan whose candidate list is full when a later brick, new up to
+    isomorphism, is refused: exit 3 and the same partial report."""
     argv = ["fp-scan", str(DATA / "sqrt2_algebra.json"), "--budget-dim", "3",
             "--seed", "3", "--max-candidates", "7"]
     proc = subprocess.run([sys.executable, "-m", "fproot.cli"] + argv,

@@ -3,7 +3,8 @@
 The scan examines a draw repeated at one dimension vector only once and
 keeps its sampled entries as ints; the reference examines every draw with
 Fraction entries.  Both must give the same candidates (names and maps) and
-the same truncated flag, including scans cut short at a repeated draw.
+the same truncated flag, including scans whose cap is met by a draw that
+repeats or matches a candidate.
 """
 
 import pathlib
@@ -68,11 +69,28 @@ def test_scan_matches_reference(name, seed, budget):
 def test_scan_truncated_by_a_repeated_draw_alone():
     """Here the candidate list is full when a draw repeats an earlier brick
     draw at its dimension vector, and no new brick is drawn after it: the
-    repeat alone must set the truncated flag."""
+    repeat is a candidate already, so the scan is complete, not truncated."""
     args = (ALGEBRAS["kronecker"], 2, 4, 8, 6)
     got = scan_candidates(*args)
-    assert got[1] is True
+    assert got[1] is False
+    assert _summary(got) == _summary(scan_candidates(*args[:-1], 64))
     assert _summary(got) == _summary(reference_scan(*args))
+
+
+@pytest.mark.parametrize("budget", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_capped_scan_is_a_prefix_of_the_uncapped_one(name, seed, budget):
+    """A scan capped at N lists the first N candidates of the uncapped scan,
+    and it is truncated iff the uncapped scan lists more than N: at every
+    cap from 0 to k + 1, k the uncapped candidate count."""
+    alg = ALGEBRAS[name]
+    full, truncated = scan_candidates(alg, budget, seed, 8, 10 ** 6)
+    assert not truncated
+    names, k = [c.name for c in full], len(full)
+    for cap in range(k + 2):
+        cands, truncated = scan_candidates(alg, budget, seed, 8, cap)
+        assert ([c.name for c in cands], truncated) == (names[:cap], k > cap), cap
 
 
 def test_draws_match_randint_rows():
