@@ -28,8 +28,8 @@ from .quiver import (classify_underlying_graph, cycle_number, quiver_from_json,
                      quiver_fpdim, quiver_to_dot)
 from .algebra import algebra_from_json
 from . import repmod
-from .repmod import (Representation, RepresentationError, is_brick,
-                     minimal_resolution, module_from_json, simple,
+from .repmod import (Representation, RepresentationError, ext_to_simples,
+                     is_brick, minimal_resolution, module_from_json, simple,
                      simple_resolution_multiplicities, simples)
 from .fpcore import FpBudgets, complexity_estimate, ext_assignment, fp_report
 from .tables import surface_grid_csv
@@ -52,12 +52,11 @@ def _strict(x):
     return x
 
 
-def _emit(payload, out_path, fmt="json"):
-    if fmt == "json":
-        text = json.dumps(_strict(payload), indent=2, sort_keys=True,
-                          allow_nan=False) + "\n"
-    else:
-        text = payload
+def _emit(payload, out_path):
+    """Write payload to out_path or stdout: a str (DOT or CSV) as it is,
+    anything else as sorted, strict JSON."""
+    text = payload if isinstance(payload, str) else json.dumps(
+        _strict(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -97,7 +96,7 @@ def cmd_quiver(args) -> int:
         _emit({"family": None if cls is None else cls[0],
                "rank": None if cls is None else cls[1]}, args.out)
     elif args.action == "dot":
-        _emit(quiver_to_dot(q), args.out, fmt="raw")
+        _emit(quiver_to_dot(q), args.out)
     return EXIT_OK
 
 
@@ -198,7 +197,7 @@ def cmd_fp_scan(args) -> int:
     payload = {"tool": {"name": "fproot", "version": __version__},
                **report.as_dict(), "truncated": truncated}
     if args.format == "csv":
-        _emit(report.to_csv(), args.out, fmt="raw")
+        _emit(report.to_csv(), args.out)
     else:
         _emit(payload, args.out)
     return EXIT_BUDGET if truncated else EXIT_OK
@@ -221,11 +220,6 @@ def cmd_resolve(args) -> int:
         raise RepresentationError(f"an Ext dimension within depth {args.depth} has "
                                   f"more than {digits} digits, the int-to-string "
                                   "limit of this Python; lower --depth")
-    # minimal, so dim Ext^i(M, S_v) is the multiplicity of P_v in P_i
-    ext_to_simples = {
-        v: [pattern[i].get(v, 0) if i < len(pattern) else 0
-            for i in range(args.depth + 1)]
-        for v in alg.quiver.vertices}
     payload = {
         "tool": {"name": "fproot", "version": __version__},
         "module": m.name,
@@ -234,7 +228,8 @@ def cmd_resolve(args) -> int:
             "multiplicities": pattern,
             "finite_length": length,
         },
-        "ext_module_to_simples": ext_to_simples,
+        "ext_module_to_simples": ext_to_simples(pattern, alg.quiver.vertices,
+                                                args.depth),
         "ext_simple_pairs": {f"{i}->{j}": dims[:args.depth + 1]
                              for (i, j), dims in sorted(comp.ext_table.items())},
         "complexity": {"estimate": comp.cx_estimate,
@@ -247,7 +242,7 @@ def cmd_resolve(args) -> int:
 
 def cmd_tables(args) -> int:
     text = surface_grid_csv(args.surface, radius=args.range, genus=args.genus)
-    _emit(text, args.out, fmt="raw")
+    _emit(text, args.out)
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ from itertools import accumulate, count, product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactlin import RatMatrix
-from .spectral import SpectralValue, rho_nonnegative_via_scc
+from .spectral import NUMERIC_TOL, SpectralValue, rho_nonnegative_via_scc
 from .quiver import Quiver, quiver_fpdim
 from .algebra import BoundAlgebra
 from . import repmod
@@ -74,7 +74,7 @@ class ExtCalculator:
 
     def resolution(self, m: Representation, depth: int) -> Resolution:
         if m not in self._res:
-            self._res[m] = Resolution(m, [], None)
+            self._res[m] = Resolution(m)
         return self._res[m].extend(depth)
 
     def ext(self, power: int, m: Representation, n: Representation) -> int:
@@ -103,9 +103,6 @@ def ext_assignment(algebra: BoundAlgebra) -> Assignment:
 class BrickSet:
     members: tuple
     certificate: RatMatrix  # the pairwise Hom-dimension matrix
-
-    def names(self):
-        return tuple(getattr(m, "name", str(m)) for m in self.members)
 
 
 @dataclass(frozen=True)
@@ -220,8 +217,7 @@ def growth_analyze(seq: Sequence[float]) -> GrowthEstimate:
 
 @dataclass
 class FpCell:
-    set_size: int
-    power: int
+    """One grid entry; FpReport.cells keys it by (set size, power)."""
     value: SpectralValue
     witness: Tuple[str, ...]
 
@@ -311,21 +307,14 @@ def _fill_grid(subsets: Sequence[tuple], matrix: Callable, witness: Callable,
             if r.value > best[len(rows)][0].value:
                 best[len(rows)] = (r, sub)
         for n, (val, sub) in best.items():
-            cells[(n, m)] = FpCell(n, m, val, witness(sub))
+            cells[(n, m)] = FpCell(val, witness(sub))
 
-    col1 = [cells[(n, 1)].value.value for n in range(1, N + 1)] if M >= 1 else []
-    fpdim = max(col1, default=0.0)
+    col_max = [max((cells[(n, m)].value.value for n in range(1, N + 1)), default=0.0)
+               for m in range(M + 1)]
+    fpdim = col_max[1] if M >= 1 else 0.0
     # the running max first reaches fpdim at the first value that does
-    si = next((n for n, v in enumerate(col1, start=1)
-               if abs(v - fpdim) <= 1e-12), None)
-    nonzero_powers = [m for m in range(M + 1)
-                      if any(cells[(n, m)].value.value > 1e-9 for n in range(1, N + 1))]
-    growth = None
-    if M >= 4:
-        seq = [max((cells[(n, m)].value.value for n in range(1, N + 1)), default=0.0)
-               for m in range(1, M + 1)]
-        growth = growth_analyze(seq)
-
+    si = next((n for n in range(1, N + 1) if M >= 1
+               and abs(cells[(n, 1)].value.value - fpdim) <= 1e-12), None)
     return FpReport(
         assignment_name=assignment_name,
         candidate_names=candidate_names,
@@ -333,8 +322,8 @@ def _fill_grid(subsets: Sequence[tuple], matrix: Callable, witness: Callable,
         cells=cells,
         fpdim=fpdim,
         stabilization_index=si,
-        fpgldim_window=max(nonzero_powers, default=None),
-        growth=growth,
+        fpgldim_window=max((m for m, v in enumerate(col_max) if v > 1e-9), default=None),
+        growth=growth_analyze(col_max[1:]) if M >= 4 else None,
     )
 
 
@@ -358,13 +347,9 @@ def fp_report(candidates: Sequence, assignment: Assignment,
     def matrix(idx, m):
         return tuple(tuple(mats[m][i][j] for j in idx) for i in idx)
 
-    def witness(idx):
-        return tuple(getattr(candidates[i], "name", str(candidates[i]))
-                     for i in idx)
-
-    return _fill_grid(subsets, matrix, witness, N, budgets,
-                      assignment.name,
-                      [getattr(c, "name", str(c)) for c in candidates])
+    names = [getattr(c, "name", str(c)) for c in candidates]
+    return _fill_grid(subsets, matrix, lambda idx: tuple(names[i] for i in idx),
+                      N, budgets, assignment.name, names)
 
 
 def fpdim_n(n: int, candidates: Sequence, assignment: Assignment,
@@ -410,15 +395,16 @@ class QuiverBoundReport:
     holds: bool
 
 
-def sigma_quiver_bound_check(candidates: Sequence, assignment: Assignment,
-                             tol: float = 1e-9) -> QuiverBoundReport:
+def sigma_quiver_bound_check(candidates: Sequence,
+                             assignment: Assignment) -> QuiverBoundReport:
     """Check fpdim(sigma) <= fpdim of the sigma-quiver on the candidate
-    universe (both sides computed at the same budgets)."""
+    universe (both sides computed at the same budgets), up to the declared
+    tolerance of an uncertified radius (spectral.NUMERIC_TOL)."""
     report = fp_report(candidates, assignment,
                        FpBudgets(max_set_size=len(candidates), max_power=1))
     lhs = report.fpdim
     rhs = quiver_fpdim(ext1_quiver(candidates, assignment)).value
-    return QuiverBoundReport(lhs, rhs, lhs <= rhs + tol)
+    return QuiverBoundReport(lhs, rhs, lhs <= rhs + NUMERIC_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +576,10 @@ class FpcCxReport:
     gap: Optional[float]
 
 
-def fpc_vs_cx_check(alg: BoundAlgebra, depth: int = 10,
-                    tolerance: float = 0.1) -> FpcCxReport:
+def fpc_vs_cx_check(alg: BoundAlgebra, depth: int = 10) -> FpcCxReport:
     """Compare the fp-complexity estimate (growth of the Ext assignment over
     the simples, plus one) with the complexity estimate, asserting
-    fpc <= cx within the estimator tolerance.
+    fpc <= cx within the estimators' tolerance of 0.1.
 
     Both estimates use the same conventions: 0 for eventually vanishing Ext
     windows and infinity when the curvature exceeds 1.
@@ -607,7 +592,7 @@ def fpc_vs_cx_check(alg: BoundAlgebra, depth: int = 10,
     if math.isinf(fpc) and math.isinf(comp.cx_estimate):
         holds, gap = True, 0.0
     else:
-        holds = fpc <= comp.cx_estimate + tolerance
+        holds = fpc <= comp.cx_estimate + 0.1
         gap = comp.cx_estimate - fpc if not math.isinf(comp.cx_estimate) else None
     return FpcCxReport(fpc, comp.cx_estimate, holds, comp.agc.holds,
                        gap if comp.agc.holds else None)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .exactlin import InputError, RatMatrix, load_json
-from .spectral import (SpectralValue, rho_nonnegative_via_scc,
+from .spectral import (NUMERIC_TOL, SpectralValue, rho_nonnegative_via_scc,
                        strongly_connected_components)
 
 CYCLE_ENUM_MAX_VERTICES = 12
@@ -103,15 +103,10 @@ def underlying_adjacency(q: Quiver) -> RatMatrix:
 
     Loops are rejected: the classification target (simple graphs) has none.
     """
-    n = len(q.vertices)
-    counts = [[0] * n for _ in range(n)]
-    for a in q.arrows:
-        i, j = q.vertex_index(a.source), q.vertex_index(a.target)
-        if i == j:
-            raise QuiverError("underlying simple graph is undefined with loops")
-        counts[i][j] += 1
-        counts[j][i] += 1
-    return RatMatrix(counts, cols=n)
+    if any(a.source == a.target for a in q.arrows):
+        raise QuiverError("underlying simple graph is undefined with loops")
+    a = adjacency(q)
+    return a + a.transpose()
 
 
 def quiver_fpdim(q: Quiver) -> SpectralValue:
@@ -206,19 +201,20 @@ class TrichotomyReport:
     detail: str
 
 
-def fpdim_trichotomy_check(q: Quiver, tol: float = 1e-9) -> TrichotomyReport:
+def fpdim_trichotomy_check(q: Quiver) -> TrichotomyReport:
     """Check the three biconditionals relating fpdim(Q) and the cycle number:
-    theta 0 <-> radius 0, theta 1 <-> radius 1, theta >= 2 <-> radius > 1."""
+    theta 0 <-> radius 0, theta 1 <-> radius 1, theta >= 2 <-> radius > 1,
+    each up to the declared tolerance of an uncertified radius (NUMERIC_TOL)."""
     r = quiver_fpdim(q)
     theta = cycle_number(q).theta
     if theta == 0:
-        ok = r.value <= tol
+        ok = r.value <= NUMERIC_TOL
         detail = "acyclic: radius must be 0"
     elif theta == 1:
-        ok = abs(r.value - 1.0) <= tol
+        ok = abs(r.value - 1.0) <= NUMERIC_TOL
         detail = "single cycle structure: radius must be 1"
     else:
-        ok = r.value > 1.0 + tol
+        ok = r.value > 1.0 + NUMERIC_TOL
         detail = "multiple cycle structure: radius must exceed 1"
     return TrichotomyReport(r, theta, ok, detail)
 

@@ -18,7 +18,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exactlin import (InputError, InvariantViolation, RatMatrix, load_json,
@@ -382,7 +382,6 @@ class ResolutionStep:
     module: Representation = field(repr=False, compare=False)
 
 
-@dataclass
 class Resolution:
     """The minimal projective resolution of module, built to some depth.
 
@@ -393,15 +392,13 @@ class Resolution:
     dim module and raises InvariantViolation when it does not.
     """
 
-    module: Representation
-    steps: List[ResolutionStep]
-    length: Optional[int]  # index of the last nonzero step, None if truncated
-    _pending: Optional[Iterator[ResolutionStep]] = field(
-        default=None, repr=False, compare=False)
+    def __init__(self, module: Representation):
+        self.module = module
+        self.steps: List[ResolutionStep] = []
+        self.length: Optional[int] = None  # index of the last nonzero step, None if truncated
+        self._pending = resolution_steps(module)
 
     def extend(self, depth: int) -> "Resolution":
-        if self._pending is None:
-            self._pending = islice(resolution_steps(self.module), len(self.steps), None)
         while self.length is None and len(self.steps) < depth + 1:
             step = next(self._pending, None)
             if step is None:
@@ -474,7 +471,7 @@ def minimal_resolution(m: Representation, depth: int) -> Resolution:
     depth + 1 steps of resolution_steps(m) (see Resolution.extend)."""
     if depth < 0:
         raise RepresentationError("depth must be >= 0")
-    return Resolution(m, [], None).extend(depth)
+    return Resolution(m).extend(depth)
 
 
 def ext(i: int, m: Representation, n: Representation) -> int:
@@ -565,19 +562,22 @@ def simple_resolution_multiplicities(alg: BoundAlgebra, v, depth: int):
 
 
 def ext_simple_table(alg: BoundAlgebra, depth: int):
-    """dim Ext^n(S_i, S_j) for all vertex pairs and n <= depth.
-
-    For a minimal resolution the Hom complex into a simple has zero
-    differentials, so the Ext dimension is the multiplicity of P_j in step n,
-    read from simple_resolution_multiplicities: Anick chain counts on a
-    monomial algebra, a linear minimal resolution otherwise.
-    Returns {(i, j): [dims by n]} keyed by vertex labels.
-    """
+    """{(i, j): [dim Ext^n(S_i, S_j) for n <= depth]} over all vertex labels,
+    by ext_to_simples off simple_resolution_multiplicities: Anick chain counts
+    on a monomial algebra, a linear minimal resolution otherwise."""
     verts = alg.quiver.vertices
-    pattern = {v: simple_resolution_multiplicities(alg, v, depth)[0] for v in verts}
-    return {(i, j): [pattern[i][nn].get(j, 0) if nn < len(pattern[i]) else 0
-                     for nn in range(depth + 1)]
-            for i in verts for j in verts}
+    ext = {i: ext_to_simples(simple_resolution_multiplicities(alg, i, depth)[0],
+                             verts, depth) for i in verts}
+    return {(i, j): ext[i][j] for i in verts for j in verts}
+
+
+def ext_to_simples(pattern: List[Dict[str, int]], vertices, depth: int):
+    """{v: [dim Ext^n(M, S_v) for n <= depth]} from the multiplicity pattern
+    of a minimal resolution of M: its Hom complex into a simple has zero
+    differentials, so Ext^n(M, S_v) is the multiplicity of P_v in step n
+    (0 past the last step)."""
+    return {v: [pattern[n].get(v, 0) if n < len(pattern) else 0
+                for n in range(depth + 1)] for v in vertices}
 
 
 def euler_form(alg: BoundAlgebra, d: Dict[str, int], e: Dict[str, int]) -> int:

@@ -14,12 +14,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .spectral import NUMERIC_TOL
 
-def p1_twist_surface(a: int, b: int, n: int = 1) -> float:
+
+def p1_twist_surface(a: int, b: int) -> float:
     """fp dimension of (suspension^a compose degree-twist(b)) on the derived
-    category of the projective line; independent of the set size n >= 1."""
-    if n < 1:
-        raise ValueError("set size must be >= 1")
+    category of the projective line; the same at every set size n >= 1."""
     if a not in (0, 1):
         return 0.0
     if a == 0:
@@ -27,14 +27,13 @@ def p1_twist_surface(a: int, b: int, n: int = 1) -> float:
     return 1.0 if b >= -1 else float(-b - 1)
 
 
-def p1_serre_surface(a: int, b: int, n: int = 1) -> float:
-    """fp dimension of (suspension^a compose Serre^b) on the projective line.
+def p1_serre_surface(a: int, b: int) -> float:
+    """fp dimension of (suspension^a compose Serre^b) on the projective line,
+    the same at every set size n >= 1.
 
     The Serre functor is the suspension composed with the degree twist by -2,
-    so this must equal p1_twist_surface(a + b, -2 b, n) everywhere.
+    so this must equal p1_twist_surface(a + b, -2 b) everywhere.
     """
-    if n < 1:
-        raise ValueError("set size must be >= 1")
     s = a + b
     if s not in (0, 1):
         return 0.0
@@ -43,11 +42,10 @@ def p1_serre_surface(a: int, b: int, n: int = 1) -> float:
     return 1.0 if b <= 0 else float(2 * b - 1)
 
 
-def a2_surface(a: int, b: int, n: int = 1) -> float:
+def a2_surface(a: int, b: int) -> float:
     """fp dimension of (suspension^a compose Serre^b) for the linear
-    two-vertex quiver: the indicator of 3a + b in {0, 1}."""
-    if n < 1:
-        raise ValueError("set size must be >= 1")
+    two-vertex quiver: the indicator of 3a + b in {0, 1}, the same at every
+    set size n >= 1."""
     return 1.0 if 3 * a + b in (0, 1) else 0.0
 
 
@@ -97,19 +95,19 @@ class KroneckerCrossCheck:
     strict_gap: bool        # category value strictly above the quiver value
 
 
-def cross_check_kronecker(report, quiver_value: float,
-                          tol: float = 1e-9) -> KroneckerCrossCheck:
+def cross_check_kronecker(report, quiver_value: float) -> KroneckerCrossCheck:
     """Compare an engine scan over Kronecker modules with the closed-form
     projective-line table.
 
     The derived categories agree, so the engine's fpdim^n at power 1 must
     equal the Serre-table value at (1, 0) for every scanned set size, while
     the quiver's own fp dimension stays strictly below (the combinatorial
-    invariant does not see the category).
+    invariant does not see the category).  Both comparisons allow the
+    declared tolerance of an uncertified radius (spectral.NUMERIC_TOL).
     """
     surface = p1_serre_surface(1, 0)
     sizes = sorted({n for (n, m) in report.cells if m == 1})
     engine = {n: report.cells[(n, 1)].value.value for n in sizes}
-    agrees = all(abs(v - surface) <= tol for v in engine.values())
+    agrees = all(abs(v - surface) <= NUMERIC_TOL for v in engine.values())
     return KroneckerCrossCheck(engine, surface, quiver_value, agrees,
-                               quiver_value < surface - tol)
+                               quiver_value < surface - NUMERIC_TOL)

@@ -97,7 +97,7 @@ def test_criterion_03_trichotomy_corpus():
     corpus = _trichotomy_corpus()
     assert len(corpus) >= 30
     for q in corpus:
-        rep = fpdim_trichotomy_check(q, tol=1e-9)
+        rep = fpdim_trichotomy_check(q)
         assert rep.consistent, (q, rep)
     report(3, f"cycle-number trichotomy verified on {len(corpus)} quivers")
 

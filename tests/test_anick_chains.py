@@ -27,7 +27,7 @@ DEPTH = 8
 
 def assert_chains_match_resolution(alg, depth=DEPTH):
     for v in alg.quiver.vertices:
-        res = Resolution(simple(alg, v), [], None)
+        res = Resolution(simple(alg, v))
         for d in range(depth + 1):
             res.extend(d)
             assert simple_resolution_multiplicities(alg, v, d) == \

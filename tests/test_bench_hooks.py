@@ -3,7 +3,11 @@ Every name it lists must resolve on the package, or `bench/run.py --trace 1`
 breaks; this fails first when a refactor removes or renames one of them."""
 
 import importlib
+import inspect
 import pathlib
+
+from fproot.algebra import BoundAlgebra
+from fproot.repmod import Representation
 
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -24,3 +28,13 @@ def test_every_traced_name_resolves():
             assert hasattr(obj, part), f"fproot.{modname}.{attr} is gone"
             obj = getattr(obj, part)
         assert callable(obj), f"fproot.{modname}.{attr} is not callable"
+
+
+def test_the_tracers_other_two_contracts_hold():
+    """Besides WRAPPED, the tracer calls Representation.__init__ positionally
+    as (self, algebra, dimvec, maps, name, check) and counts calls of
+    BoundAlgebra.left_multiply."""
+    params = inspect.signature(Representation.__init__).parameters
+    assert list(params) == ["self", "algebra", "dimvec", "maps", "name", "check"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+    assert callable(getattr(BoundAlgebra, "left_multiply", None))

@@ -9,10 +9,13 @@ import sys
 
 import pytest
 
-from fproot.algebra import algebra_to_json, dual_numbers_algebra, sqrt2_algebra
+from fproot.algebra import (algebra_from_json, algebra_to_json, dual_numbers_algebra,
+                            local_two_loop_algebra, sqrt2_algebra)
 from fproot.cli import run, scan_candidates
 from fproot.quiver import cycle_quiver, kronecker_quiver, quiver_to_json
-from fproot.repmod import module_to_json, regular_brick
+from fproot.repmod import module_to_json, regular_brick, simple
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.fixture()
@@ -619,3 +622,29 @@ def test_in_process_run_calls_the_current_subcommand(monkeypatch, sqrt2_file):
     assert _run_captured(["resolve", sqrt2_file, "--simple", "2"])[0] == 0
     monkeypatch.setattr(cli, "cmd_resolve", lambda args: 7)
     assert run(["resolve", sqrt2_file, "--simple", "2"]) == 7
+
+
+RESOLVE_ALGEBRAS = {
+    **{p.name: p.read_text() for p in sorted(DATA.glob("*_algebra.json"))},
+    "dual_numbers": algebra_to_json(dual_numbers_algebra()),
+    "two_loop_3_2": algebra_to_json(local_two_loop_algebra(3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESOLVE_ALGEBRAS))
+def test_resolve_module_of_a_simple_matches_resolve_simple(tmp_path, name):
+    """resolve --module S_v resolves linearly and resolve --simple v counts
+    Anick chains on a monomial algebra; both read Ext into the simples off
+    the multiplicities, so they print the same payload at every depth."""
+    text = RESOLVE_ALGEBRAS[name]
+    alg_file, mod_file = tmp_path / "alg.json", tmp_path / "mod.json"
+    alg_file.write_text(text)
+    alg = algebra_from_json(text)
+    for v in alg.quiver.vertices:
+        mod_file.write_text(module_to_json(simple(alg, v)))
+        for depth in map(str, range(7)):
+            by_module = _run_captured(["resolve", str(alg_file), "--module",
+                                       str(mod_file), "--depth", depth])
+            by_simple = _run_captured(["resolve", str(alg_file), "--simple", v,
+                                       "--depth", depth])
+            assert by_module == by_simple, (name, v, depth)

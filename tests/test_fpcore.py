@@ -184,7 +184,7 @@ def _eager_fp_report(candidates, assignment, budgets):
                                                    for i in sub], cols=n))
             if r.value > best[0].value:
                 best = (r, sub)
-        rep.cells[(n, 0)] = FpCell(n, 0, best[0], witness(best[1]))
+        rep.cells[(n, 0)] = FpCell(best[0], witness(best[1]))
     rep.fpgldim_window = max((m for (_, m), c in rep.cells.items()
                               if c.value.value > 1e-9), default=None)
     return rep
