@@ -134,6 +134,29 @@ def _dimension_vectors(vertices, budget):
         (position[v], k) for v, k in d.items())]))
 
 
+def _brick_bound(alg, support):
+    """The most bricks, up to isomorphism, that a support (a dimension vector
+    as its nonzero counts) can hold, read off the support and the arrows
+    inside it: 0 if those arrows leave it disconnected (every module there
+    is a direct sum).  On a relation-free algebra, which is hereditary,
+    dim End(X) - dim Ext^1(X, X) is the Tits form q(d) = sum_v d_v^2 -
+    sum_{a: s->t} d_s d_t (Ringel), so there is none if q(d) > 1, and at
+    most one if q(d) = 1: over the algebraic closure a brick stays a brick,
+    the real root d has a unique indecomposable there (Kac), and
+    Noether-Deuring brings the isomorphism back.  Else math.inf."""
+    inner = [a for a in alg.quiver.arrows if a.source in support and a.target in support]
+    reached = {next(iter(support))}
+    for _ in support:
+        reached.update(v for a in inner if a.source in reached or a.target in reached
+                       for v in (a.source, a.target))
+    if len(reached) < len(support):
+        return 0
+    if alg.relations:
+        return math.inf
+    tits = repmod.euler_form(alg, support, support)
+    return 0 if tits > 1 else 1 if tits == 1 else math.inf
+
+
 def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
                     max_candidates=64):
     """Deterministic brick-candidate generation for an arbitrary algebra.
@@ -145,6 +168,10 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
     Hom system each, whether it is isomorphic to a candidate of its support
     (row_isomorphic_to_brick, exact since every candidate is a brick).  Only
     a brick new up to isomorphism meets the cap and is built as a module.
+    The draws at a dimension vector stop being examined once its candidates
+    reach _brick_bound, which certifies that no further brick there is new;
+    all of them are still drawn, so the rng stream, the names and the output
+    are those of the scan that examines every draw.
     Returns (candidates, truncated): capped at N, the scan lists the first N
     candidates of the uncapped scan, truncated iff that lists more than N.
     """
@@ -168,8 +195,13 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
     vertices = alg.quiver.vertices
     for support in _dimension_vectors(vertices, dim_budget):
         # a repeated draw is, or matches, a candidate, or is no brick
-        for draw in dict.fromkeys(_random_maps(alg, support, rng)
-                                  for _ in range(samples_per_dimvec)):
+        draws = dict.fromkeys(_random_maps(alg, support, rng)
+                              for _ in range(samples_per_dimvec))
+        most = _brick_bound(alg, support)
+        same = rows_by_support.setdefault(frozenset(support.items()), [])
+        for draw in draws:
+            if len(same) >= most:
+                break  # every brick left here is isomorphic to a candidate
             rows = (support, draw)
             if repmod.failing_relation(alg, rows) is None \
                     and repmod.row_hom_dim(arrows, rows, rows) == 1 \

@@ -89,24 +89,31 @@ class Quiver:
                 f"{len(self.arrows)} arrows)")
 
 
-def adjacency(q: Quiver) -> RatMatrix:
-    """Arrow-count matrix: entry (i, j) = number of arrows i -> j."""
+def _arrow_counts(q: Quiver) -> List[List[int]]:
+    """Entry (i, j) = number of arrows i -> j, as ints."""
     n = len(q.vertices)
     counts = [[0] * n for _ in range(n)]
     for a in q.arrows:
         counts[q.vertex_index(a.source)][q.vertex_index(a.target)] += 1
-    return RatMatrix(counts, cols=n)
+    return counts
+
+
+def adjacency(q: Quiver) -> RatMatrix:
+    """Arrow-count matrix: entry (i, j) = number of arrows i -> j."""
+    return RatMatrix(_arrow_counts(q), cols=len(q.vertices))
 
 
 def underlying_adjacency(q: Quiver) -> RatMatrix:
-    """Symmetric edge-count matrix of the underlying undirected graph.
+    """Symmetric edge-count matrix of the underlying undirected graph: the
+    int counts both ways, summed before the one conversion to rationals.
 
     Loops are rejected: the classification target (simple graphs) has none.
     """
     if any(a.source == a.target for a in q.arrows):
         raise QuiverError("underlying simple graph is undefined with loops")
-    a = adjacency(q)
-    return a + a.transpose()
+    c = _arrow_counts(q)
+    return RatMatrix([map(int.__add__, row, col) for row, col in zip(c, zip(*c))],
+                     cols=len(c))
 
 
 def quiver_fpdim(q: Quiver) -> SpectralValue:

@@ -582,9 +582,8 @@ def ext_to_simples(pattern: List[Dict[str, int]], vertices, depth: int):
 
 def euler_form(alg: BoundAlgebra, d: Dict[str, int], e: Dict[str, int]) -> int:
     """<d, e> = sum_v d_v e_v - sum_{a: s->t} d_s e_t (hereditary algebras)."""
-    q = alg.quiver
-    val = sum(d.get(v, 0) * e.get(v, 0) for v in q.vertices)
-    val -= sum(d.get(a.source, 0) * e.get(a.target, 0) for a in q.arrows)
+    val = sum(x * e.get(v, 0) for v, x in d.items())
+    val -= sum(d.get(a.source, 0) * e.get(a.target, 0) for a in alg.quiver.arrows)
     return val
 
 

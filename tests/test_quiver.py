@@ -1,7 +1,9 @@
 import itertools
 import math
+import pathlib
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -150,6 +152,31 @@ def test_classify_needs_connected():
     q = Quiver(["1", "2"], [])
     with pytest.raises(QuiverError):
         classify_underlying_graph(q)
+
+
+def _classify_shapes():
+    """The underlying graphs of the benchmark's classify jobs, read from
+    bench/gen.py's source text, so that no bytecode is written under bench/."""
+    gen = pathlib.Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    ns = {"__name__": "bench_gen"}
+    exec(compile(gen.read_text(), str(gen), "exec"), ns)
+    return ns["classify_shapes"]()
+
+
+def test_underlying_adjacency_is_adjacency_plus_its_transpose():
+    rng = random.Random(0)
+    shapes = _classify_shapes()
+    assert len(shapes) > 30
+    for *_, nverts, edges in shapes:
+        for _ in range(3):  # random orientations
+            q = Quiver([str(v) for v in range(nverts)],
+                       [(f"e{k}", *map(str, rng.sample((s, t), 2)))
+                        for k, (s, t) in enumerate(edges)])
+            a, u = adjacency(q), underlying_adjacency(q)
+            assert u == a + a.transpose()
+            assert {type(x) for row in u.data for x in row} == {Fraction}
+    with pytest.raises(QuiverError, match="undefined with loops"):
+        underlying_adjacency(loop_quiver(1))
 
 
 def test_smith_bound_dynkin_vs_extended():

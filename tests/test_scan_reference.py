@@ -14,10 +14,10 @@ import pytest
 
 from fproot.algebra import (algebra_from_json, build_algebra,
                             dual_numbers_algebra, kronecker_algebra,
-                            local_two_loop_algebra, sqrt2_algebra)
+                            local_two_loop_algebra, path_algebra, sqrt2_algebra)
 from fproot.cli import _dimension_vectors, _random_maps, scan_candidates
 from fproot.exactlin import rat_str
-from fproot.quiver import Quiver
+from fproot.quiver import Quiver, kronecker_quiver
 
 import scan_reference
 from scan_reference import reference_scan
@@ -43,6 +43,15 @@ ALGEBRAS = {
     # three vertices, a loop and two parallel arrows, radical square zero
     "rsz3": _radical_square_zero(["1", "2", "3"], [("x", "1", "1"), ("b", "1", "2"),
                                                    ("c", "1", "2"), ("d", "2", "3")]),
+    # relation-free: real roots (q = 1), where the scan stops examining draws
+    # once a candidate holds the root, the imaginary root of ~D4 (q = 0) and
+    # the 3-Kronecker's q < 0
+    "A3": path_algebra(Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])),
+    "D4": path_algebra(Quiver(["1", "2", "3", "4"],
+                              [(f"a{v}", v, "1") for v in "234"])),
+    "~D4": path_algebra(Quiver(["1", "2", "3", "4", "5"],
+                               [(f"a{v}", v, "1") for v in "2345"])),
+    "kron3": path_algebra(kronecker_quiver(3)),
 }
 
 
@@ -62,6 +71,17 @@ def test_scan_matches_reference(name, seed, budget):
     for samples in (8, 40):
         for max_candidates in (1, 2, 3, 5, 8, 64):
             args = (alg, budget, seed, samples, max_candidates)
+            assert _summary(scan_candidates(*args)) == \
+                _summary(reference_scan(*args)), args
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scan_matches_reference_up_to_the_imaginary_root(seed):
+    """~D4 at budget 6 reaches its imaginary root (2,1,1,1,1), where q = 0
+    and bricks come in a family, besides 24 real roots."""
+    for samples in (8, 40):
+        for max_candidates in (20, 64):
+            args = (ALGEBRAS["~D4"], 6, seed, samples, max_candidates)
             assert _summary(scan_candidates(*args)) == \
                 _summary(reference_scan(*args)), args
 
