@@ -302,7 +302,7 @@ def _fill_grid(subsets: Sequence[tuple], matrix: Callable, witness: Callable,
             rows = matrix(sub, m)
             r = rho_cache.get(rows)
             if r is None:
-                r = rho_nonnegative_via_scc(RatMatrix(rows, cols=len(rows)))
+                r = rho_nonnegative_via_scc(RatMatrix._wrap(rows, len(rows)))
                 rho_cache[rows] = r
             if r.value > best[len(rows)][0].value:
                 best[len(rows)] = (r, sub)

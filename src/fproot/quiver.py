@@ -118,7 +118,7 @@ def underlying_adjacency(q: Quiver) -> RatMatrix:
 
 def quiver_fpdim(q: Quiver) -> SpectralValue:
     """Perron root of the adjacency matrix of q."""
-    return rho_nonnegative_via_scc(adjacency(q))
+    return rho_nonnegative_via_scc(RatMatrix._wrap(_arrow_counts(q), len(q.vertices)))
 
 
 def _edges(q: Quiver) -> List[Tuple[int, int]]:

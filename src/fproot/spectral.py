@@ -3,8 +3,8 @@
 Two computation paths coexist:
 
 * a numeric path (LAPACK eigenvalues on doubles, i.e. balancing + Hessenberg
-  + QR iteration) for n > 6, with a declared, unproven absolute tolerance
-  of 1e-9; numpy is imported on its first use, and
+  + QR iteration) for strongly connected n > 6, with a declared, unproven
+  absolute tolerance of 1e-9; numpy is imported on its first use, and
 * an exact path for small matrices (n <= 6): the characteristic polynomial p
   is computed in integers by Faddeev-LeVerrier, and its largest real root
   isolated by dyadic bisection with the Sturm chain of p's squarefree part
@@ -21,7 +21,8 @@ entries are all nonnegative, the radius only depends on entries whose
 endpoints lie in a common component, a +inf entry inside a component forces
 the radius to +inf, and every off-component entry (finite or infinite) can be
 zeroed out.  When the matrix mixes signs with infinities there is no exact
-reduction; a substitution grid produces an uncertified estimate.
+reduction; a substitution grid produces an uncertified estimate.  An
+integral entry stays an int throughout; only a fractional one is a Fraction.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ NUMERIC_TOL = 1e-9
 EXACT_SIZE_LIMIT = 6
 POWER_STEPS = 64
 
-Entry = Union[Fraction, float]
+Entry = Union[int, Fraction, float]
 
 
 class SpectralError(InputError):
@@ -69,8 +70,10 @@ class SpectralValue:
 
 
 def _entry(x, i: int, j: int) -> Entry:
-    """Entry (i, j) of a matrix as a Fraction or +/-inf; SpectralError names
-    it when it is not a number."""
+    """Entry (i, j) of a matrix as an int when integral, else a Fraction or
+    +/-inf; SpectralError names it when it is not a number."""
+    if type(x) is int:
+        return x
     if isinstance(x, float) and math.isinf(x):
         return INF if x > 0 else NEG_INF
     if isinstance(x, str) and x.strip() in ("inf", "+inf", "Infinity"):
@@ -78,16 +81,17 @@ def _entry(x, i: int, j: int) -> Entry:
     if isinstance(x, str) and x.strip() in ("-inf", "-Infinity"):
         return NEG_INF
     try:
-        return Fraction(x).limit_denominator(10**12) if isinstance(x, float) else rat(x)
+        f = Fraction(x).limit_denominator(10**12) if isinstance(x, float) else rat(x)
     except (ValueError, TypeError, ZeroDivisionError):
         raise SpectralError(f"bad matrix entry at row {i}, column {j}: {x!r}") from None
+    return f.numerator if f.denominator == 1 else f
 
 
 class ExtendedMatrix:
-    """Square matrix with entries in the nonnegative rationals or +/-inf.
-
-    Finite negative entries are accepted but route the radius computation to
-    the numeric fallback.
+    """Square matrix with entries in the nonnegative rationals or +/-inf:
+    an int for an integral entry, a Fraction for another finite one, a float
+    for +/-inf.  Finite negative entries are accepted but route the radius
+    computation to the numeric fallback.
     """
 
     __slots__ = ("n", "entries")
@@ -109,7 +113,7 @@ class ExtendedMatrix:
 
     def finite_part_nonnegative(self) -> bool:
         return all(x >= 0 for row in self.entries for x in row
-                   if isinstance(x, Fraction))
+                   if not isinstance(x, float))
 
 
 def matrix_from_json(text: str) -> ExtendedMatrix:
@@ -360,7 +364,7 @@ def _as_ratmatrix(m) -> RatMatrix:
     if isinstance(m, ExtendedMatrix):
         if m.has_infinite():
             raise SpectralError("matrix has infinite entries; use rho_extended")
-        return RatMatrix(m.entries)
+        return RatMatrix._wrap(m.entries, m.n)
     return RatMatrix(m)
 
 
@@ -390,10 +394,10 @@ def rho(m) -> SpectralValue:
 
     Accepts a RatMatrix, a finite ExtendedMatrix, or nested sequences.  For
     sizes up to 6 the value is certified through the exact characteristic
-    polynomial; otherwise it is numeric with tolerance 1e-9, even when its
-    SCC blocks are small (rho does not split them: the 7x7 nilpotent shift
-    gets an uncertified 0.0, rho_nonnegative_via_scc a certified 0).  An
-    entry or radius beyond the double range raises SpectralError.
+    polynomial.  A larger matrix whose support is not strongly connected is
+    split into its SCC blocks (rho of each, so the 7x7 nilpotent shift gets a
+    certified 0); a larger strongly connected one is numeric with tolerance
+    1e-9.  An entry or radius beyond the double range raises SpectralError.
     """
     rm = _as_ratmatrix(m)
     if not rm.is_square():
@@ -401,6 +405,8 @@ def rho(m) -> SpectralValue:
     if any(x < 0 for row in rm.data for x in row):
         raise SpectralError("rho is defined for nonnegative matrices; "
                             "use spectral_radius for general ones")
+    if rm.rows > EXACT_SIZE_LIMIT and len(_components(rm.data)[1]) > 1:
+        return _fold_components(rm.data)
     return _rho_exact(rm) or SpectralValue(_rho_numeric(rm.to_floats()), False, NUMERIC_TOL)
 
 
@@ -469,20 +475,24 @@ def strongly_connected_components(n: int, edges) -> List[List[int]]:
     return comps
 
 
+def _components(rows):
+    """(support edges, SCCs of the support digraph) of a square matrix."""
+    edges = [(i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+    return edges, strongly_connected_components(len(rows), edges)
+
+
 def _fold_components(rows) -> Optional[SpectralValue]:
     """Radius of a square matrix with finite nonnegative and +/-inf entries,
     from the diagonal blocks of its SCC decomposition.  The first infinite
     entry inside a component (row-major) decides alone: +inf gives a
     certified +inf, -inf gives None (no exact reduction)."""
-    n = len(rows)
-    edges = [(i, j) for i in range(n) for j in range(n) if rows[i][j]]
-    comps = strongly_connected_components(n, edges)
+    edges, comps = _components(rows)
     comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     for i, j in edges:
         if isinstance(rows[i][j], float) and comp_of[i] == comp_of[j]:
             return SpectralValue(INF, True, 0.0) if rows[i][j] > 0 else None
     return rho_block_lower_triangular(
-        [RatMatrix([[rows[i][j] for j in comp] for i in comp], cols=len(comp))
+        [RatMatrix._wrap([[rows[i][j] for j in comp] for i in comp], len(comp))
          for comp in comps])
 
 
@@ -532,7 +542,7 @@ def rho_extended(m: ExtendedMatrix) -> SpectralValue:
         if r is not None:
             return r
     elif not m.has_infinite():
-        return spectral_radius(RatMatrix(m.entries))
+        return spectral_radius(m)
     return _grid_estimate(m)
 
 

@@ -416,6 +416,15 @@ def test_spectral_radius_beyond_the_double_range_exit_2(tmp_path):
     assert "double range" in err and "Traceback" not in err
 
 
+def test_spectral_1x1_int_beyond_the_double_range_exit_2(tmp_path):
+    # the entry stays an int up to the float conversion of the 1x1 radius
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps([[10 ** 400]]))
+    code, out, err = run_cli(["spectral", str(f)])
+    assert code == 2 and out == ""
+    assert "out of the double range" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"dimvec": {"1": 1e400}}', "vertex '1'"),
     ('{"dimvec": {"1": 1.5}}', "vertex '1'"),
