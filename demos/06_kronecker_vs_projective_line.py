@@ -16,7 +16,8 @@ for m in cat:
     print(f"  {m.name:10s} dimvec {m.dimvec}")
 
 report = fp_report(cat, ext_assignment(alg),
-                   FpBudgets(max_set_size=4, max_power=1, dim_budget=6))
+                   FpBudgets(max_set_size=4, max_power=1,
+                             extra={"dim_budget": 6}))
 check = cross_check_kronecker(report, quiver_fpdim(kronecker_quiver()).value)
 
 print()

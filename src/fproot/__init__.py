@@ -37,7 +37,7 @@ from .repmod import (HomSpace, Representation, Resolution, direct_sum,
                      lambda_sample, minimal_resolution, module_from_json,
                      module_to_json, preinjective_brick, preprojective_brick,
                      projective, regular_brick, simple, simples,
-                     simple_resolution_multiplicities, sqrt2_brick_catalogue)
+                     sqrt2_brick_catalogue)
 from .fpcore import (Assignment, BrickSet, BrickSetViolation, ExtCalculator,
                      FpBudgets, FpReport, HomTableCategory, adjacency_of,
                      complexity_estimate, dual_numbers_shift_table,

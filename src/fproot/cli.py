@@ -19,7 +19,7 @@ import math
 import random
 import sys
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, takewhile
 
 from . import __version__
 from .exactlin import InputError, InvariantViolation, RatMatrix
@@ -30,7 +30,7 @@ from .algebra import algebra_from_json
 from . import repmod
 from .repmod import (Representation, RepresentationError, ext_to_simples,
                      is_brick, minimal_resolution, module_from_json, simple,
-                     simple_resolution_multiplicities, simples)
+                     simples)
 from .fpcore import FpBudgets, complexity_estimate, ext_assignment, fp_report
 from .tables import surface_grid_csv
 
@@ -221,8 +221,7 @@ def cmd_fp_scan(args) -> int:
                                        max_candidates=args.max_candidates)
     budgets = FpBudgets(max_set_size=args.budget_set_size,
                         max_power=args.budget_power,
-                        dim_budget=args.budget_dim,
-                        extra={"seed": args.seed,
+                        extra={"dim_budget": args.budget_dim, "seed": args.seed,
                                "max_candidates": args.max_candidates,
                                "candidate_count": len(cands)})
     report = fp_report(cands, ext_assignment(alg), budgets)
@@ -245,13 +244,19 @@ def cmd_resolve(args) -> int:
         pattern, length = res.multiplicity_pattern(), res.length
     else:
         m = simple(alg, args.simple)
-        pattern, length = simple_resolution_multiplicities(alg, args.simple, args.depth)
     comp = complexity_estimate(alg, max(args.depth, 4))
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digits and max(map(max, comp.ext_table.values()), default=0) >= 10 ** digits:
         raise RepresentationError(f"an Ext dimension within depth {args.depth} has "
                                   f"more than {digits} digits, the int-to-string "
                                   "limit of this Python; lower --depth")
+    if not args.module:
+        # step n of S_v's resolution holds P_w dim Ext^n(S_v, S_w) times; the
+        # resolution ends at its first empty step
+        row = [(w, comp.ext_table[(args.simple, w)]) for w in alg.quiver.vertices]
+        steps = ({w: dims[n] for w, dims in row if dims[n]} for n in range(args.depth + 1))
+        pattern = list(takewhile(bool, steps))
+        length = len(pattern) - 1 if len(pattern) <= args.depth else None
     payload = {
         "tool": {"name": "fproot", "version": __version__},
         "module": m.name,

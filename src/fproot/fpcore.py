@@ -168,15 +168,11 @@ def _brick_subsets(n: int, hom: Callable[[int, int], int], max_size: int):
 class FpBudgets:
     max_set_size: int = 4
     max_power: int = 1
-    dim_budget: Optional[int] = None
     extra: dict = field(default_factory=dict)
 
     def as_dict(self):
-        d = {"max_set_size": self.max_set_size, "max_power": self.max_power}
-        if self.dim_budget is not None:
-            d["dim_budget"] = self.dim_budget
-        d.update(self.extra)
-        return d
+        return {"max_set_size": self.max_set_size, "max_power": self.max_power,
+                **self.extra}
 
 
 @dataclass

@@ -528,46 +528,39 @@ def _next_tails(alg: BoundAlgebra, obstructions, tail) -> List[Tuple[str, ...]]:
     return out
 
 
-def simple_resolution_multiplicities(alg: BoundAlgebra, v, depth: int):
-    """(multiplicity_pattern(), length) of minimal_resolution(simple(alg, v),
-    depth), with the same trailing-step and length rule.  On a monomial
-    algebra the generators of step n >= 1 are the Anick chains of n tails from
-    v (Green, Happel & Zacharia 1985; Anick 1986): the first tail is an arrow
-    out of v, each next one is read off the last (_next_tails), and the counts
-    are walks in the tail graph, exact at any depth.  Other algebras are
-    resolved linearly."""
-    m, v = simple(alg, v), str(v)
-    obstructions = _obstructions(alg)
-    if obstructions is None:
-        res = minimal_resolution(m, depth)
-        return res.multiplicity_pattern(), res.length
-    if depth < 0:
-        raise RepresentationError("depth must be >= 0")
-    pattern, successors = [{v: 1}], {}
-    tails = {(a.label,): 1 for a in alg.quiver.arrows if a.source == v}
-    for _ in range(depth):
-        if not tails:
-            return pattern, len(pattern) - 1
-        step, nxt = {}, {}
-        for t, k in tails.items():
-            w = alg.quiver.arrow(t[-1]).target
-            step[w] = step.get(w, 0) + k
-            if t not in successors:
-                successors[t] = _next_tails(alg, obstructions, t)
-            for u in successors[t]:
-                nxt[u] = nxt.get(u, 0) + k
-        pattern.append(step)
-        tails = nxt
-    return pattern, None
-
-
 def ext_simple_table(alg: BoundAlgebra, depth: int):
     """{(i, j): [dim Ext^n(S_i, S_j) for n <= depth]} over all vertex labels,
-    by ext_to_simples off simple_resolution_multiplicities: Anick chain counts
-    on a monomial algebra, a linear minimal resolution otherwise."""
-    verts = alg.quiver.vertices
-    ext = {i: ext_to_simples(simple_resolution_multiplicities(alg, i, depth)[0],
-                             verts, depth) for i in verts}
+    by ext_to_simples off the multiplicity pattern of each simple's minimal
+    resolution to depth, each simple resolved once.
+
+    On a monomial algebra the generators of step n >= 1 of S_v's resolution
+    are the Anick chains of n tails from v (Green, Happel & Zacharia 1985;
+    Anick 1986): the first tail is an arrow out of v, each next one is read
+    off the last (_next_tails, shared by every vertex), and the counts are
+    walks in the tail graph, exact at any depth.  Other algebras are
+    resolved linearly."""
+    if depth < 0:
+        raise RepresentationError("depth must be >= 0")
+    verts, obstructions = alg.quiver.vertices, _obstructions(alg)
+    successors, ext = {}, {}  # tail -> _next_tails(tail); vertex -> its Ext row
+    for v in verts:
+        if obstructions is None:
+            pattern = minimal_resolution(simple(alg, v), depth).multiplicity_pattern()
+        else:
+            pattern = [{v: 1}]
+            tails = {(a.label,): 1 for a in alg.quiver.arrows if a.source == v}
+            while tails and len(pattern) <= depth:
+                step, nxt = {}, {}
+                for t, k in tails.items():
+                    w = alg.quiver.arrow(t[-1]).target
+                    step[w] = step.get(w, 0) + k
+                    if t not in successors:
+                        successors[t] = _next_tails(alg, obstructions, t)
+                    for u in successors[t]:
+                        nxt[u] = nxt.get(u, 0) + k
+                pattern.append(step)
+                tails = nxt
+        ext[v] = ext_to_simples(pattern, verts, depth)
     return {(i, j): ext[i][j] for i in verts for j in verts}
 
 

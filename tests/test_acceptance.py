@@ -181,7 +181,7 @@ def test_criterion_07_kronecker_desk_scale():
     assert all(m.total_dim <= 6 for m in cat)
     rep = fp_report(cat, ext_assignment(alg),
                     FpBudgets(max_set_size=len(cat), max_power=1,
-                              dim_budget=6))
+                              extra={"dim_budget": 6}))
     worst = max(rep.value(n, 1).value
                 for n in range(1, len(cat) + 1) if (n, 1) in rep.cells)
     assert abs(worst - 1.0) <= 1e-9, worst

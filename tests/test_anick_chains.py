@@ -1,37 +1,40 @@
 """Anick chain counts against the linear minimal resolution.
 
-On a monomial algebra `simple_resolution_multiplicities` counts the
-generators of each step of the minimal resolution of a simple as Anick
-chains; the oracle is `minimal_resolution`, extended one step at a time, so
-that the trailing-step and length rule is compared at every depth.
+On a monomial algebra `ext_simple_table` counts the generators of each step
+of the minimal resolution of every simple as Anick chains; the oracle is
+`ext_to_simples` of `Resolution(simple(alg, v))`, extended one step at a
+time, so that the two are compared at every depth.
 """
 
 import pathlib
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fproot import repmod
+from fproot import cli, repmod
 from fproot.algebra import (AlgebraError, algebra_from_json, build_algebra,
                             dual_numbers_algebra, kronecker_algebra,
                             local_two_loop_algebra, sqrt2_algebra)
 from fproot.fpcore import complexity_estimate
 from fproot.quiver import Quiver
-from fproot.repmod import (Resolution, _obstructions, simple,
-                           simple_resolution_multiplicities)
+from fproot.repmod import (RepresentationError, Resolution, _obstructions,
+                           ext_simple_table, ext_to_simples, simple)
 
 DATA = pathlib.Path(__file__).parent / "data"
 DEPTH = 8
 
 
 def assert_chains_match_resolution(alg, depth=DEPTH):
-    for v in alg.quiver.vertices:
-        res = Resolution(simple(alg, v))
-        for d in range(depth + 1):
-            res.extend(d)
-            assert simple_resolution_multiplicities(alg, v, d) == \
-                (res.multiplicity_pattern(), res.length), (alg, v, d)
+    verts = alg.quiver.vertices
+    resolutions = {v: Resolution(simple(alg, v)) for v in verts}
+    for d in range(depth + 1):
+        table = ext_simple_table(alg, d)
+        for v, res in resolutions.items():
+            pattern = res.extend(d).multiplicity_pattern()
+            assert {w: table[(v, w)] for w in verts} == \
+                ext_to_simples(pattern, verts, d), (alg, v, d)
 
 
 FIXTURES = {
@@ -56,8 +59,9 @@ def test_redundant_relation_is_dropped():
                [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
     alg = build_algebra(q, [[(1, ("b", "a"))], [(1, ("c", "b", "a"))]])
     assert _obstructions(alg) == [("a", "b")]
-    assert simple_resolution_multiplicities(alg, "1", 3) == \
-        ([{"1": 1}, {"2": 1}, {"3": 1}], 2)
+    table = ext_simple_table(alg, 3)
+    assert [table[("1", w)] for w in "1234"] == \
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]
     assert_chains_match_resolution(alg)
 
 
@@ -112,11 +116,11 @@ def test_chain_counts_match_random_monomial_resolutions(alg):
     assume(alg is not None)
     # the linear oracle is slow on large projectives: cap their total
     # dimension over each resolution
-    dim_p = {v: len(alg.basis_with_source(v)) for v in alg.quiver.vertices}
-    assume(all(sum(k * dim_p[w] for step in
-                   simple_resolution_multiplicities(alg, v, DEPTH)[0]
-                   for w, k in step.items()) <= 200
-               for v in alg.quiver.vertices))
+    verts = alg.quiver.vertices
+    dim_p = {v: len(alg.basis_with_source(v)) for v in verts}
+    table = ext_simple_table(alg, DEPTH)
+    assume(all(sum(sum(table[(v, w)]) * dim_p[w] for w in verts) <= 200
+               for v in verts))
     assert_chains_match_resolution(alg)
 
 
@@ -139,10 +143,50 @@ def test_non_monomial_algebra_takes_the_linear_path(monkeypatch):
     monkeypatch.setattr(repmod, "minimal_resolution", counted)
     square = algebra_from_json((DATA / "commutative_square_algebra.json").read_text())
     assert _obstructions(square) is None
-    pattern, length = simple_resolution_multiplicities(square, "1", 4)
-    assert calls == ["S1"]
-    assert (pattern, length) == (linear(simple(square, "1"), 4).multiplicity_pattern(), 2)
+    verts = square.quiver.vertices
+    table = ext_simple_table(square, 4)
+    assert calls == ["S1", "S2", "S3", "S4"]
+    for v in verts:
+        pattern = linear(simple(square, v), 4).multiplicity_pattern()
+        assert {w: table[(v, w)] for w in verts} == ext_to_simples(pattern, verts, 4)
 
     calls.clear()
-    simple_resolution_multiplicities(sqrt2_algebra(), "1", 4)
+    ext_simple_table(sqrt2_algebra(), 4)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["sqrt2", "kronecker", "commutative_square"])
+def test_negative_depth_is_refused(name):
+    alg = algebra_from_json((DATA / f"{name}_algebra.json").read_text())
+    with pytest.raises(RepresentationError):
+        ext_simple_table(alg, -1)
+
+
+@pytest.mark.parametrize("name", ["sqrt2", "kronecker", "two_loop_2_2", "commutative_square"])
+def test_resolve_simple_computes_each_thing_once(monkeypatch, capsys, name):
+    """One resolve --simple job finds the obstructions once, the tails after
+    each Anick tail once, and resolves each simple once, all inside the
+    complexity estimate's ext_simple_table."""
+    calls = Counter()
+
+    def count(attr, key):
+        fn = getattr(repmod, attr)
+
+        def counted(*args):
+            calls[attr, key(*args)] += 1
+            return fn(*args)
+        monkeypatch.setattr(repmod, attr, counted)
+
+    count("_obstructions", lambda alg: None)
+    count("_next_tails", lambda alg, obstructions, tail: tail)
+    count("minimal_resolution", lambda m, depth: m.name)
+    path = DATA / f"{name}_algebra.json"
+    assert cli.run(["resolve", str(path), "--simple", "1", "--depth", "6"]) == 0
+    assert "multiplicities" in capsys.readouterr().out
+    assert calls[("_obstructions", None)] == 1
+    assert all(k == 1 for k in calls.values()), calls
+    resolved = sorted(key for (attr, key) in calls if attr == "minimal_resolution")
+    if name == "commutative_square":
+        assert resolved == ["S1", "S2", "S3", "S4"]
+    else:
+        assert resolved == [] and any(attr == "_next_tails" for attr, _ in calls)
