@@ -105,7 +105,9 @@ def _normalize_relations(q: Quiver, relations) -> List[Relation]:
 
 
 class BoundAlgebra:
-    """The quotient of a path algebra by an admissible homogeneous ideal.
+    """The quotient kQ/(R) of a path algebra by an admissible homogeneous
+    ideal, each relation an iterable of (coeff, [labels...]); with no
+    relations it is kQ.  `build_algebra` and `path_algebra` name this class.
 
     Attributes:
         quiver:     the underlying quiver
@@ -116,7 +118,7 @@ class BoundAlgebra:
         dim:        total dimension over the rationals
     """
 
-    def __init__(self, quiver: Quiver, relations,
+    def __init__(self, quiver: Quiver, relations=(),
                  length_cap: int = DEFAULT_LENGTH_CAP,
                  dim_cap: int = DEFAULT_DIM_CAP):
         self.quiver = quiver
@@ -217,13 +219,7 @@ class BoundAlgebra:
                 f"relations={len(self.relations)})")
 
 
-def build_algebra(q: Quiver, relations=(), **caps) -> BoundAlgebra:
-    """Construct kQ/(R); relations are iterables of (coeff, [labels...])."""
-    return BoundAlgebra(q, relations, **caps)
-
-
-def path_algebra(q: Quiver, **caps) -> BoundAlgebra:
-    return BoundAlgebra(q, (), **caps)
+build_algebra = path_algebra = BoundAlgebra
 
 
 def opposite(a: BoundAlgebra) -> BoundAlgebra:

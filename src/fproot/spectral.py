@@ -65,9 +65,6 @@ class SpectralValue:
     certified: bool
     tolerance: float
 
-    def __float__(self):
-        return self.value
-
 
 def _entry(x, i: int, j: int) -> Entry:
     """Entry (i, j) of a matrix as an int when integral, else a Fraction or
@@ -426,52 +423,41 @@ def spectral_radius(m) -> SpectralValue:
 
 def strongly_connected_components(n: int, edges) -> List[List[int]]:
     """Tarjan's algorithm, iterative.  Components come out in reverse
-    topological order of the condensation."""
+    topological order of the condensation, each in the order its vertices
+    leave the stack (latest reached first, the root last).  The fold hands
+    numpy a block above size 6 in this order, so numeric radii depend on it."""
     adj = [[] for _ in range(n)]
     for (u, v) in edges:
         adj[u].append(v)
-    index = [None] * n
+    # index[v] is v's position on the stack while it is there and n after,
+    # so a low link never takes a vertex of a closed component
+    index: List[Optional[int]] = [None] * n
     low = [0] * n
-    onstack = [False] * n
-    stack: List[int] = []
     comps: List[List[int]] = []
-    counter = [0]
-
     for root in range(n):
         if index[root] is not None:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = 0
+        stack = [root]
+        work = [(root, iter(adj[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                onstack[v] = True
-            advanced = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
+            v, succ = work[-1]
+            for w in succ:
                 if index[w] is None:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = len(stack)
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
                     break
-                elif onstack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
+                low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    comps.append(stack[index[v]:][::-1])
+                    del stack[index[v]:]
+                    for w in comps[-1]:
+                        index[w] = n
     return comps
 
 

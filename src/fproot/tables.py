@@ -12,7 +12,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .spectral import NUMERIC_TOL
 
