@@ -6,15 +6,15 @@ trivial path at a vertex has an empty label tuple.
 
 The basis of kQ/(R) is computed breadth-first in the path length: at each
 length the candidate paths are arrow * (basis path of the previous length),
-and the consequences r * v of the relations (r a relation, v a shorter basis
-path ending at its source) are row-reduced against them by the integer
-elimination of exactlin.reduced_echelon.  The candidates that are not pivots
-are the new basis paths; a pivot candidate's normal form is minus each other
-entry of its reduced row over the pivot entry.  Every relation must be a
-rational combination of parallel paths of a single common length >= 2; this
-is what makes the length-by-length elimination exact, and it covers every
-algebra that appears here.  A length cap and a size cap reject inputs that
-are not finite dimensional.
+and the consequences r * v (r a relation on its coprime integer coefficients,
+v a shorter basis path ending at its source) are row-reduced against them by
+exactlin.reduced_echelon.  The candidates that are not pivots are the new
+basis paths; a pivot candidate's normal form is minus each other entry of its
+reduced row over the pivot entry (an int where it divides).  Every relation
+is a rational combination of parallel paths of one common length >= 2; this
+makes the length-by-length elimination exact, and it covers every algebra
+that appears here.  A length cap and a size cap reject inputs that are not
+finite dimensional.
 """
 
 from __future__ import annotations
@@ -144,8 +144,9 @@ class BoundAlgebra:
             candidates = [(a.label, p) for p in levels[L] for a in q.arrows
                           if a.source == p.target]
             cindex = {c: i for i, c in enumerate(candidates)}
-            rows = [self._relation_consequence(rel, v, nf, cindex)
-                    for rel in self.relations if len(rel[0][1]) <= L + 1
+            rows = [self._relation_consequence(zip(ints, rel), v, nf, cindex)
+                    for rel, ints in zip(self.relations, self.integer_relations)
+                    if len(rel[0][1]) <= L + 1
                     for v in levels[L + 1 - len(rel[0][1])]
                     if v.target == rel[0][1].source]
             reduced, pivots = reduced_echelon(rows)
@@ -156,9 +157,9 @@ class BoundAlgebra:
             new = {i: Path((a,) + p.arrows, p.source, q.arrow(a).target)
                    for i, (a, p) in enumerate(candidates) if i not in pivset}
             for i, path in new.items():
-                nf[candidates[i]] = {path: Fraction(1)}
+                nf[candidates[i]] = {path: 1}
             for row, i in zip(reduced, pivots):
-                nf[candidates[i]] = {new[j]: Fraction(-x, row[i])
+                nf[candidates[i]] = {new[j]: Fraction(-x, row[i]) if x % row[i] else -x // row[i]
                                      for j, x in enumerate(row) if x and j != i}
 
             levels.append(list(new.values()))
@@ -175,18 +176,18 @@ class BoundAlgebra:
         for p in self.basis:
             self._by_source.setdefault(p.source, []).append(p)
 
-    def _relation_consequence(self, rel: Relation, v: Path, nf, cindex):
-        """Coordinates of rel * v on the current candidate list (a zero row
-        when every term dies before its last arrow)."""
-        vec = [Fraction(0)] * len(cindex)
-        for coeff, p in rel:
-            state: Dict[Path, Fraction] = {v: Fraction(1)}
+    def _relation_consequence(self, terms, v: Path, nf, cindex):
+        """Coordinates of rel * v on the current candidate list (a zero row when every
+        term dies before its last arrow); terms zips rel's integer_relations with rel."""
+        vec = [0] * len(cindex)
+        for (coeff, _), (_, p) in terms:
+            state: Dict[Path, Fraction] = {v: 1}
             labels = p.arrows
             for a in reversed(labels[1:]):
                 nxt: Dict[Path, Fraction] = {}
                 for bp, c in state.items():
                     for tp, d in nf[(a, bp)].items():
-                        nxt[tp] = nxt.get(tp, Fraction(0)) + c * d
+                        nxt[tp] = nxt.get(tp, 0) + c * d
                 state = {k: x for k, x in nxt.items() if x}
                 if not state:
                     break
@@ -199,7 +200,7 @@ class BoundAlgebra:
 
     # -- queries ------------------------------------------------------
     def left_multiply(self, arrow_label: str, p: Path) -> Dict[Path, Fraction]:
-        """Normal form of arrow * basis path, as {basis_path: coeff}."""
+        """Normal form of arrow * basis path, as {basis_path: int or Fraction}."""
         key = (arrow_label, p)
         if key in self._nf:
             return self._nf[key]

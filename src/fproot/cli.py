@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import random
 import sys
 from collections import Counter
 from itertools import combinations_with_replacement, takewhile
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .exactlin import InputError, InvariantViolation, RatMatrix
@@ -40,23 +40,33 @@ EXIT_BUDGET = 3
 EXIT_INVARIANT = 4
 
 
-def _strict(x):
-    """x with every non-finite float replaced by None, so that it serializes
-    as strict JSON (null instead of a bare Infinity or NaN)."""
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
+def _json(x, gap="\n"):
+    """x as json.dumps(x, indent=2, sort_keys=True) writes it, but a non-finite float as null;
+    gap is the line break and indent before x's closing bracket.  A key that is not a str,
+    or a value JSON cannot hold, raises TypeError."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return float.__repr__(x) if math.isfinite(x) else "null"
+    inner = gap + "  "
     if isinstance(x, dict):
-        return {k: _strict(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_strict(v) for v in x]
-    return x
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(x.items())]
+    elif isinstance(x, (list, tuple)):
+        items = [_json(v, inner) for v in x]
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    ends = "{}" if isinstance(x, dict) else "[]"
+    return ends[0] + inner + ("," + inner).join(items) + gap + ends[1] if items else ends
 
 
 def _emit(payload, out_path):
     """Write payload to out_path or stdout: a str (DOT or CSV) as it is,
     anything else as sorted, strict JSON."""
-    text = payload if isinstance(payload, str) else json.dumps(
-        _strict(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = payload if isinstance(payload, str) else _json(payload) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)

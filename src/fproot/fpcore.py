@@ -556,10 +556,9 @@ def complexity_estimate(alg: BoundAlgebra, depth: int) -> ComplexityReport:
     pmax = [max((min(table[(i, j)][n], table[(j, i)][n])
                  for a, i in enumerate(verts) for j in verts[a:]), default=0)
             for n in range(depth + 1)]
-    violation = next(
-        ((n, i, j) for n in range(depth + 1) for i in verts for j in verts
-         if table[(i, j)][n] > 2 * max(pmax[max(0, n - 2):n + 3])),
-        None)
+    bound = [2 * max(pmax[max(0, n - 2):n + 3]) for n in range(depth + 1)]
+    violation = next(((n, i, j) for n in range(depth + 1) for i in verts for j in verts
+                      if table[(i, j)][n] > bound[n]), None)
     return ComplexityReport(table, seq, cx, fpv, AGCResult(violation is None, violation))
 
 

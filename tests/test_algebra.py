@@ -15,6 +15,7 @@ from fproot.algebra import (AlgebraError, BoundAlgebra, LengthCapExceeded,
 from fproot.exactlin import RatMatrix, rank
 from fproot.quiver import Quiver, path_quiver
 
+from fraction_build import fraction_build
 from gauss_jordan import gauss_jordan
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -270,3 +271,81 @@ def two_term_algebras(draw):
 def test_random_two_term_algebras_match_their_ideal(alg):
     assume(alg is not None and max(len(p) for p in alg.basis) <= 4)
     assert_algebra_matches_its_ideal(alg)
+
+
+# -- the integer build against the Fraction build -------------------------------
+# BoundAlgebra builds its basis on the coprime integer coefficients of the
+# relations; the Fraction construction of fraction_build must give the same
+# basis and the same normal forms, value for value.
+
+SQUARES = [[(1, ("x", "x"))], [(1, ("y", "y"))]]
+
+
+def assert_build_matches_fractions(alg):
+    basis, nf = fraction_build(alg.quiver, alg.relations)
+    assert alg.basis == basis
+    for p in alg.basis:
+        for a in alg.quiver.arrows:
+            if a.source == p.target:
+                got = alg.left_multiply(a.label, p)
+                assert got == nf[(a.label, p)], (alg, a.label, p)
+                # an int where the coefficient is integral, else a Fraction
+                assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                           for c in got.values()), got
+
+
+@st.composite
+def rational_algebras(draw):
+    """Up to three vertices and three arrows (loops allowed); one to four
+    homogeneous relations of length 2 or 3, each on two or three parallel
+    paths where there are two (else on one) with coefficients p/q,
+    1 <= |p| <= 3 and q in {1, 2, 3}; often every path of length 3 or 4 as
+    well."""
+    verts = [str(i) for i in range(draw(st.integers(1, 3)))]
+    q = Quiver(verts, [(f"x{k}", draw(st.sampled_from(verts)), draw(st.sampled_from(verts)))
+                       for k in range(draw(st.integers(1, 3)))])
+    coeff = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.sampled_from([1, 2, 3]))
+    rels = []
+    for _ in range(draw(st.integers(1, 4))):
+        groups = {}
+        for w in _paths(q, draw(st.integers(2, 3))):
+            groups.setdefault((q.arrow(w[-1]).source, q.arrow(w[0]).target), []).append(w)
+        if not groups:  # no path of that length
+            continue
+        group = draw(st.sampled_from(sorted(groups.values())))
+        terms = draw(st.lists(st.sampled_from(group), min_size=min(2, len(group)), max_size=3,
+                              unique=True))
+        rels.append([(draw(coeff), w) for w in terms])
+    truncation = draw(st.sampled_from([None, 3, 4]))
+    if truncation:
+        rels += [[(1, w)] for w in _paths(q, truncation)]
+    try:
+        return build_algebra(q, rels, length_cap=6, dim_cap=40)
+    except AlgebraError:  # not finite dimensional within the caps
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_algebras())
+def test_random_rational_algebras_match_the_fraction_build(alg):
+    assume(alg is not None)
+    assert_build_matches_fractions(alg)
+
+
+def test_a_non_integral_normal_form_stays_a_fraction():
+    # x then y, minus half of y then x: y * x = (1/2) x * y
+    alg = _loops(SQUARES + [[(1, ("y", "x")), (Fraction(-1, 2), ("x", "y"))]])
+    x, y, xy = alg.basis[1:]
+    assert alg.left_multiply("y", x) == {xy: Fraction(1, 2)}
+    assert type(alg.left_multiply("y", x)[xy]) is Fraction
+    assert_build_matches_fractions(alg)
+
+
+def test_integral_normal_forms_are_ints():
+    # the relation x*y - (1/2) y*x rescales to 2 x*y - y*x: y * x = 2 x*y
+    alg = _loops(SQUARES + [[(1, ("x", "y")), (Fraction(-1, 2), ("y", "x"))]])
+    assert alg.integer_relations[2][0][0] == 2
+    coeffs = [c for p in alg.basis for a in "xy" for c in alg.left_multiply(a, p).values()]
+    assert coeffs and all(type(c) is int for c in coeffs)
+    assert 2 in coeffs
+    assert_build_matches_fractions(alg)

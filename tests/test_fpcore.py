@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fproot import repmod
 from fproot.algebra import (dual_numbers_algebra, kronecker_algebra,
                             local_two_loop_algebra, path_algebra,
                             sqrt2_algebra)
@@ -16,7 +19,7 @@ from fproot.fpcore import (Assignment, BrickSet, BrickSetViolation, FpBudgets,
                            fpdim_n, genus_matrix, growth_analyze, homtable_fp,
                            shift_assignment, sigma_quiver_bound_check,
                            table_from_difference, verify_brick_set)
-from fproot.quiver import dynkin_quiver, is_acyclic, path_quiver
+from fproot.quiver import Quiver, dynkin_quiver, is_acyclic, path_quiver
 from fproot.repmod import (direct_sum, dynkin_indecomposables, projective,
                            regular_brick, simple, simples,
                            sqrt2_brick_catalogue)
@@ -440,6 +443,44 @@ def test_complexity_semisimple_is_zero():
     a = pa(Quiver(["1", "2"], []))
     comp = complexity_estimate(a, 6)
     assert comp.cx_estimate == 0.0
+
+
+def _first_agc_violation(table, verts, depth):
+    """The averaging growth rule, one (n, i, j) at a time: dim Ext^n(S_i, S_j)
+    is at most twice the largest min(dim Ext^m(S_k, S_l), dim Ext^m(S_l, S_k))
+    over every pair k, l and every m within 2 steps of n."""
+    for n in range(depth + 1):
+        for i in verts:
+            for j in verts:
+                window = [min(table[(k, l)][m], table[(l, k)][m])
+                          for m in range(max(0, n - 2), min(depth, n + 2) + 1)
+                          for k in verts for l in verts]
+                if table[(i, j)][n] > 2 * max(window):
+                    return n, i, j
+    return None
+
+
+@st.composite
+def ext_tables(draw):
+    """(vertices, depth, table): a random table of Ext dimensions over one
+    to three vertices, mostly small, sometimes huge."""
+    verts = [str(k) for k in range(1, draw(st.integers(1, 3)) + 1)]
+    depth = draw(st.integers(4, 9))
+    dims = st.integers(0, 6) | st.integers(0, 2 ** 70)
+    return verts, depth, {(i, j): draw(st.lists(dims, min_size=depth + 1, max_size=depth + 1))
+                          for i in verts for j in verts}
+
+
+@settings(max_examples=200, deadline=None)
+@given(ext_tables())
+def test_agc_is_the_per_triple_rule(case):
+    verts, depth, table = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repmod, "ext_simple_table", lambda alg, d: table)
+        comp = complexity_estimate(path_algebra(Quiver(verts, [])), depth)
+    violation = _first_agc_violation(table, verts, depth)
+    assert comp.agc.first_violation == violation
+    assert comp.agc.holds is (violation is None)
 
 
 def test_fpc_vs_cx(A):
