@@ -1,8 +1,8 @@
 """Representations of bound quiver algebras.
 
 Hom spaces (exact intertwiner systems), brick tests, minimal projective
-resolutions, Ext groups, the hereditary Euler-form shortcut, and generation
-of the indecomposables of Dynkin path algebras at their positive roots.
+resolutions, Ext groups, the hereditary Euler-form shortcut, and the
+indecomposables of Dynkin path algebras by BGP reflection functors.
 
 Convention: an arrow a: s -> t acts as a matrix V_s -> V_t, stored with
 shape dim_t x dim_s; a morphism f satisfies f_t M_a = N_a f_s for every
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,9 +21,10 @@ from itertools import count
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exactlin import (InputError, InvariantViolation, RatMatrix, load_json,
-                       nullspace, pivot_columns, rank_of_rows, rat, rat_str)
+                       nullspace, pivot_columns, primitive_row, rank_of_rows,
+                       rat, rat_str)
 from .algebra import DEFAULT_DIM_CAP, AlgebraError, BoundAlgebra, Path
-from .quiver import QuiverError, classify_underlying_graph, json_array, positive_roots
+from .quiver import QuiverError, json_array, positive_roots
 
 
 class RepresentationError(InputError):
@@ -590,51 +590,51 @@ def euler_ext1(m: Representation, n: Representation) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Dynkin indecomposables by randomized search
+# Dynkin indecomposables by reflection functors
 # ---------------------------------------------------------------------------
 
-class SearchBudgetExhausted(RuntimeError):
-    pass
+def _coxeter_minus(alg: BoundAlgebra, m: Representation) -> Representation:
+    """tau^- m = C^- m over an acyclic path algebra, by BGP source reflections:
+    each vertex k, once a source, takes the cokernel of V_k -> (+)_j V_j over
+    its out-arrows (primitive integer rows spanning the left kernel), and
+    those arrows turn round; each turns twice, back onto alg's quiver."""
+    dims, ends = m.dimvec, {a.label: (a.source, a.target) for a in alg.quiver.arrows}
+    maps = {label: f.data for label, f in m.maps.items()}
+    todo = list(alg.quiver.vertices)
+    while todo:
+        k = next(v for v in todo if all(t != v for _, t in ends.values()))
+        todo.remove(k)
+        out = [label for label, (s, _) in ends.items() if s == k]
+        rows = [[r[i] for a in out for r in maps[a]] for i in range(dims[k])]
+        width = sum(len(maps[a]) for a in out)
+        coker, at = [primitive_row(y) for y in nullspace(rows, width)[0]], 0
+        for a in out:
+            j = ends[a][1]
+            maps[a], ends[a], at = [y[at:at + dims[j]] for y in coker], (j, k), at + dims[j]
+        dims[k] = len(coker)
+    return Representation(alg, dims, {label: RatMatrix._wrap(f, dims[ends[label][0]])
+                                      for label, f in maps.items()}, check=False)
 
 
-def dynkin_indecomposables(alg: BoundAlgebra, seed: int = 0) -> List[Representation]:
-    """One brick per positive root of an ADE path algebra.
-
-    Arrow matrices are sampled with small random rational entries at the root
-    dimension vector, up to 400 times, until the brick test passes;
-    correctness is certified post hoc (is_brick plus the Tits form <d,d> = 1),
-    never assumed.
-    """
+def dynkin_indecomposables(alg: BoundAlgebra) -> List[Representation]:
+    """One brick per positive root of an ADE path algebra, named M(d1,...,dn),
+    by (total, root): the tau^- orbits of the projectives up to zero.  By
+    Gabriel's theorem they hold every indecomposable, so it is checked that
+    they meet each positive root once.  Off the ADE graphs positive_roots
+    raises QuiverError before any reflection runs."""
     if alg.relations:
         raise AlgebraError("dynkin_indecomposables needs a path algebra")
-    cls = classify_underlying_graph(alg.quiver)
-    if cls is None or cls[0] not in ("A", "D", "E"):
-        raise AlgebraError("underlying graph is not ADE")
-    roots = positive_roots(alg.quiver)
-    rng = random.Random(seed)
-    verts = alg.quiver.vertices
-    out = []
-    for root in sorted(roots, key=lambda r: (sum(r), r)):
-        dimvec = {v: root[i] for i, v in enumerate(verts)}
-        if euler_form(alg, dimvec, dimvec) != 1:
-            raise InvariantViolation(f"root {root} fails <d,d>=1")
-        for _ in range(400):
-            maps = {}
-            for a in alg.quiver.arrows:
-                r, c = dimvec[a.target], dimvec[a.source]
-                maps[a.label] = RatMatrix(
-                    [[Fraction(rng.randint(-2, 2)) for _ in range(c)]
-                     for _ in range(r)], cols=c)
-            cand = Representation(alg, dimvec, maps,
-                                  name="M(" + ",".join(map(str, root)) + ")",
-                                  check=False)
-            if is_brick(cand):
-                out.append(cand)
-                break
-        else:
-            raise SearchBudgetExhausted(
-                f"no brick found at root {root} after 400 samples")
-    return out
+    roots, found = positive_roots(alg.quiver), []
+    for v in alg.quiver.vertices:
+        m = projective(alg, v)
+        while not m.is_zero() and len(found) <= len(roots):
+            found.append((tuple(m.dimvec.values()), m))
+            m = _coxeter_minus(alg, m)
+    found.sort(key=lambda dm: (sum(dm[0]), dm[0]))
+    if [d for d, _ in found] != sorted(roots, key=lambda r: (sum(r), r)):
+        raise InvariantViolation("the tau^- orbits miss or repeat a positive root")
+    return [Representation(alg, m.dimvec, m.maps, name="M(" + ",".join(map(str, d)) + ")",
+                           check=False) for d, m in found]
 
 
 # ---------------------------------------------------------------------------

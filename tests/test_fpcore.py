@@ -97,7 +97,7 @@ def test_fpdim_other_sizes_are_one(A, EA, cat17):
 
 def test_fpdim_1_dynkin_is_zero():
     a = path_algebra(path_quiver(2))
-    mods = dynkin_indecomposables(a, seed=0)
+    mods = dynkin_indecomposables(a)
     assert fpdim_n(1, mods, ext_assignment(a)).value == 0.0
 
 
@@ -341,7 +341,7 @@ def test_ext1_quiver_rejects_non_bricks(A, EA):
 
 def test_sigma_quiver_bound_dynkin():
     a = path_algebra(dynkin_quiver("A", 3))
-    mods = dynkin_indecomposables(a, seed=0)
+    mods = dynkin_indecomposables(a)
     rep = sigma_quiver_bound_check(mods, ext_assignment(a))
     assert rep.holds
     assert rep.fpdim_value == 0.0 and rep.quiver_value == 0.0

@@ -277,7 +277,7 @@ def test_euler_ext1_requires_no_relations(A):
 
 def test_dynkin_indecomposables_a2():
     a = path_algebra(path_quiver(2))
-    mods = dynkin_indecomposables(a, seed=0)
+    mods = dynkin_indecomposables(a)
     assert len(mods) == 3
     dimvecs = sorted(tuple(m.dimvec[v] for v in a.quiver.vertices) for m in mods)
     assert dimvecs == [(0, 1), (1, 0), (1, 1)]
@@ -287,7 +287,7 @@ def test_dynkin_indecomposables_a2():
 def test_dynkin_indecomposables_counts_and_certificates():
     for fam, rank, count in [("A", 3, 6), ("D", 4, 12)]:
         a = path_algebra(dynkin_quiver(fam, rank))
-        mods = dynkin_indecomposables(a, seed=1)
+        mods = dynkin_indecomposables(a)
         assert len(mods) == count
         for m in mods:
             assert is_brick(m)
@@ -296,14 +296,17 @@ def test_dynkin_indecomposables_counts_and_certificates():
 
 def test_dynkin_search_is_deterministic():
     a = path_algebra(path_quiver(3))
-    m1 = dynkin_indecomposables(a, seed=5)
-    m2 = dynkin_indecomposables(a, seed=5)
+    m1 = dynkin_indecomposables(a)
+    m2 = dynkin_indecomposables(a)
     assert [m.maps["a1"].data for m in m1] == [m.maps["a1"].data for m in m2]
 
 
 def test_dynkin_rejects_relations(A):
     with pytest.raises(AlgebraError):
         dynkin_indecomposables(A)
+    # on the A3 graph too, which positive_roots alone would accept
+    with pytest.raises(AlgebraError):
+        dynkin_indecomposables(algmod.BoundAlgebra(path_quiver(3), [[(1, ("a2", "a1"))]]))
 
 
 # -- duals -------------------------------------------------------------------
@@ -341,9 +344,12 @@ def test_module_json_roundtrip(A):
         module_from_json(A, "broken")
 
 
-def test_dynkin_root_off_the_tits_form_is_an_invariant_violation(monkeypatch):
+def test_dynkin_orbit_off_the_positive_roots_is_an_invariant_violation(monkeypatch):
     from fproot import repmod
     from fproot.exactlin import InvariantViolation
-    monkeypatch.setattr(repmod, "euler_form", lambda alg, d, e: 2)
-    with pytest.raises(InvariantViolation, match="<d,d>=1"):
+    from fproot.quiver import positive_roots
+    # a root list without (1, 1): the orbit module of that dimension is left over
+    monkeypatch.setattr(repmod, "positive_roots", lambda q: [
+        r for r in positive_roots(q) if r != (1, 1)])
+    with pytest.raises(InvariantViolation, match="positive root"):
         dynkin_indecomposables(path_algebra(path_quiver(2)))
