@@ -9,9 +9,9 @@ Two computation paths coexist:
   is computed in integers by Faddeev-LeVerrier, and its largest real root
   isolated by dyadic bisection with the Sturm chain of p's squarefree part
   (one integer remainder sequence; p need not be squarefree) until both ends
-  of the bracket round to the same double.  A Collatz-Wielandt enclosure of
-  the Perron root, exact bounds from a float Perron vector, decides every
-  bisection step outside it without a Sturm count.  Values produced this way
+  of the bracket round to the same double.  Float Newton on that part, from
+  above, guesses the doubles either side of the root; each end that a Sturm
+  count proves decides every bisection step beyond it.  Values produced this way
   are flagged ``certified`` and carry tolerance 0: the reported double is
   the one nearest the exact root.
 
@@ -43,7 +43,7 @@ NEG_INF = -math.inf
 
 NUMERIC_TOL = 1e-9
 EXACT_SIZE_LIMIT = 6
-POWER_STEPS = 64
+NEWTON_STEPS = 100
 
 Entry = Union[int, Fraction, float]
 
@@ -136,12 +136,6 @@ def matrix_from_json(text: str) -> ExtendedMatrix:
 # exact characteristic polynomial machinery (n <= 6)
 # ---------------------------------------------------------------------------
 
-def _integer_rows(rows):
-    """(d * rows as integers, d), d > 0 the lcm of the entries' denominators."""
-    d = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
-
-
 def characteristic_polynomial(m: RatMatrix) -> List[Fraction]:
     """Monic characteristic polynomial of m, coefficients highest power first.
 
@@ -153,7 +147,8 @@ def characteristic_polynomial(m: RatMatrix) -> List[Fraction]:
     """
     if not m.is_square():
         raise SpectralError("characteristic polynomial needs a square matrix")
-    b, d = _integer_rows(m.data)
+    d = math.lcm(*(x.denominator for row in m.data for x in row))
+    b = [[x.numerator * (d // x.denominator) for x in row] for row in m.data]
     n = len(b)
     coeffs = [Fraction(1)]
     M = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -168,11 +163,6 @@ def characteristic_polynomial(m: RatMatrix) -> List[Fraction]:
             BM[i][i] += c
         M = BM
     return coeffs
-
-
-def _poly_deriv(p: Sequence[int]) -> List[int]:
-    n = len(p) - 1
-    return [c * (n - i) for i, c in enumerate(p[:-1])]
 
 
 def _negated_remainder(a: List[int], b: List[int]) -> Optional[List[int]]:
@@ -212,7 +202,8 @@ def _sturm_chain(p: Sequence) -> List[List[int]]:
     the exact quotient p / gcd is returned instead."""
     chain = [primitive_row(p) or [0]]
     if len(chain[0]) > 1:
-        chain.append(primitive_row(_poly_deriv(chain[0])))
+        n = len(chain[0]) - 1
+        chain.append(primitive_row([c * (n - i) for i, c in enumerate(chain[0][:-1])]))
     while len(chain[-1]) > 1:
         r = _negated_remainder(chain[-2], chain[-1])
         if r is None:
@@ -249,35 +240,32 @@ def _sign_variations(chain, u: int, w: int):
     return sum(x != y for x, y in zip(signs, signs[1:])), vals[0] == 0
 
 
-def _perron_enclosure(m: RatMatrix):
-    """Exact bracket [L, U] around the Perron root of a nonnegative matrix A.
-
-    Collatz-Wielandt: for every vector x > 0, min_i (Ax)_i/x_i <= rho(A) <=
-    max_i (Ax)_i/x_i.  x is an integer vector >= 1 rounded from power
-    iteration on A + I in floats; the floats only make the bracket tight,
-    every comparison that matters is exact.  None when a float overflows."""
-    b, d = _integer_rows(m.data)
+def _newton_bracket(q: List[int], lo: Fraction, hi: Fraction):
+    """The doubles L < U one ulp either side of where float Newton on the
+    integer polynomial q (degree >= 2) stops, as (num, den) pairs; None on
+    overflow or when L < lo.  Newton starts at min(hi, 2 max_k
+    |q_k / q_0|^(1/k)), above every root.  If all roots lie in |z| <= rho (a
+    Perron polynomial), by Gauss-Lucas q is monotone and convex on (rho, inf)
+    and Newton falls straight to rho.  The caller proves each end by Sturm."""
     try:
-        a = [[float(v + d * (i == j)) for j, v in enumerate(row)] for i, row in enumerate(b)]
-    except OverflowError:
+        a = [c / q[0] for c in q[1:]]
+        x = min(float(hi), 2 * max(abs(c) ** (1 / k) for k, c in enumerate(a, 1)))
+        for _ in range(NEWTON_STEPS):
+            f, d = 1.0, 0.0  # q(x) / q_0 and q'(x) / q_0 by Horner
+            for c in a:
+                d = d * x + f
+                f = f * x + c
+            step = f / d
+            if not step > 0 or x - step == x:
+                break
+            x -= step
+        lower, upper = math.nextafter(x, NEG_INF), math.nextafter(x, INF)
+        return (lower.as_integer_ratio(), upper.as_integer_ratio()) if lo <= lower else None
+    except (OverflowError, ZeroDivisionError):
         return None
-    x = [1.0] * len(b)
-    for _ in range(POWER_STEPS):
-        y = [sum(map(operator.mul, row, x)) for row in a]
-        top = max(y)
-        if not math.isfinite(top):
-            return None
-        y = [v / top for v in y]
-        if y == x:
-            break
-        x = y
-    xs = [max(1, round(v * 2.0 ** 53)) for v in x]
-    ratios = [Fraction(sum(map(operator.mul, row, xs)), xi * d) for row, xi in zip(b, xs)]
-    return min(ratios), max(ratios)
 
 
-def largest_real_root(p: Sequence, lo: Fraction, hi: Fraction,
-                      enclosure=None) -> Optional[Fraction]:
+def largest_real_root(p: Sequence, lo: Fraction, hi: Fraction) -> Optional[Fraction]:
     """Largest real root of the rational polynomial p in (lo, hi], isolated
     by Sturm bisection.  p need not be squarefree: the chain is that of its
     squarefree part, which has the same roots.
@@ -291,10 +279,12 @@ def largest_real_root(p: Sequence, lo: Fraction, hi: Fraction,
     root-free intervals, so V(b) stays V(hi): one chain evaluation per step.
     A squarefree part of degree one gives the exact root.
 
-    enclosure, when given, is an interval [L, U] known to hold the largest
-    root in (lo, hi].  The steps depend only on that root, so a midpoint
-    below L or above U moves a or b without a chain evaluation, and the
-    result is the same.  The walk runs on integers: [a, b] = [a, a + width] / den.
+    _newton_bracket guesses L < U; an end is kept when a Sturm count proves
+    it: V(U) == V(hi) (no root in (U, hi]), V(L) > V(hi) (a root in (L, hi]).
+    The steps depend only on the root, so a midpoint at or below L or above
+    U moves a or b without a chain evaluation (with both ends kept, the walk
+    jumps past those steps), and the result is the same.  The walk runs on
+    integers: [a, b] = [a, a + width] / den.
     """
     chain = _sturm_chain(p)
     if len(chain[0]) == 2:
@@ -306,16 +296,24 @@ def largest_real_root(p: Sequence, lo: Fraction, hi: Fraction,
     v_hi, at_root = _sign_variations(chain, a + width, den)
     if at_root:
         return hi
-    if enclosure is None:
-        if _sign_variations(chain, a, den)[0] == v_hi:
-            return None
-        lower, upper = (-1, 0), (1, 0)  # -inf and +inf as num/den pairs
-    else:
-        lower, upper = [(f.numerator, f.denominator) for f in map(Fraction, enclosure)]
+    lower, upper = (-1, 0), (1, 0)  # -inf and +inf as num/den pairs
+    guess = _newton_bracket(chain[0], lo, hi)
+    if guess:
+        if _sign_variations(chain, *guess[1])[0] == v_hi:
+            upper = guess[1]
+        if _sign_variations(chain, *guess[0])[0] > v_hi:
+            lower = guess[0]
+    if not lower[1] and _sign_variations(chain, a, den)[0] == v_hi:
+        return None
+    if lower[1] and upper[1]:  # skip the steps whose midpoints miss (L, U]
+        k = (width * max(lower[1], upper[1]) // den).bit_length() + 1
+        nl, nu = [((n * den - a * d) << k) // (d * width) for n, d in (lower, upper)]
+        s = (nl ^ min(nu, (1 << k) - 1)).bit_length()  # cells nl, nu share k - s bits
+        a, den = (a << (k - s)) + (nl >> s) * width, den << (k - s)
     while width << 64 > abs(a) and (width << 52 >= abs(a) or a / den != (a + width) / den):
         a, den = 2 * a, 2 * den
         mid = a + width
-        if mid * lower[1] < lower[0] * den:
+        if mid * lower[1] <= lower[0] * den:
             a = mid
         elif mid * upper[1] <= upper[0] * den:
             v, at_root = _sign_variations(chain, mid, den)
@@ -347,7 +345,7 @@ def _rho_exact(m: RatMatrix) -> Optional[SpectralValue]:
     if len(p) == 1:
         return SpectralValue(0.0, True, 0.0)
     bound = max(sum(r) for r in m.data) + 1
-    root = largest_real_root(p, Fraction(-1) - bound, bound, _perron_enclosure(m))
+    root = largest_real_root(p, Fraction(-1) - bound, bound)
     return SpectralValue(float(root), True, 0.0)
 
 

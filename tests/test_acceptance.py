@@ -8,20 +8,17 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
-
 from fproot.algebra import kronecker_algebra, path_algebra, sqrt2_algebra
 from fproot.exactlin import RatMatrix
 from fproot.fpcore import (FpBudgets, dual_numbers_shift_table,
                            ext1_quiver, ext_assignment, fp_report,
-                           genus_matrix, growth_analyze, homtable_fp,
-                           verify_brick_set, adjacency_of, BrickSet)
+                           genus_matrix, growth_analyze, homtable_fp)
 from fproot.quiver import (Quiver, cycle_quiver, dynkin_quiver,
                            extended_dynkin_quiver, fpdim_trichotomy_check,
                            is_acyclic, kronecker_quiver, path_quiver,
                            quiver_fpdim, underlying_adjacency)
 from fproot.repmod import (dynkin_indecomposables, euler_ext1, ext,
-                           ext_simple_table, hom_dim,
+                           ext_simple_table,
                            kronecker_brick_catalogue, minimal_resolution,
                            simple, simples, sqrt2_brick_catalogue,
                            Representation)

@@ -12,7 +12,6 @@ from fproot.algebra import (AlgebraError, BoundAlgebra, LengthCapExceeded,
                             dual_numbers_algebra, kronecker_algebra,
                             local_two_loop_algebra, opposite, path_algebra,
                             sqrt2_algebra)
-from fproot.exactlin import RatMatrix, rank
 from fproot.quiver import Quiver, path_quiver
 
 from fraction_build import fraction_build

@@ -1,7 +1,8 @@
-"""Certified Perron roots: the Collatz-Wielandt enclosure, the integer
-kernels behind it, and the stop rule that makes a certified value the double
-nearest the exact root."""
+"""Certified Perron roots: the Newton enclosure that Sturm counts prove, the
+integer kernels behind it, and the stop rule that makes a certified value the
+double nearest the exact root."""
 
+import json
 import math
 import os
 import pathlib
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from fproot.exactlin import RatMatrix
 from fproot.quiver import quiver_from_json, quiver_fpdim
-from fproot.spectral import (_perron_enclosure, _sign_variations, _sturm_chain,
+from fproot import spectral
+from fproot.spectral import (_newton_bracket, _sign_variations, _sturm_chain,
                              characteristic_polynomial, largest_real_root, rho,
                              squarefree_part)
 
@@ -69,6 +71,16 @@ def nonnegative_matrices(draw):
     return RatMatrix([[Fraction(x) for x in row] for row in rows], cols=n)
 
 
+def kept_ends(p, hi, guess):
+    """Which ends of the guess (L, U) the Sturm counts prove: (U bounds every
+    root in (lo, hi] from above, a root lies in (L, hi])."""
+    chain = _sturm_chain(p)
+    v_hi = _sign_variations(chain, hi.numerator, hi.denominator)[0]
+    (ln, ld), (un, ud) = guess
+    return (_sign_variations(chain, un, ud)[0] == v_hi,
+            _sign_variations(chain, ln, ld)[0] > v_hi)
+
+
 @settings(max_examples=150, deadline=None)
 @given(nonnegative_matrices())
 def test_enclosure_leaves_the_root_unchanged(m):
@@ -76,53 +88,93 @@ def test_enclosure_leaves_the_root_unchanged(m):
     if problem is None:
         return
     p, lo, hi = problem
-    enclosure = _perron_enclosure(m)
-    assert enclosure is not None
-    assert largest_real_root(p, lo, hi, enclosure) == largest_real_root(p, lo, hi)
+    root = largest_real_root(p, lo, hi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_newton_bracket", lambda q, lo, hi: None)
+        assert largest_real_root(p, lo, hi) == root
 
 
-@settings(max_examples=150, deadline=None)
-@given(nonnegative_matrices())
-def test_enclosure_holds_the_largest_real_root(m):
-    problem = root_problem(m)
-    if problem is None:
-        return
-    p, _, _ = problem
-    lower, upper = _perron_enclosure(m)
-    chain = _sturm_chain(p)
-    # Sturm counts: a root in [lower, upper] and none above upper
-    v_lower, at_lower = _sign_variations(chain, lower.numerator, lower.denominator)
-    v_upper, _ = _sign_variations(chain, upper.numerator, upper.denominator)
-    lead = [q[0] > 0 for q in chain]
-    v_inf = sum(x != y for x, y in zip(lead, lead[1:]))
-    assert v_upper == v_inf
-    assert at_lower or v_lower > v_upper
+def ratio(x):
+    return Fraction(x).numerator, Fraction(x).denominator
+
+
+# (matrix, a real root below the Perron root)
+SMALLER_ROOTS = {
+    "sym2_root1": ([[2, 1], [1, 2]], 1),
+    "swap_root-1": ([[0, 1], [1, 0]], -1),
+    "fibonacci_conjugate": ([[1, 1], [1, 0]], (1 - 5 ** 0.5) / 2),
+    "path3_root1": ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], 1),
+    "path3_root1-sqrt2": ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], 1 - 2 ** 0.5),
+    "cycle4_negated": ([[0, 3, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
+                       -(3 ** 0.25)),
+}
+
+
+@pytest.mark.parametrize("rows, smaller", SMALLER_ROOTS.values(), ids=SMALLER_ROOTS)
+def test_a_wrong_guess_is_refused_and_leaves_the_root_unchanged(rows, smaller):
+    """Guesses beside the Perron root (above it, below it) and around a
+    smaller root: Sturm counts refuse each as a bracket of the root, and
+    the walk still ends on the same root."""
+    m = RatMatrix([[Fraction(x) for x in row] for row in rows], cols=len(rows))
+    p, lo, hi = root_problem(m)
+    root = largest_real_root(p, lo, hi)
+    gap = root / 2**30
+    guesses = [(root + gap, root + 2 * gap), (root - 2 * gap, root - gap),
+               (math.nextafter(smaller, -math.inf), math.nextafter(smaller, math.inf))]
+    for lower, upper in guesses:
+        guess = ratio(lower), ratio(upper)
+        assert not all(kept_ends(p, hi, guess))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_newton_bracket", lambda q, lo, hi: guess)
+            assert largest_real_root(p, lo, hi) == root
 
 
 def test_enclosure_contains_mpmath_root_up_to_n12():
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(61)
+    kept = 0
     with mpmath.workdps(50):
         for n in range(2, 13):
             for _ in range(4):
                 rows = [[Fraction(rng.randint(0, 9), rng.randint(1, 4))
                          if rng.random() < 0.7 else Fraction(0)
                          for _ in range(n)] for _ in range(n)]
-                lower, upper = _perron_enclosure(RatMatrix(rows, cols=n))
+                p = characteristic_polynomial(RatMatrix(rows, cols=n))
+                bound = max(sum(r) for r in rows) + 1
+                guess = _newton_bracket(squarefree_part(p), -1 - bound, bound)
+                if guess is None or not all(kept_ends(p, bound, guess)):
+                    continue
+                kept += 1
+                (ln, ld), (un, ud) = guess
                 # the reference carries a rounding error far below 1e-40
                 ref, slack = mp_perron_root(rows, mpmath), mpmath.mpf(10) ** -40
-                assert mpmath.mpf(lower.numerator) / lower.denominator <= ref + slack
-                assert ref - slack <= mpmath.mpf(upper.numerator) / upper.denominator
+                assert mpmath.mpf(ln) / ld < ref + slack
+                assert ref - slack <= mpmath.mpf(un) / ud
+    # 40 of the 44 guesses keep both ends; the rest stop an ulp off
+    assert kept >= 35
 
 
 def test_overflowing_entry_has_no_enclosure():
     m = RatMatrix([[0, 10**400, 0], [0, 0, 1], [1, 0, 0]], cols=3)
-    assert _perron_enclosure(m) is None
+    p, lo, hi = root_problem(m)
+    assert _newton_bracket(p, lo, hi) is None
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         expected = float(mpmath.cbrt(mpmath.mpf(10) ** 400))
     r = rho(m)
     assert r.certified and r.value == expected
+
+
+def test_newton_starts_at_a_root_bound_not_at_the_row_sums(monkeypatch):
+    """x^6 - 10^60, the weighted 6-cycle of tests/data: from the row-sum
+    bound 10^30 + 1 Newton would need about 250 steps to reach 10^10; from
+    the root bound 2 * 10^10 it needs a few, and both ends are kept."""
+    rows = json.loads((DATA / "spectral_cycle6_1e30.json").read_text())
+    p, lo, hi = root_problem(RatMatrix(rows, cols=6))
+    monkeypatch.setattr(spectral, "NEWTON_STEPS", 12)
+    guess = _newton_bracket(p, lo, hi)
+    assert guess is not None and all(kept_ends(p, hi, guess))
+    assert rho(rows).value == 10.0 ** 10
 
 
 # -- integer Faddeev-LeVerrier -------------------------------------------------
@@ -271,14 +323,19 @@ def test_tribonacci_quiver_fpdim_is_the_nearest_double():
 
 # -- numpy stays out of the exact paths ------------------------------------------
 
-def test_resolve_does_not_import_numpy():
+@pytest.mark.parametrize("argv", [
+    ["resolve", str(DATA / "sqrt2_algebra.json"), "--simple", "1", "--depth", "3"],
+    # 6x6 and strongly connected: the certified path, Newton included
+    ["spectral", str(DATA / "spectral_cycle6_1e30.json")],
+], ids=lambda argv: argv[0])
+def test_certified_paths_do_not_import_numpy(argv):
     code = (
         "import contextlib, io, sys\n"
         "import fproot.cli as cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    rc = cli.run(['resolve', {str(DATA / 'sqrt2_algebra.json')!r},"
-        " '--simple', '1', '--depth', '3'])\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    rc = cli.run({argv!r})\n"
         "assert rc == 0, rc\n"
+        "assert '\"certified\": false' not in out.getvalue()\n"
         "print('numpy' in sys.modules)\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))

@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +16,9 @@ from fproot.fpcore import (Assignment, BrickSet, BrickSetViolation, FpBudgets,
                            dual_numbers_shift_table, ext1_quiver,
                            ext_assignment, fp_report, fpc_vs_cx_check,
                            fpdim_n, genus_matrix, growth_analyze, homtable_fp,
-                           shift_assignment, sigma_quiver_bound_check,
+                           sigma_quiver_bound_check,
                            table_from_difference, verify_brick_set)
-from fproot.quiver import Quiver, dynkin_quiver, is_acyclic, path_quiver
+from fproot.quiver import Quiver, dynkin_quiver, path_quiver
 from fproot.repmod import (direct_sum, dynkin_indecomposables, projective,
                            regular_brick, simple, simples,
                            sqrt2_brick_catalogue)

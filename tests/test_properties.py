@@ -8,7 +8,7 @@ from fractions import Fraction
 from fproot.exactlin import RatMatrix
 from fproot.quiver import Quiver, is_acyclic
 from fproot.algebra import path_algebra
-from fproot.repmod import Representation, euler_ext1, ext, hom_dim
+from fproot.repmod import Representation, euler_ext1, ext
 from fproot.spectral import rho, rho_block_lower_triangular
 
 

@@ -1,5 +1,3 @@
-import itertools
-import math
 import pathlib
 import random
 import re
@@ -7,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from fproot.exactlin import RatMatrix
 from fproot.quiver import (Quiver, QuiverError, adjacency,
                            classify_underlying_graph, cycle_number,
                            cycle_quiver, dynkin_quiver, extended_dynkin_quiver,

@@ -1,13 +1,11 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
 
 from fproot.algebra import (dual_numbers_algebra, kronecker_algebra,
                             path_algebra, sqrt2_algebra, AlgebraError)
-from fproot.exactlin import RatMatrix
-from fproot.quiver import Quiver, dynkin_quiver, path_quiver
+from fproot.quiver import dynkin_quiver, path_quiver
 from fproot.repmod import (Representation, RepresentationError, direct_sum,
                            dual_representation, dynkin_indecomposables,
                            euler_ext1, euler_form, ext, ext_simple_table, hom,

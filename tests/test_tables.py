@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from fproot.algebra import kronecker_algebra

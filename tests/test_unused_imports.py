@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package or a file of the tests imports is
+used in that file.
 
 `__init__.py` re-exports its imports, and `from __future__` imports switch
 on language features, so neither counts.
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fproot"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "fproot"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -35,6 +38,7 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == [(2, "os"), (3, "Callable")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES,
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text()) == []
