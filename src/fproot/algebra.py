@@ -10,7 +10,7 @@ and the consequences r * v (r a relation on its coprime integer coefficients,
 v a shorter basis path ending at its source) are row-reduced against them by
 exactlin.reduced_echelon.  The candidates that are not pivots are the new
 basis paths; a pivot candidate's normal form is minus each other entry of its
-reduced row over the pivot entry (an int where it divides).  Every relation
+reduced row over the pivot entry (exactlin.quotient).  Every relation
 is a rational combination of parallel paths of one common length >= 2; this
 makes the length-by-length elimination exact, and it covers every algebra
 that appears here.  A length cap and a size cap reject inputs that are not
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .exactlin import (InputError, load_json, primitive_row, rat, rat_str,
-                       reduced_echelon)
+from .exactlin import (InputError, load_json, primitive_row, quotient, rat,
+                       rat_str, reduced_echelon)
 from .quiver import Quiver, QuiverError, json_array, kronecker_quiver
 
 DEFAULT_LENGTH_CAP = 32
@@ -159,7 +159,7 @@ class BoundAlgebra:
             for i, path in new.items():
                 nf[candidates[i]] = {path: 1}
             for row, i in zip(reduced, pivots):
-                nf[candidates[i]] = {new[j]: Fraction(-x, row[i]) if x % row[i] else -x // row[i]
+                nf[candidates[i]] = {new[j]: quotient(-x, row[i])
                                      for j, x in enumerate(row) if x and j != i}
 
             levels.append(list(new.values()))

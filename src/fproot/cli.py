@@ -216,7 +216,7 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
             if repmod.failing_relation(alg, rows) is None \
                     and repmod.row_hom_dim(arrows, rows, rows) == 1 \
                     and not admit(rows, lambda: Representation(
-                        alg, support, {a.label: RatMatrix._wrap(r, support.get(a.source, 0))
+                        alg, support, {a.label: RatMatrix(r, support.get(a.source, 0))
                                        for a, r in zip(arrows, draw) if r is not None},
                         name=f"B({','.join(str(support.get(v, 0)) for v in vertices)})"
                              f"#{len(cands)}", check=False)):

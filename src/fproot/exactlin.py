@@ -7,7 +7,13 @@ elimination routine: each row is scaled by the lcm of its denominators, and
 fraction-free elimination keeps every row primitive (its entries have gcd 1).
 Rank and pivot columns come from its forward pass alone, without building a
 `Fraction`; `rref`, kernels and `solve` add a back-substitution and divide
-each entry by its row's pivot once, at the end.
+each entry by its row's pivot once, at the end, by `quotient`.
+
+One rule says what an exact value is, in this module and every layer above
+it: an int where the value is integral, a Fraction only where it is not.
+`quotient` alone decides between the two; `rat` reads a value by it, and
+`RatMatrix` keeps int and Fraction entries as given (its arithmetic reads
+each result by `rat`).
 
 Matrices are dense and small (desk scale); no attempt is made at sparsity.
 All functions are pure and all matrices immutable, so everything here is safe
@@ -21,8 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-_FRACTION_ONLY = frozenset({Fraction})
+_EXACT = frozenset({int, Fraction})
 _INT_ONLY = frozenset({int})
 
 
@@ -44,48 +49,43 @@ def load_json(text: str, error: type):
         raise error(f"invalid JSON: {e}") from e
 
 
-def rat(x) -> Fraction:
-    """Coerce ints (not bools), Fractions and strings like '3/4' to Fraction."""
-    if isinstance(x, Fraction):
+def quotient(n: int, d: int):
+    """n / d exactly: the int n // d when d divides n, else Fraction(n, d)."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
+def rat(x):
+    """The exact value of an int (not a bool), a Fraction or a string like
+    '3/4': an int when integral ('4/2' gives 2), else a Fraction."""
+    if type(x) is int:
         return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as a rational number")
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
+        raise TypeError(f"cannot interpret {x!r} as a rational number")
+    x = Fraction(x)
+    return quotient(x.numerator, x.denominator)
 
 
-def _rat_row(row) -> tuple:
-    """row as a tuple of Fractions; a row that holds only Fractions is kept
-    as it is, without a per-entry call."""
-    row = tuple(row)
-    return row if _FRACTION_ONLY.issuperset(map(type, row)) else tuple(map(rat, row))
-
-
-def rat_str(x: Fraction) -> str:
-    """Serialize a Fraction as 'p' or 'p/q' (used by all JSON formats)."""
-    x = rat(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def rat_str(x) -> str:
+    """Serialize an exact value as 'p' or 'p/q' (used by all JSON formats)."""
+    return str(rat(x))
 
 
 class RatMatrix:
-    """An immutable rows x cols matrix of exact rationals, int or Fraction
-    entries (the public constructor stores Fractions)."""
+    """An immutable rows x cols matrix of exact rationals.  Int and Fraction
+    entries are stored as given, any other entry as rat reads it (a string
+    'p/q'; a bool or a float is refused)."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable], cols: Optional[int] = None):
-        rows = tuple(map(_rat_row, data))
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise ValueError("ragged rows in matrix data")
-            if cols is not None and cols != ncols:
-                raise ValueError("explicit cols disagrees with row length")
-        else:
-            if cols is None:
-                cols = 0
-            ncols = cols
+        rows = tuple(r if _EXACT.issuperset(map(type, r)) else tuple(map(rat, r))
+                     for r in map(tuple, data))
+        ncols = len(rows[0]) if rows else cols or 0
+        if len(set(map(len, rows))) > 1:
+            raise ValueError("ragged rows in matrix data")
+        if rows and cols is not None and cols != ncols:
+            raise ValueError("explicit cols disagrees with row length")
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "data", rows)
@@ -93,26 +93,14 @@ class RatMatrix:
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("RatMatrix is immutable")
 
-    @staticmethod
-    def _wrap(data, cols: int) -> "RatMatrix":
-        """Trusted constructor: data is already a sequence of equal-length
-        sequences of exact rationals, ints or Fractions (this class's own
-        output, or integer samples), stored without re-checking any entry."""
-        m = object.__new__(RatMatrix)
-        object.__setattr__(m, "rows", len(data))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "data", tuple(map(tuple, data)))
-        return m
-
     # -- constructors -------------------------------------------------
     @staticmethod
     def zeros(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix._wrap([(_ZERO,) * cols] * rows, cols)
+        return RatMatrix([(0,) * cols] * rows, cols)
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix._wrap(
-            [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], n)
+        return RatMatrix([[int(i == j) for j in range(n)] for i in range(n)], n)
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence], rows: Optional[int] = None) -> "RatMatrix":
@@ -145,33 +133,33 @@ class RatMatrix:
         nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
         out = []
         for r in self.data:
-            orow = [_ZERO] * other.cols
+            orow = [0] * other.cols
             for a, nz in zip(r, nonzero):
                 if nz and a:
                     for j, b in nz:
                         orow[j] += a * b
-            out.append(orow)
-        return RatMatrix._wrap(out, other.cols)
+            out.append(list(map(rat, orow)))
+        return RatMatrix(out, other.cols)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in +")
-        return RatMatrix._wrap(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
+        return RatMatrix(
+            [[rat(a + b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
             self.cols)
 
     def scale(self, c) -> "RatMatrix":
         c = rat(c)
-        return RatMatrix._wrap([[c * a for a in r] for r in self.data], self.cols)
+        return RatMatrix([[rat(c * a) for a in r] for r in self.data], self.cols)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix._wrap(list(zip(*self.data)) if self.rows else
-                               [()] * self.cols, self.rows)
+        return RatMatrix(list(zip(*self.data)) if self.rows else
+                         [()] * self.cols, self.rows)
 
     def hstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return RatMatrix._wrap(
+        return RatMatrix(
             [r1 + r2 for r1, r2 in zip(self.data, other.data)],
             self.cols + other.cols)
 
@@ -260,7 +248,7 @@ def reduced_echelon(rows):
     """_echelon followed by back-substitution: each pivot column is cleared
     from the pivot rows above it, last pivot first.  Returns (primitive
     integer rows, pivot columns); entry j of row k of the reduced row echelon
-    form is Fraction(row[j], row[pivots[k]])."""
+    form is quotient(row[j], row[pivots[k]])."""
     echelon, pivots = _echelon(rows)
     for k in range(len(pivots) - 1, 0, -1):
         pivot, c = echelon[k], pivots[k]
@@ -276,9 +264,9 @@ def rref(m: RatMatrix):
     Returns (rrefmatrix, pivot_columns).  The rank of m is len(pivot_columns).
     """
     echelon, pivots = reduced_echelon(m.data)
-    data = [[Fraction(x, row[p]) for x in row] for row, p in zip(echelon, pivots)]
-    data += [(_ZERO,) * m.cols] * (m.rows - len(data))
-    return RatMatrix._wrap(data, m.cols), tuple(pivots)
+    data = [[quotient(x, row[p]) for x in row] for row, p in zip(echelon, pivots)]
+    data += [(0,) * m.cols] * (m.rows - len(data))
+    return RatMatrix(data, m.cols), tuple(pivots)
 
 
 def pivot_columns(rows: Iterable[Sequence]) -> tuple:
@@ -300,7 +288,7 @@ def nullspace(rows: Sequence[Sequence], ncols: int):
     """Kernel {v : rows v = 0} of rational rows (ints or Fractions) with ncols
     columns, as (vectors, free_columns).
 
-    Each vector is a list of Fractions in the standard rref form: the vector
+    Each vector is a list of exact values in the standard rref form: the vector
     attached to free column f has entry 1 at f and 0 at every other free
     column, so the coordinates of any kernel vector in this basis can be read
     off its values at the free columns.
@@ -310,18 +298,18 @@ def nullspace(rows: Sequence[Sequence], ncols: int):
     free = [j for j in range(ncols) if j not in pivset]
     vectors = []
     for f in free:
-        v = [_ZERO] * ncols
-        v[f] = _ONE
+        v = [0] * ncols
+        v[f] = 1
         for row, p in zip(echelon, pivots):
             if row[f]:
-                v[p] = Fraction(-row[f], row[p])
+                v[p] = quotient(-row[f], row[p])
         vectors.append(v)
     return vectors, free
 
 
 def nullspace_basis(m: RatMatrix):
     """Basis of {v : m v = 0} as a list of column matrices (see nullspace)."""
-    return [RatMatrix._wrap([[x] for x in v], 1) for v in nullspace(m.data, m.cols)[0]]
+    return [RatMatrix.column(v) for v in nullspace(m.data, m.cols)[0]]
 
 
 def solve(m: RatMatrix, b: RatMatrix) -> Optional[RatMatrix]:
@@ -334,7 +322,7 @@ def solve(m: RatMatrix, b: RatMatrix) -> Optional[RatMatrix]:
     echelon, pivots = reduced_echelon(m.hstack(b).data)
     if pivots and pivots[-1] == m.cols:
         return None
-    x = [_ZERO] * m.cols
+    x = [0] * m.cols
     for row, p in zip(echelon, pivots):
-        x[p] = Fraction(row[m.cols], row[p])
-    return RatMatrix._wrap([[v] for v in x], 1)
+        x[p] = quotient(row[m.cols], row[p])
+    return RatMatrix.column(x)

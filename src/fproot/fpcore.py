@@ -122,8 +122,8 @@ def verify_brick_set(objects: Sequence, assignment: Assignment):
         raise ValueError("a brick set is a nonempty family")
     h = assignment.matrix(objects, 0)
     for i, j in product(range(len(objects)), repeat=2):
-        if int(h.data[i][j]) != (i == j):
-            return BrickSetViolation((i, j), int(h.data[i][j]), int(i == j))
+        if h.data[i][j] != (i == j):
+            return BrickSetViolation((i, j), h.data[i][j], int(i == j))
     return BrickSet(tuple(objects), h)
 
 
@@ -298,7 +298,7 @@ def _fill_grid(subsets: Sequence[tuple], matrix: Callable, witness: Callable,
             rows = matrix(sub, m)
             r = rho_cache.get(rows)
             if r is None:
-                r = rho_nonnegative_via_scc(RatMatrix._wrap(rows, len(rows)))
+                r = rho_nonnegative_via_scc(RatMatrix(rows, len(rows)))
                 rho_cache[rows] = r
             if r.value > best[len(rows)][0].value:
                 best[len(rows)] = (r, sub)
@@ -381,7 +381,7 @@ def ext1_quiver(candidates: Sequence, assignment: Assignment,
     d = assignment.matrix(candidates, power)
     return Quiver(names, [(f"x{i}_{j}_{k}", names[i], names[j])
                           for i in range(len(candidates)) for j in range(len(candidates))
-                          for k in range(int(d.data[i][j]))])
+                          for k in range(d.data[i][j])])
 
 
 @dataclass

@@ -105,7 +105,7 @@ def adjacency(q: Quiver) -> RatMatrix:
 
 def underlying_adjacency(q: Quiver) -> RatMatrix:
     """Symmetric edge-count matrix of the underlying undirected graph: the
-    int counts both ways, summed before the one conversion to rationals.
+    int counts both ways, summed.
 
     Loops are rejected: the classification target (simple graphs) has none.
     """
@@ -118,7 +118,7 @@ def underlying_adjacency(q: Quiver) -> RatMatrix:
 
 def quiver_fpdim(q: Quiver) -> SpectralValue:
     """Perron root of the adjacency matrix of q."""
-    return rho_nonnegative_via_scc(RatMatrix._wrap(_arrow_counts(q), len(q.vertices)))
+    return rho_nonnegative_via_scc(adjacency(q))
 
 
 def _edges(q: Quiver) -> List[Tuple[int, int]]:
@@ -371,7 +371,7 @@ def positive_roots(q: Quiver) -> List[Tuple[int, ...]]:
         raise QuiverError("positive roots need an ADE graph")
     n = len(q.vertices)
     U = underlying_adjacency(q)
-    cartan = [[(2 if i == j else -int(U.data[i][j])) for j in range(n)]
+    cartan = [[(2 if i == j else -U.data[i][j]) for j in range(n)]
               for i in range(n)]
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     seen = set(simple)

@@ -16,7 +16,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import count
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -84,7 +83,7 @@ class Representation:
         """The matrix of every arrow, a zero matrix where no map was given."""
         d, arrows = self.dimvec, self.algebra.quiver.arrows
         return {a.label: RatMatrix.zeros(d[a.target], d[a.source]) if r is None
-                else RatMatrix._wrap(r, d[a.source]) for a, r in zip(arrows, self.rows[1])}
+                else RatMatrix(r, d[a.source]) for a, r in zip(arrows, self.rows[1])}
 
     def path_matrix(self, p: Path) -> RatMatrix:
         """Matrix of a path acting V_source -> V_target (identity if trivial),
@@ -94,13 +93,13 @@ class Representation:
             d.get(p.source, 0))], rows=d.get(p.target, 0))
 
     def path_column(self, p: Path, j: int) -> list:
-        """Column j of path_matrix(p) (see _path_column); the entries are
-        ints or Fractions, all zero when the path runs through a zero map."""
+        """Column j of path_matrix(p) (see _path_column), each entry as rat
+        reads it; all zero when the path runs through a zero map."""
         d, maps = self.rows
         if not p.arrows:
-            return [Fraction(int(i == j)) for i in range(d[p.source])]
+            return [int(i == j) for i in range(d[p.source])]
         mats = [maps[i] for i in map(self.algebra.quiver.arrow_index, reversed(p.arrows))]
-        return [0] * d.get(p.target, 0) if None in mats else _path_column(mats, j)
+        return [0] * d.get(p.target, 0) if None in mats else list(map(rat, _path_column(mats, j)))
 
     @property
     def total_dim(self) -> int:
@@ -183,7 +182,7 @@ def _submodule_maps(alg: BoundAlgebra, basis, vectors, free) -> Dict[str, RatMat
             continue
         index = {basis[a.target][f]: k for k, f in enumerate(free[a.target])}
         cols = vectors[a.source]
-        m = [[Fraction(0)] * len(cols) for _ in index]
+        m = [[0] * len(cols) for _ in index]
         for j, vec in enumerate(cols):
             for (copy, p), x in vec.items():
                 for tp, c in alg.left_multiply(a.label, p).items():
@@ -191,7 +190,7 @@ def _submodule_maps(alg: BoundAlgebra, basis, vectors, free) -> Dict[str, RatMat
                     if k is not None:
                         m[k][j] += x * c
         if any(map(any, m)):
-            maps[a.label] = RatMatrix(m, cols=len(cols))
+            maps[a.label] = RatMatrix([list(map(rat, r)) for r in m], cols=len(cols))
     return maps
 
 
@@ -443,7 +442,7 @@ def resolution_steps(m: Representation) -> Iterator[ResolutionStep]:
         # differential of this step expressed over the previous step
         if syzygy is None:
             differential = [
-                {v: tuple(Fraction(1 if t == j else 0) for t in range(m.rows[0][v]))}
+                {v: tuple(int(t == j) for t in range(m.rows[0][v]))}
                 for v, j in lifts]
         else:
             differential = [syzygy[v][j] for v, j in lifts]
@@ -612,7 +611,7 @@ def _coxeter_minus(alg: BoundAlgebra, m: Representation) -> Representation:
             j = ends[a][1]
             maps[a], ends[a], at = [y[at:at + dims[j]] for y in coker], (j, k), at + dims[j]
         dims[k] = len(coker)
-    return Representation(alg, dims, {label: RatMatrix._wrap(f, dims[ends[label][0]])
+    return Representation(alg, dims, {label: RatMatrix(f, dims[ends[label][0]])
                                       for label, f in maps.items()}, check=False)
 
 
@@ -759,8 +758,7 @@ def module_from_json(alg: BoundAlgebra, text: str) -> Representation:
     for label, rows in arrow_rows:
         try:  # a map into a zero space has no rows to read its width from
             maps[label] = RatMatrix(
-                [[rat(x) for x in json_array(row, "row")]
-                 for row in json_array(rows, "map")],
+                [json_array(row, "row") for row in json_array(rows, "map")],
                 cols=len(rows[0]) if rows else dimvec.get(alg.quiver.arrow(label).source, 0))
         except (TypeError, ValueError, ZeroDivisionError) as e:
             raise RepresentationError(

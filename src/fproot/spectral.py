@@ -36,7 +36,7 @@ from itertools import zip_longest
 from typing import List, Optional, Sequence, Union
 
 from .exactlin import (InputError, InvariantViolation, RatMatrix, load_json,
-                       primitive_row, rat)
+                       primitive_row, quotient, rat)
 
 INF = math.inf
 NEG_INF = -math.inf
@@ -67,8 +67,9 @@ class SpectralValue:
 
 
 def _entry(x, i: int, j: int) -> Entry:
-    """Entry (i, j) of a matrix as an int when integral, else a Fraction or
-    +/-inf; SpectralError names it when it is not a number."""
+    """Entry (i, j) of a matrix as rat reads it (a float as the nearest
+    fraction with denominator <= 10**12), or +/-inf; SpectralError names it
+    when it is not a number."""
     if type(x) is int:
         return x
     if isinstance(x, float) and math.isinf(x):
@@ -78,10 +79,9 @@ def _entry(x, i: int, j: int) -> Entry:
     if isinstance(x, str) and x.strip() in ("-inf", "-Infinity"):
         return NEG_INF
     try:
-        f = Fraction(x).limit_denominator(10**12) if isinstance(x, float) else rat(x)
+        return rat(Fraction(x).limit_denominator(10**12) if isinstance(x, float) else x)
     except (ValueError, TypeError, ZeroDivisionError):
         raise SpectralError(f"bad matrix entry at row {i}, column {j}: {x!r}") from None
-    return f.numerator if f.denominator == 1 else f
 
 
 class ExtendedMatrix:
@@ -136,21 +136,21 @@ def matrix_from_json(text: str) -> ExtendedMatrix:
 # exact characteristic polynomial machinery (n <= 6)
 # ---------------------------------------------------------------------------
 
-def characteristic_polynomial(m: RatMatrix) -> List[Fraction]:
+def characteristic_polynomial(m: RatMatrix) -> list:
     """Monic characteristic polynomial of m, coefficients highest power first.
 
     Faddeev-LeVerrier on the integer matrix B = d*A (d the lcm of the entry
     denominators): M_0 = I, c_0 = 1, c_k = -tr(B M_{k-1}) / k and
     M_k = B M_{k-1} + c_k I.  The c_k are the integer coefficients of B's
     characteristic polynomial, so each division by k is exact, and A's
-    coefficients are c_k / d^k.
+    coefficients are quotient(c_k, d^k).
     """
     if not m.is_square():
         raise SpectralError("characteristic polynomial needs a square matrix")
     d = math.lcm(*(x.denominator for row in m.data for x in row))
     b = [[x.numerator * (d // x.denominator) for x in row] for row in m.data]
     n = len(b)
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     M = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         cols = list(zip(*M))
@@ -158,7 +158,7 @@ def characteristic_polynomial(m: RatMatrix) -> List[Fraction]:
         c, r = divmod(-sum(BM[i][i] for i in range(n)), k)
         if r:
             raise InvariantViolation("Faddeev-LeVerrier division must be exact")
-        coeffs.append(Fraction(c, d ** k))
+        coeffs.append(quotient(c, d ** k))
         for i in range(n):
             BM[i][i] += c
         M = BM
@@ -277,7 +277,9 @@ def largest_real_root(p: Sequence, lo: Fraction, hi: Fraction) -> Optional[Fract
     2**-64 * |a| first, the bracket straddles the tie between two adjacent
     doubles, and one Sturm count there picks the side.  b only moves past
     root-free intervals, so V(b) stays V(hi): one chain evaluation per step.
-    A squarefree part of degree one gives the exact root.
+    A squarefree part of degree one gives the exact root, and so does a
+    largest root at 0 (the bracket's ends would round to one double only
+    once they underflow).
 
     _newton_bracket guesses L < U; an end is kept when a Sturm count proves
     it: V(U) == V(hi) (no root in (U, hi]), V(L) > V(hi) (a root in (L, hi]).
@@ -296,6 +298,8 @@ def largest_real_root(p: Sequence, lo: Fraction, hi: Fraction) -> Optional[Fract
     v_hi, at_root = _sign_variations(chain, a + width, den)
     if at_root:
         return hi
+    if not chain[0][-1] and lo < 0 < hi and _sign_variations(chain, 0, 1)[0] == v_hi:
+        return Fraction(0)  # a root at 0 and none above: no bracket closes on it
     lower, upper = (-1, 0), (1, 0)  # -inf and +inf as num/den pairs
     guess = _newton_bracket(chain[0], lo, hi)
     if guess:
@@ -359,7 +363,7 @@ def _as_ratmatrix(m) -> RatMatrix:
     if isinstance(m, ExtendedMatrix):
         if m.has_infinite():
             raise SpectralError("matrix has infinite entries; use rho_extended")
-        return RatMatrix._wrap(m.entries, m.n)
+        return RatMatrix(m.entries, m.n)
     return RatMatrix(m)
 
 
@@ -476,7 +480,7 @@ def _fold_components(rows) -> Optional[SpectralValue]:
         if isinstance(rows[i][j], float) and comp_of[i] == comp_of[j]:
             return SpectralValue(INF, True, 0.0) if rows[i][j] > 0 else None
     return rho_block_lower_triangular(
-        [RatMatrix._wrap([[rows[i][j] for j in comp] for i in comp], len(comp))
+        [RatMatrix([[rows[i][j] for j in comp] for i in comp], len(comp))
          for comp in comps])
 
 

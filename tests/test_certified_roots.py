@@ -283,6 +283,37 @@ def test_a_root_of_degree_one_stays_exact(p):
     assert type(root) is Fraction and root == Fraction(1, 2)
 
 
+def test_a_largest_root_at_zero_returns_at_once():
+    # -x^2 (x^4 + (269/7) x^3 - ...) has its largest root in (-1/3, 11/3] at
+    # 0, which no midpoint of the walk hits: a bracket around 0 closes only
+    # once its ends underflow.  Run in a subprocess, so that a walk that does
+    # not stop fails the test instead of hanging the suite
+    code = ("from fractions import Fraction as F\n"
+            "from fproot.spectral import largest_real_root\n"
+            "root = largest_real_root([-1, F(-269, 7), F(4413, 7), F(165989, 7),"
+            " F(627874, 7), 0, 0], F(-1, 3), F(11, 3))\n"
+            "print(type(root).__name__, root)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "Fraction 0"
+
+
+@pytest.mark.parametrize("lo, hi, expected", [
+    (Fraction(-1), Fraction(1), Fraction(0)),     # 0 is the first midpoint
+    (Fraction(-3), Fraction(-1, 2), Fraction(-1)),  # 0 lies outside
+    (Fraction(0), Fraction(5), None),             # (0, 5] leaves 0 out
+    (Fraction(-5), Fraction(0), Fraction(0)),     # 0 is the upper end
+])
+def test_a_root_at_zero_against_the_interval(lo, hi, expected):
+    # x (x + 1) (x - 7)^2 on intervals below 7; a root away from 0 is given
+    # as a fraction that rounds to it
+    root = largest_real_root([1, -13, 35, 49, 0], lo, hi)
+    assert root == expected if expected in (None, 0) else float(root) == expected
+
+
 # -- certified means the nearest double ----------------------------------------
 
 def test_every_certified_rho_is_the_nearest_double():

@@ -1,8 +1,8 @@
 """Modules whose arrow matrices hold ints, as the brick scan samples them,
 against the same modules with Fraction entries.
 
-`RatMatrix._wrap` keeps int entries, and the exact routines take them as
-they are; every answer must be the one the Fraction copy gives.
+`RatMatrix` keeps int and Fraction entries as given, and the exact routines
+take them as they are; every answer must be the one the Fraction copy gives.
 """
 
 import pathlib
@@ -54,8 +54,9 @@ def _copies(alg, dimvec, rows, name):
     """(int copy, Fraction copy) of one module, or (None, None) when the
     relations reject it; both copies must agree on that."""
     got = []
-    for entries in (RatMatrix._wrap, lambda data, cols: RatMatrix(data, cols=cols)):
-        maps = {a.label: entries(rows[a.label], dimvec[a.source])
+    fractions = {label: [[Fraction(x) for x in row] for row in r] for label, r in rows.items()}
+    for entries in (rows, fractions):
+        maps = {a.label: RatMatrix(entries[a.label], dimvec[a.source])
                 for a in alg.quiver.arrows}
         try:
             got.append(Representation(alg, dimvec, maps, name=name))

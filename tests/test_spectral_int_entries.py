@@ -2,8 +2,8 @@
 
 The parser keeps an integral entry as an int and makes a Fraction only for
 a fractional one; the SCC fold, the grid and `quiver_fpdim` pass int rows
-through `RatMatrix._wrap`.  Every radius must be the one the Fraction copy
-gives, down to the certified flag and the tolerance.
+through `RatMatrix`, which keeps them.  Every radius must be the one the
+Fraction copy gives, down to the certified flag and the tolerance.
 """
 
 import json
@@ -40,12 +40,12 @@ def int_matrices(draw, with_inf=False):
 @given(int_matrices())
 def test_int_and_fraction_rows_give_the_same_radius(rows):
     n = len(rows)
-    as_ints = rho_nonnegative_via_scc(RatMatrix._wrap(rows, n))
-    as_fractions = rho_nonnegative_via_scc(RatMatrix(rows))
+    as_ints = rho_nonnegative_via_scc(RatMatrix(rows, n))
+    as_fractions = rho_nonnegative_via_scc(RatMatrix([[Fraction(x) for x in r] for r in rows]))
     assert isinstance(as_ints, SpectralValue)
     assert as_ints == as_fractions
     r = rho(rows)
-    assert r == rho(RatMatrix._wrap(rows, n))
+    assert r == rho(RatMatrix(rows, n))
     assert r.certified == as_ints.certified
     # rho splits above size 6 as the fold does; a strongly connected matrix
     # goes to numpy whole, in its own vertex order and not the fold's, and
