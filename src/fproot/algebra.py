@@ -19,14 +19,14 @@ finite dimensional.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .exactlin import (InputError, load_json, primitive_row, quotient, rat,
-                       rat_str, reduced_echelon)
-from .quiver import Quiver, QuiverError, json_array, kronecker_quiver
+from .exactlin import (InputError, dump_json, json_array, load_json, primitive_row,
+                       quotient, rat, rat_str, reduced_echelon)
+from .quiver import (Quiver, QuiverError, kronecker_quiver, quiver_block,
+                     quiver_from_block)
 
 DEFAULT_LENGTH_CAP = 32
 DEFAULT_DIM_CAP = 20000
@@ -200,14 +200,13 @@ class BoundAlgebra:
 
     # -- queries ------------------------------------------------------
     def left_multiply(self, arrow_label: str, p: Path) -> Dict[Path, Fraction]:
-        """Normal form of arrow * basis path, as {basis_path: int or Fraction}."""
-        key = (arrow_label, p)
-        if key in self._nf:
-            return self._nf[key]
-        arr = self.quiver.arrow(arrow_label)
-        if arr.source != p.target:
-            raise AlgebraError(f"{arrow_label} does not compose with {p}")
-        return {}  # beyond the last level: zero
+        """Normal form of arrow * basis path, as {basis_path: int or Fraction};
+        _build stores one for every such pair, and any other pair raises AlgebraError."""
+        nf = self._nf.get((arrow_label, p))
+        if nf is None:
+            raise AlgebraError(f"{arrow_label} * {p} is not an arrow times a basis path "
+                               "that it composes with")
+        return nf
 
     def basis_with_source(self, v) -> List[Path]:
         """The basis paths that start at v, in basis order (a fresh list)."""
@@ -276,15 +275,9 @@ def dual_numbers_algebra() -> BoundAlgebra:
 # ---------------------------------------------------------------------------
 
 def algebra_to_json(a: BoundAlgebra) -> str:
-    return json.dumps({
-        "vertices": list(a.quiver.vertices),
-        "arrows": [{"label": x.label, "from": x.source, "to": x.target}
-                   for x in a.quiver.arrows],
-        "relations": [
-            [{"coeff": rat_str(c), "path": list(p.arrows)} for c, p in rel]
-            for rel in a.relations
-        ],
-    }, indent=2, sort_keys=True)
+    relations = [[{"coeff": rat_str(c), "path": list(p.arrows)} for c, p in rel]
+                 for rel in a.relations]
+    return dump_json({**quiver_block(a.quiver), "relations": relations})
 
 
 def algebra_from_json(text: str) -> BoundAlgebra:
@@ -292,9 +285,7 @@ def algebra_from_json(text: str) -> BoundAlgebra:
     paths list arrow labels in application order (rightmost applied first)."""
     raw = load_json(text, AlgebraError)
     try:
-        q = Quiver(json_array(raw["vertices"], "vertices"),
-                   [(x["label"], x["from"], x["to"])
-                    for x in json_array(raw.get("arrows", []), "arrows")])
+        q = quiver_from_block(raw)
     except (KeyError, TypeError, QuiverError) as e:
         raise AlgebraError(f"malformed algebra file: {e}") from e
     rels = raw.get("relations", [])

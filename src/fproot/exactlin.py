@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Everything in this module is exact; no floating point enters or leaves.  This
-matters because downstream brick tests ask for statements like ``dim Hom = 1``
-which are integer facts and must not depend on tolerances.  There is one
+Everything in this module is exact; no floating point enters or leaves, save
+through the JSON reader and writer that every file and report shares
+(`load_json`, `dump_json`: an input file may hold floats, a report's
+estimates are floats).  This matters because downstream brick tests ask for
+statements like ``dim Hom = 1`` which are integer facts and must not depend
+on tolerances.  There is one
 elimination routine: each row is scaled by the lcm of its denominators, and
 fraction-free elimination keeps every row primitive (its entries have gcd 1).
 Rank and pivot columns come from its forward pass alone, without building a
@@ -24,7 +27,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, lcm
+from json.encoder import encode_basestring_ascii
+from math import gcd, isfinite, lcm
 from typing import Iterable, Optional, Sequence
 
 _EXACT = frozenset({int, Fraction})
@@ -47,6 +51,39 @@ def load_json(text: str, error: type):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise error(f"invalid JSON: {e}") from e
+
+
+def json_array(value, field: str) -> list:
+    """value, if it is a JSON array; a string or an object would otherwise be
+    read as its characters or keys.  The TypeError names the field, and each
+    file reader reports it with its own error class."""
+    if not isinstance(value, list):
+        raise TypeError(f"{field} is not a JSON array: {value!r}")
+    return value
+
+
+def dump_json(x, gap="\n"):
+    """x as json.dumps(x, indent=2, sort_keys=True) writes it, but a non-finite float as null;
+    gap is the line break and indent before x's closing bracket.  A key that is not a str,
+    or a value JSON cannot hold, raises TypeError.  Every report and file is written by it."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return float.__repr__(x) if isfinite(x) else "null"
+    inner = gap + "  "
+    if isinstance(x, dict):
+        items = [encode_basestring_ascii(k) + ": " + dump_json(v, inner)
+                 for k, v in sorted(x.items())]
+    elif isinstance(x, (list, tuple)):
+        items = [dump_json(v, inner) for v in x]
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    ends = "{}" if isinstance(x, dict) else "[]"
+    return ends[0] + inner + ("," + inner).join(items) + gap + ends[1] if items else ends
 
 
 def quotient(n: int, d: int):

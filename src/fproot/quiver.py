@@ -13,11 +13,10 @@ fixed here for file-format stability.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .exactlin import InputError, RatMatrix, load_json
+from .exactlin import InputError, RatMatrix, dump_json, json_array, load_json
 from .spectral import (NUMERIC_TOL, SpectralValue, rho_nonnegative_via_scc,
                        strongly_connected_components)
 
@@ -391,29 +390,28 @@ def positive_roots(q: Quiver) -> List[Tuple[int, ...]]:
 
 # JSON / DOT ----------------------------------------------------------------
 
+def quiver_block(q: Quiver) -> dict:
+    """The vertices/arrows block that the quiver and algebra files share."""
+    return {"vertices": list(q.vertices),
+            "arrows": [{"label": a.label, "from": a.source, "to": a.target}
+                       for a in q.arrows]}
+
+
+def quiver_from_block(raw) -> Quiver:
+    """The Quiver of a vertices/arrows block read from JSON; KeyError or TypeError
+    if it is malformed, which each file reader names with its own error class."""
+    return Quiver(json_array(raw["vertices"], "vertices"),
+                  [(a["label"], a["from"], a["to"])
+                   for a in json_array(raw.get("arrows", []), "arrows")])
+
+
 def quiver_to_json(q: Quiver) -> str:
-    return json.dumps({
-        "vertices": list(q.vertices),
-        "arrows": [{"label": a.label, "from": a.source, "to": a.target}
-                   for a in q.arrows],
-    }, indent=2, sort_keys=True)
-
-
-def json_array(value, field: str) -> list:
-    """value, if it is a JSON array; a string or an object would otherwise be
-    read as its characters or keys.  The TypeError names the field, and each
-    file reader reports it with its own error class."""
-    if not isinstance(value, list):
-        raise TypeError(f"{field} is not a JSON array: {value!r}")
-    return value
+    return dump_json(quiver_block(q))
 
 
 def quiver_from_json(text: str) -> Quiver:
-    raw = load_json(text, QuiverError)
     try:
-        return Quiver(json_array(raw["vertices"], "vertices"),
-                      [(a["label"], a["from"], a["to"])
-                       for a in json_array(raw.get("arrows", []), "arrows")])
+        return quiver_from_block(load_json(text, QuiverError))
     except KeyError as e:
         raise QuiverError(f"malformed quiver file: missing {e}") from e
     except TypeError as e:

@@ -12,18 +12,17 @@ stacked/slit identities) are transcribed under this convention.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .exactlin import (InputError, InvariantViolation, RatMatrix, load_json,
-                       nullspace, pivot_columns, primitive_row, rank_of_rows,
-                       rat, rat_str)
+from .exactlin import (InputError, InvariantViolation, RatMatrix, dump_json,
+                       json_array, load_json, nullspace, pivot_columns,
+                       primitive_row, rank_of_rows, rat, rat_str)
 from .algebra import DEFAULT_DIM_CAP, AlgebraError, BoundAlgebra, Path
-from .quiver import QuiverError, json_array, positive_roots
+from .quiver import QuiverError, positive_roots
 
 
 class RepresentationError(InputError):
@@ -730,12 +729,8 @@ def kronecker_brick_catalogue(alg: BoundAlgebra, max_total_dim: int = 6,
 # ---------------------------------------------------------------------------
 
 def module_to_json(m: Representation) -> str:
-    return json.dumps({
-        "dimvec": m.dimvec,
-        "maps": {label: [[rat_str(x) for x in row] for row in f.data]
-                 for label, f in m.maps.items()},
-        "name": m.name,
-    }, indent=2, sort_keys=True)
+    maps = {label: [[rat_str(x) for x in row] for row in f.data] for label, f in m.maps.items()}
+    return dump_json({"dimvec": m.dimvec, "maps": maps, "name": m.name})
 
 
 def module_from_json(alg: BoundAlgebra, text: str) -> Representation:

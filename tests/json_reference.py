@@ -1,6 +1,6 @@
-"""A test-only reference for the CLI's JSON output: every non-finite float
+"""A test-only reference for fproot's JSON output: every non-finite float
 replaced by None, then the stdlib's json.dumps with two-space indent, sorted
-keys and allow_nan=False, independent of the writer in `fproot.cli`."""
+keys and allow_nan=False, independent of the writer `fproot.exactlin.dump_json`."""
 
 import json
 import math

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fproot.algebra import (AlgebraError, BoundAlgebra, LengthCapExceeded,
-                            NonAdmissibleRelation, algebra_from_json,
+                            NonAdmissibleRelation, Path, algebra_from_json,
                             algebra_to_json, build_algebra,
                             dual_numbers_algebra, kronecker_algebra,
                             local_two_loop_algebra, opposite, path_algebra,
@@ -85,6 +85,20 @@ def test_left_multiply_reduces():
     x = a.basis_with_source("1")[1]
     assert len(x) == 1
     assert a.left_multiply("x", x) == {}  # x * x = 0
+
+
+def test_left_multiply_refuses_what_has_no_normal_form():
+    # a, b: 1 -> 2, c: 2 -> 3, d: 3 -> 4 with c*a = c*b, whose basis keeps c*b
+    alg = BoundAlgebra(Quiver(["1", "2", "3", "4"], [
+        ("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3"), ("d", "3", "4")]),
+        [[(1, ("c", "a")), (-1, ("c", "b"))]])
+    ca, cb = Path(("c", "a"), "1", "3"), Path(("c", "b"), "1", "3")
+    assert ca not in alg.basis and cb in alg.basis
+    assert alg.left_multiply("d", cb) == {Path(("d", "c", "b"), "1", "4"): 1}
+    with pytest.raises(AlgebraError):  # d * (c*a) = d*c*b, not zero
+        alg.left_multiply("d", ca)
+    with pytest.raises(AlgebraError):  # a does not compose with c*b
+        alg.left_multiply("a", cb)
 
 
 def test_nonadmissible_relations_rejected():

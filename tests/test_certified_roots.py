@@ -314,6 +314,48 @@ def test_a_root_at_zero_against_the_interval(lo, hi, expected):
     assert root == expected if expected in (None, 0) else float(root) == expected
 
 
+# -- each exit of the bisection gives the nearest double -----------------------
+# N = 2**53 + 1 lies halfway between the doubles 2**53 and 2**53 + 2, so a
+# bracket around it closes only at the tie between them
+
+N = 2 ** 53 + 1
+
+
+def test_a_midpoint_on_the_root_returns_it():
+    # (x - 3)(x^2 - 2): the walk on (0, 8] lands on 3 at its third midpoint
+    root = largest_real_root([1, -3, -2, 6], Fraction(0), Fraction(8))
+    assert root == 3 and float(root) == float(Fraction(3))
+
+
+@pytest.mark.parametrize("p, lo, hi", [
+    ([1, -(N + 1), N], Fraction(-5), Fraction(2 ** 60)),         # (x - N)(x - 1)
+    ([1, -(N + 1), N], Fraction(0), Fraction(10 ** 17)),
+    ([1, -(N + 1), N], Fraction(1), Fraction(N + 1)),
+    ([1, -N, 1, -N], Fraction(1), Fraction(2 ** 55)),            # (x - N)(x^2 + 1)
+    ([1, -N, 1, -N], Fraction(-3), Fraction(3 * 2 ** 53)),
+    ([1, -N, 1, -N], Fraction(1, 3), Fraction(10 ** 17)),
+])
+def test_a_root_on_the_tie_between_two_doubles_is_found_there(p, lo, hi):
+    # the bracket closes on the two doubles either side of N, and one Sturm
+    # count at their midpoint finds the root on it
+    root = largest_real_root(p, lo, hi)
+    assert root == N and float(root) == float(Fraction(N))
+
+
+def test_a_bracket_straddling_a_tie_picks_the_side_of_the_root():
+    # x^3 - 26x^2 - 8x - 3: the bracket shrinks to 2**-64 |a| around the
+    # tie between two doubles before both ends round to one double
+    mpmath = pytest.importorskip("mpmath")
+    p, lo, hi = [1, -26, -8, -3], Fraction(-423125, 4), Fraction(61562628514616543, 9)
+    root = largest_real_root(p, lo, hi)
+    with mpmath.workdps(60):
+        exact = max(r.real for r in mpmath.polyroots(p, maxsteps=200, extraprec=200)
+                    if abs(r.imag) < mpmath.mpf(10) ** -50)
+        man, exp = exact.man_exp
+    exact = Fraction(int(man)) * Fraction(2) ** int(exp)  # the 60-digit root
+    assert lo < exact <= hi and float(root) == float(exact)
+
+
 # -- certified means the nearest double ----------------------------------------
 
 def test_every_certified_rho_is_the_nearest_double():

@@ -1,17 +1,32 @@
-"""The CLI writes its JSON by its own writer, cli._json; it must give what
+"""fproot writes all its JSON, the CLI's reports and the quiver, algebra and
+module files, by one writer, exactlin.dump_json; it must give what
 json.dumps(indent=2, sort_keys=True) gives on the strict payload
-(json_reference), byte for byte."""
+(json_reference), byte for byte.  The quiver and algebra files share one
+vertices/arrows block, read and written the same way by both."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fproot import cli
+from fproot.algebra import (AlgebraError, algebra_from_json, algebra_to_json,
+                            dual_numbers_algebra, kronecker_algebra,
+                            local_two_loop_algebra, sqrt2_algebra)
+from fproot.exactlin import dump_json
+from fproot.quiver import Quiver, QuiverError, quiver_from_json, quiver_to_json
+from fproot.repmod import (minimal_resolution, module_from_json, module_to_json,
+                           projective, simples)
 
 from json_reference import reference_json
+from test_algebra import rational_algebras
+from test_hom_rank import ALGEBRAS, modules
+
+DATA = Path(__file__).parent / "data"
 
 ESCAPES = ['"', "\\", "\n", "\t", "\x00", "\x7f", "\u00e9", "\u00a0", "\u2028", "\U0001f600", "/"]
 FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e300, -1e300, 0.1, 1.5, 2.0 ** 53, 1e-7,
@@ -30,7 +45,7 @@ CASES = [
 
 @pytest.mark.parametrize("x", CASES, ids=range(len(CASES)))
 def test_writer_matches_json_dumps_on_cases(x):
-    assert cli._json(x) == reference_json(x)
+    assert dump_json(x) == reference_json(x)
 
 
 keys = st.text(alphabet=st.sampled_from("ab\"\\\n\t\u00e9\u00a0\u2028\U0001f600"), max_size=4)
@@ -44,7 +59,7 @@ payloads = st.recursive(leaves, lambda inner: st.lists(inner, max_size=4)
 @settings(max_examples=300, deadline=None)
 @given(payloads)
 def test_writer_matches_json_dumps(x):
-    assert cli._json(x) == reference_json(x)
+    assert dump_json(x) == reference_json(x)
 
 
 @pytest.mark.parametrize("bad", [Fraction(1, 2), {1, 2}, frozenset(), b"x", object(),
@@ -54,14 +69,14 @@ def test_a_value_json_cannot_hold_raises_type_error(bad):
         with pytest.raises(TypeError):
             reference_json(payload)
         with pytest.raises(TypeError):
-            cli._json(payload)
+            dump_json(payload)
 
 
 @pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)])
 def test_a_key_that_is_not_a_str_raises_type_error(key):
     # every payload key is a str; json.dumps would turn 1 into "1"
     with pytest.raises(TypeError):
-        cli._json({key: 0})
+        dump_json({key: 0})
 
 
 def test_emit_writes_the_payload_and_a_newline(tmp_path, capsys):
@@ -72,3 +87,121 @@ def test_emit_writes_the_payload_and_a_newline(tmp_path, capsys):
     assert capsys.readouterr().out == reference_json(payload) + "\n"
     cli._emit("a,b\n", None)
     assert capsys.readouterr().out == "a,b\n"
+
+
+# -- the quiver, algebra and module files --------------------------------------
+# Each expected document is built here from the object's attributes, and
+# json.dumps(indent=2, sort_keys=True) is the format every file writer keeps.
+
+def dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def quiver_doc(q):
+    return {"vertices": list(q.vertices),
+            "arrows": [{"label": a.label, "from": a.source, "to": a.target}
+                       for a in q.arrows]}
+
+
+def algebra_doc(alg):
+    return {**quiver_doc(alg.quiver),
+            "relations": [[{"coeff": str(c), "path": list(p.arrows)} for c, p in rel]
+                          for rel in alg.relations]}
+
+
+def module_doc(m):
+    return {"dimvec": m.dimvec, "name": m.name,
+            "maps": {label: [[str(x) for x in row] for row in f.data]
+                     for label, f in m.maps.items()}}
+
+
+def assert_files_match_json_dumps(alg, mods=()):
+    assert quiver_to_json(alg.quiver) == dumps(quiver_doc(alg.quiver))
+    assert algebra_to_json(alg) == dumps(algebra_doc(alg))
+    for m in mods:
+        assert module_to_json(m) == dumps(module_doc(m))
+
+
+def fixture_algebras():
+    algs = [sqrt2_algebra(), kronecker_algebra(), dual_numbers_algebra(),
+            local_two_loop_algebra(2, 3)]
+    return algs + [algebra_from_json(p.read_text()) for p in sorted(DATA.glob("*_algebra.json"))]
+
+
+@pytest.mark.parametrize("alg", fixture_algebras(), ids=repr)
+def test_file_writers_match_json_dumps_on_fixtures(alg):
+    # simples, projectives and their syzygies to depth 3
+    mods = simples(alg) + [projective(alg, v) for v in alg.quiver.vertices]
+    mods += [step.module for m in list(mods) for step in minimal_resolution(m, 3).steps]
+    assert_files_match_json_dumps(alg, mods)
+
+
+def test_module_writer_matches_json_dumps_on_the_data_module():
+    alg = algebra_from_json((DATA / "sqrt2_algebra.json").read_text())
+    m = module_from_json(alg, (DATA / "sqrt2_regular_brick2.json").read_text())
+    assert module_to_json(m) == dumps(module_doc(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_algebras())
+def test_file_writers_match_json_dumps_on_p_q_relations(alg):
+    # the projectives carry the relations' p/q normal forms in their maps
+    assume(alg is not None)
+    assert_files_match_json_dumps(alg, [projective(alg, v) for v in alg.quiver.vertices])
+    assert algebra_from_json(algebra_to_json(alg)).relations == alg.relations
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_module_writer_matches_json_dumps_on_p_q_maps(data):
+    alg = ALGEBRAS[data.draw(st.sampled_from(sorted(ALGEBRAS)))]
+    m = data.draw(modules(alg))
+    assert module_to_json(m) == dumps(module_doc(m))
+    assert module_from_json(alg, module_to_json(m)).maps == m.maps
+
+
+names = st.text(alphabet=st.sampled_from("ab\"\\\n\u00e9\u2028\U0001f600/"), min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(names, min_size=1, max_size=4, unique=True), st.data())
+def test_quiver_writer_matches_json_dumps_on_escaped_names(vertices, data):
+    labels = data.draw(st.lists(names, max_size=4, unique=True))
+    q = Quiver(vertices, [(l, data.draw(st.sampled_from(vertices)),
+                           data.draw(st.sampled_from(vertices))) for l in labels])
+    assert quiver_to_json(q) == dumps(quiver_doc(q))
+    back = quiver_from_json(quiver_to_json(q))
+    assert (back.vertices, back.arrows) == (q.vertices, q.arrows)
+
+
+# -- one quiver block, two readers ---------------------------------------------
+
+@pytest.mark.parametrize("block", [
+    [], "quiver", None, 5,
+    {"vertices": "12"}, {"vertices": {"1": 1}},
+    {"vertices": ["1"], "arrows": {"a": 1}}, {"vertices": ["1"], "arrows": "a"},
+    {"vertices": ["1"], "arrows": [["a", "1", "1"]]}, {"vertices": ["1"], "arrows": ["a"]},
+])
+def test_a_malformed_block_reads_the_same_through_both_readers(block):
+    # a block that is no JSON object, or whose vertices or arrows are the
+    # wrong kind of value, raises one TypeError in both readers; each names
+    # it after its own prefix
+    with pytest.raises(QuiverError) as q:
+        quiver_from_json(json.dumps(block))
+    with pytest.raises(AlgebraError) as a:
+        algebra_from_json(json.dumps(block))
+    prefix = "malformed quiver file: "
+    assert str(q.value).startswith(prefix)
+    assert str(a.value) == "malformed algebra file: " + str(q.value)[len(prefix):]
+
+
+@pytest.mark.parametrize("block, key", [
+    ({}, "vertices"), ({"arrows": []}, "vertices"),
+    ({"vertices": ["1"], "arrows": [{"label": "a", "from": "1"}]}, "to"),
+    ({"vertices": ["1"], "arrows": [{"from": "1", "to": "1"}]}, "label"),
+])
+def test_a_missing_key_is_named_by_both_readers(block, key):
+    with pytest.raises(QuiverError, match=f"^malformed quiver file: missing '{key}'$"):
+        quiver_from_json(json.dumps(block))
+    with pytest.raises(AlgebraError, match=f"^malformed algebra file: '{key}'$"):
+        algebra_from_json(json.dumps(block))

@@ -144,6 +144,15 @@ def test_classify_rejects_other():
     assert classify_underlying_graph(q) is None
 
 
+def test_classify_rejects_a_tree_with_three_branch_vertices():
+    # the path 1-2-3-4-5 with a leaf at each of 2, 3 and 4: a tree, but no
+    # (extended) Dynkin tree has more than two branch vertices
+    q = Quiver([str(i) for i in range(1, 9)],
+               [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"), ("d", "4", "5"),
+                ("e", "6", "2"), ("f", "7", "3"), ("g", "8", "4")])
+    assert classify_underlying_graph(q) is None
+
+
 def test_classify_needs_connected():
     q = Quiver(["1", "2"], [])
     with pytest.raises(QuiverError):

@@ -3,6 +3,8 @@ used in that file.
 
 `__init__.py` re-exports its imports, and `from __future__` imports switch
 on language features, so neither counts.
+
+Only `exactlin`, which holds the one JSON reader and writer, imports `json`.
 """
 
 import ast
@@ -42,3 +44,25 @@ def test_the_check_sees_an_unused_import():
                          ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str):
+    """The top-level names of the modules that `source` imports from."""
+    tree = ast.parse(source)
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    names.update(node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module and not node.level)
+    return {name.split(".")[0] for name in names}
+
+
+def test_the_json_check_sees_every_form_of_import():
+    for source in ("import json", "import json.encoder", "from json import dumps",
+                   "from json.encoder import encode_basestring_ascii", "import os, json as j"):
+        assert "json" in imported_modules(source), source
+    assert "json" not in imported_modules("from .exactlin import dump_json, load_json")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_exactlin_imports_json(path):
+    assert ("json" in imported_modules(path.read_text())) == (path.name == "exactlin.py")
