@@ -286,7 +286,7 @@ def algebra_from_json(text: str) -> BoundAlgebra:
     raw = load_json(text, AlgebraError)
     try:
         q = quiver_from_block(raw)
-    except (KeyError, TypeError, QuiverError) as e:
+    except QuiverError as e:
         raise AlgebraError(f"malformed algebra file: {e}") from e
     rels = raw.get("relations", [])
     if not isinstance(rels, list):

@@ -398,11 +398,16 @@ def quiver_block(q: Quiver) -> dict:
 
 
 def quiver_from_block(raw) -> Quiver:
-    """The Quiver of a vertices/arrows block read from JSON; KeyError or TypeError
-    if it is malformed, which each file reader names with its own error class."""
-    return Quiver(json_array(raw["vertices"], "vertices"),
-                  [(a["label"], a["from"], a["to"])
-                   for a in json_array(raw.get("arrows", []), "arrows")])
+    """The Quiver of a vertices/arrows block read from JSON; QuiverError names
+    what is malformed, and each file reader adds its own prefix."""
+    try:
+        return Quiver(json_array(raw["vertices"], "vertices"),
+                      [(a["label"], a["from"], a["to"])
+                       for a in json_array(raw.get("arrows", []), "arrows")])
+    except KeyError as e:
+        raise QuiverError(f"missing {e}") from e
+    except TypeError as e:
+        raise QuiverError(str(e)) from e
 
 
 def quiver_to_json(q: Quiver) -> str:
@@ -410,11 +415,10 @@ def quiver_to_json(q: Quiver) -> str:
 
 
 def quiver_from_json(text: str) -> Quiver:
+    raw = load_json(text, QuiverError)
     try:
-        return quiver_from_block(load_json(text, QuiverError))
-    except KeyError as e:
-        raise QuiverError(f"malformed quiver file: missing {e}") from e
-    except TypeError as e:
+        return quiver_from_block(raw)
+    except QuiverError as e:
         raise QuiverError(f"malformed quiver file: {e}") from e
 
 

@@ -7,13 +7,12 @@ Two computation paths coexist:
   absolute tolerance of 1e-9; numpy is imported on its first use, and
 * an exact path for small matrices (n <= 6): the characteristic polynomial p
   is computed in integers by Faddeev-LeVerrier, and its largest real root
-  isolated by dyadic bisection with the Sturm chain of p's squarefree part
-  (one integer remainder sequence; p need not be squarefree) until both ends
-  of the bracket round to the same double.  Float Newton on that part, from
-  above, guesses the doubles either side of the root; each end that a Sturm
-  count proves decides every bisection step beyond it.  Values produced this way
-  are flagged ``certified`` and carry tolerance 0: the reported double is
-  the one nearest the exact root.
+  found by a binary search over the doubles, each step a Sturm count with
+  the chain of p's squarefree part (one integer remainder sequence; p need
+  not be squarefree).  Float Newton on that part, from above, guesses the
+  doubles either side of the root, and the search probes them first.  Values
+  produced this way are flagged ``certified`` and carry tolerance 0: the
+  reported double is the one nearest the exact root.
 
 Matrices with infinite entries are handled by reducing over the strongly
 connected components of the support digraph: for a matrix whose finite
@@ -30,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -265,73 +265,54 @@ def _newton_bracket(q: List[int], lo: Fraction, hi: Fraction):
         return None
 
 
+def _code(x: float) -> int:
+    """The rank of the double x: its IEEE bits read as an int, negated for a
+    negative x, so that ranks are ordered as the doubles are."""
+    k = struct.unpack("<q", struct.pack("<d", abs(x)))[0]
+    return -k if x < 0 else k
+
+
+def _double(k: int) -> float:
+    """The double of rank k."""
+    x = struct.unpack("<d", struct.pack("<q", abs(k)))[0]
+    return -x if k < 0 else x
+
+
 def largest_real_root(p: Sequence, lo: Fraction, hi: Fraction) -> Optional[Fraction]:
-    """Largest real root of the rational polynomial p in (lo, hi], isolated
-    by Sturm bisection.  p need not be squarefree: the chain is that of its
-    squarefree part, which has the same roots.
+    """Largest real root r of the rational polynomial p in (lo, hi], as the
+    double nearest it (a Fraction), or None when p has no real root there.
+    p need not be squarefree: the chain is that of its squarefree part, which
+    has the same roots.  A squarefree part of degree one gives r exactly.
 
-    Returns a Fraction that rounds to the double nearest the root, or None
-    when p has no real root in the interval.  Bisection stops when both ends
-    of the bracket [a, b] round to the same double, and returns its midpoint
-    (the root itself when a midpoint lands on it).  If b - a shrinks to
-    2**-64 * |a| first, the bracket straddles the tie between two adjacent
-    doubles, and one Sturm count there picks the side.  b only moves past
-    root-free intervals, so V(b) stays V(hi): one chain evaluation per step.
-    A squarefree part of degree one gives the exact root, and so does a
-    largest root at 0 (the bracket's ends would round to one double only
-    once they underflow).
-
-    _newton_bracket guesses L < U; an end is kept when a Sturm count proves
-    it: V(U) == V(hi) (no root in (U, hi]), V(L) > V(hi) (a root in (L, hi]).
-    The steps depend only on the root, so a midpoint at or below L or above
-    U moves a or b without a chain evaluation (with both ends kept, the walk
-    jumps past those steps), and the result is the same.  The walk runs on
-    integers: [a, b] = [a, a + width] / den.
+    A binary search over the ranks of the doubles keeps r in (x_a, x_b]: a
+    Sturm count at a double x says whether r > x (V(x) > V(hi)), which holds
+    for every x below lo too.  It starts at -inf and +inf and probes the two
+    doubles that _newton_bracket guesses before any midpoint, so at most
+    2 + 2 + 64 + 1 chain evaluations are made.  Once x_a and x_b are adjacent,
+    one count at their midpoint says which is nearer, or finds r on it.  A
+    root past the double range raises OverflowError.
     """
     chain = _sturm_chain(p)
     if len(chain[0]) == 2:
         root = Fraction(-chain[0][1], chain[0][0])
         return root if lo < root <= hi else None
     lo, hi = Fraction(lo), Fraction(hi)
-    den = math.lcm(lo.denominator, hi.denominator)
-    a, width = int(lo * den), int((hi - lo) * den)
-    v_hi, at_root = _sign_variations(chain, a + width, den)
-    if at_root:
-        return hi
-    if not chain[0][-1] and lo < 0 < hi and _sign_variations(chain, 0, 1)[0] == v_hi:
-        return Fraction(0)  # a root at 0 and none above: no bracket closes on it
-    lower, upper = (-1, 0), (1, 0)  # -inf and +inf as num/den pairs
-    guess = _newton_bracket(chain[0], lo, hi)
-    if guess:
-        if _sign_variations(chain, *guess[1])[0] == v_hi:
-            upper = guess[1]
-        if _sign_variations(chain, *guess[0])[0] > v_hi:
-            lower = guess[0]
-    if not lower[1] and _sign_variations(chain, a, den)[0] == v_hi:
+    v_hi = _sign_variations(chain, hi.numerator, hi.denominator)[0]
+    if _sign_variations(chain, lo.numerator, lo.denominator)[0] == v_hi:
         return None
-    if lower[1] and upper[1]:  # skip the steps whose midpoints miss (L, U]
-        k = (width * max(lower[1], upper[1]) // den).bit_length() + 1
-        nl, nu = [((n * den - a * d) << k) // (d * width) for n, d in (lower, upper)]
-        s = (nl ^ min(nu, (1 << k) - 1)).bit_length()  # cells nl, nu share k - s bits
-        a, den = (a << (k - s)) + (nl >> s) * width, den << (k - s)
-    while width << 64 > abs(a) and (width << 52 >= abs(a) or a / den != (a + width) / den):
-        a, den = 2 * a, 2 * den
-        mid = a + width
-        if mid * lower[1] <= lower[0] * den:
-            a = mid
-        elif mid * upper[1] <= upper[0] * den:
-            v, at_root = _sign_variations(chain, mid, den)
-            if v > v_hi:
-                a = mid  # a root in (mid, b]
-            elif at_root:
-                return Fraction(mid, den)
-    if a / den == (a + width) / den:
-        return Fraction(2 * a + width, 2 * den)
-    t = (Fraction(a / den) + Fraction((a + width) / den)) / 2
+    guess = _newton_bracket(chain[0], lo, hi)
+    probes = [_code(n / d) for n, d in guess] if guess else []
+    a, b = _code(NEG_INF), _code(INF)
+    while b - a > 1:
+        k = probes.pop() if probes else (a + b) // 2
+        if a < k < b:
+            if _sign_variations(chain, *_double(k).as_integer_ratio())[0] > v_hi:
+                a = k
+            else:
+                b = k
+    t = (Fraction(_double(a)) + Fraction(_double(b))) / 2
     v, at_root = _sign_variations(chain, t.numerator, t.denominator)
-    if at_root:
-        return t
-    return Fraction(a + width, den) if v > v_hi else Fraction(a, den)
+    return t if at_root else Fraction(_double(b if v > v_hi else a))
 
 
 def _rho_exact(m: RatMatrix) -> Optional[SpectralValue]:
@@ -342,8 +323,8 @@ def _rho_exact(m: RatMatrix) -> Optional[SpectralValue]:
     if n > EXACT_SIZE_LIMIT:
         return None
     p = characteristic_polynomial(m)
-    # peel off the exact power of x: if anything is left, m has a nonzero
-    # eigenvalue, so its Perron root is positive and the largest real root
+    # peel off the exact power of x, which only lowers the degree: the
+    # largest real root stays the Perron root; a nilpotent m leaves [1]
     while len(p) > 1 and not p[-1]:
         p.pop()
     if len(p) == 1:

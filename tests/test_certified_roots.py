@@ -1,6 +1,6 @@
 """Certified Perron roots: the Newton enclosure that Sturm counts prove, the
-integer kernels behind it, and the stop rule that makes a certified value the
-double nearest the exact root."""
+integer kernels behind it, and the binary search over the doubles that makes
+a certified value the double nearest the exact root."""
 
 import json
 import math
@@ -112,15 +112,16 @@ SMALLER_ROOTS = {
 
 @pytest.mark.parametrize("rows, smaller", SMALLER_ROOTS.values(), ids=SMALLER_ROOTS)
 def test_a_wrong_guess_is_refused_and_leaves_the_root_unchanged(rows, smaller):
-    """Guesses beside the Perron root (above it, below it) and around a
-    smaller root: Sturm counts refuse each as a bracket of the root, and
-    the walk still ends on the same root."""
+    """Guesses beside the Perron root (above it, below it), around a
+    smaller root, below lo and above hi: Sturm counts refuse each as a
+    bracket of the root, and the search still ends on the same root."""
     m = RatMatrix([[Fraction(x) for x in row] for row in rows], cols=len(rows))
     p, lo, hi = root_problem(m)
     root = largest_real_root(p, lo, hi)
     gap = root / 2**30
     guesses = [(root + gap, root + 2 * gap), (root - 2 * gap, root - gap),
-               (math.nextafter(smaller, -math.inf), math.nextafter(smaller, math.inf))]
+               (math.nextafter(smaller, -math.inf), math.nextafter(smaller, math.inf)),
+               (float(lo) - 2, float(lo) - 1), (float(hi) + 1, float(hi) + 2)]
     for lower, upper in guesses:
         guess = ratio(lower), ratio(upper)
         assert not all(kept_ends(p, hi, guess))
@@ -285,9 +286,9 @@ def test_a_root_of_degree_one_stays_exact(p):
 
 def test_a_largest_root_at_zero_returns_at_once():
     # -x^2 (x^4 + (269/7) x^3 - ...) has its largest root in (-1/3, 11/3] at
-    # 0, which no midpoint of the walk hits: a bracket around 0 closes only
-    # once its ends underflow.  Run in a subprocess, so that a walk that does
-    # not stop fails the test instead of hanging the suite
+    # 0, the double of rank 0, between the subnormals of ranks -1 and 1.  Run
+    # in a subprocess, so that a search that does not stop fails the test
+    # instead of hanging the suite
     code = ("from fractions import Fraction as F\n"
             "from fproot.spectral import largest_real_root\n"
             "root = largest_real_root([-1, F(-269, 7), F(4413, 7), F(165989, 7),"
@@ -314,15 +315,15 @@ def test_a_root_at_zero_against_the_interval(lo, hi, expected):
     assert root == expected if expected in (None, 0) else float(root) == expected
 
 
-# -- each exit of the bisection gives the nearest double -----------------------
-# N = 2**53 + 1 lies halfway between the doubles 2**53 and 2**53 + 2, so a
-# bracket around it closes only at the tie between them
+# -- each end of the search gives the nearest double ---------------------------
+# N = 2**53 + 1 lies halfway between the doubles 2**53 and 2**53 + 2, so the
+# search ends on those two and finds N on the tie between them
 
 N = 2 ** 53 + 1
 
 
 def test_a_midpoint_on_the_root_returns_it():
-    # (x - 3)(x^2 - 2): the walk on (0, 8] lands on 3 at its third midpoint
+    # (x - 3)(x^2 - 2): 3 is a double, and the search on (0, 8] returns it
     root = largest_real_root([1, -3, -2, 6], Fraction(0), Fraction(8))
     assert root == 3 and float(root) == float(Fraction(3))
 
@@ -343,8 +344,8 @@ def test_a_root_on_the_tie_between_two_doubles_is_found_there(p, lo, hi):
 
 
 def test_a_bracket_straddling_a_tie_picks_the_side_of_the_root():
-    # x^3 - 26x^2 - 8x - 3: the bracket shrinks to 2**-64 |a| around the
-    # tie between two doubles before both ends round to one double
+    # x^3 - 26x^2 - 8x - 3: the root lies close to the tie between two
+    # adjacent doubles, and the count at their midpoint picks the side
     mpmath = pytest.importorskip("mpmath")
     p, lo, hi = [1, -26, -8, -3], Fraction(-423125, 4), Fraction(61562628514616543, 9)
     root = largest_real_root(p, lo, hi)
@@ -354,6 +355,51 @@ def test_a_bracket_straddling_a_tie_picks_the_side_of_the_root():
         man, exp = exact.man_exp
     exact = Fraction(int(man)) * Fraction(2) ** int(exp)  # the 60-digit root
     assert lo < exact <= hi and float(root) == float(exact)
+
+
+# -- the search: a bounded number of Sturm counts -------------------------------
+
+# roots 10^20 and 10^20 +- sqrt 13, closer than one ulp: float Newton stops
+# far below the Perron root
+CLUSTER = RatMatrix([[10**20, 1, 0], [3, 10**20, 2], [0, 5, 10**20]], cols=3)
+TINY = Fraction(1, 10 ** 300)
+SEARCHES = {
+    # (x - 10^-300)(x + 5)(x + 7)
+    "root_1e-300": ([1, 12 - TINY, 35 - 12 * TINY, -35 * TINY],
+                    Fraction(-10), Fraction(10), 1e-300),
+    # (x - 2^-1074)(x^2 + 1): the least positive double
+    "root_2^-1074": ([1, -Fraction(1, 2 ** 1074), 1, -Fraction(1, 2 ** 1074)],
+                     Fraction(-10), Fraction(10), 5e-324),
+    "cluster": (*root_problem(CLUSTER), 1e20),
+}
+
+
+@pytest.mark.parametrize("newton", [True, False], ids=["newton", "no_newton"])
+@pytest.mark.parametrize("p, lo, hi, expected", SEARCHES.values(), ids=SEARCHES)
+def test_the_search_makes_at_most_69_sturm_counts(monkeypatch, p, lo, hi, expected, newton):
+    # V(hi) and V(lo), two guess ends, 64 midpoints and one tie count
+    calls = []
+    monkeypatch.setattr(spectral, "_sign_variations",
+                        lambda *args: calls.append(args) or _sign_variations(*args))
+    if not newton:
+        monkeypatch.setattr(spectral, "_newton_bracket", lambda q, lo, hi: None)
+    root = largest_real_root(p, lo, hi)
+    assert float(root) == expected
+    assert len(calls) <= 69
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonnegative_matrices())
+def test_the_root_is_a_double_or_the_tie_between_two(m):
+    # a squarefree part of degree one gives its root exactly instead
+    problem = root_problem(m)
+    if problem is None or len(problem[0]) == 2:
+        return
+    root = largest_real_root(*problem)
+    x = float(root)
+    if Fraction(x) != root:
+        side = math.nextafter(x, math.inf if root > x else -math.inf)
+        assert root == (Fraction(x) + Fraction(side)) / 2
 
 
 # -- certified means the nearest double ----------------------------------------

@@ -37,8 +37,18 @@ GOLDEN = [
       "--depth", "4"],
      "commutative_square_resolve_s1_depth4.out"),
     # irreducible 5x5, squarefree characteristic polynomial of degree 5:
-    # the certified value comes out of the Sturm bisection
+    # the certified value comes out of the Sturm search over the doubles
     (["spectral", "spectral_irreducible5.json"], "spectral_irreducible5.out"),
+    # x^6 - 10^60: a root of 10^10 far below the row sums of 10^30
+    (["spectral", "spectral_cycle6_1e30.json"], "spectral_cycle6_1e30.out"),
+    # a 4-cycle whose root 1/1000 lies far below its row sum 10^9
+    (["spectral", "spectral_far_below_row_sums.json"],
+     "spectral_far_below_row_sums.out"),
+    # a 3-cycle of weights 1/10^100: a root of 10^-100, close to 0
+    (["spectral", "spectral_cycle3_1e-100.json"], "spectral_cycle3_1e-100.out"),
+    # roots 10^20 and 10^20 +- sqrt 13, closer than one ulp: float Newton
+    # stops far from the Perron root
+    (["spectral", "spectral_root_cluster.json"], "spectral_root_cluster.out"),
     # +inf and -inf only between components: the exact SCC fold
     (["spectral", "spectral_inf_between_components.json"],
      "spectral_inf_between_components.out"),

@@ -181,10 +181,15 @@ def test_quiver_writer_matches_json_dumps_on_escaped_names(vertices, data):
     {"vertices": "12"}, {"vertices": {"1": 1}},
     {"vertices": ["1"], "arrows": {"a": 1}}, {"vertices": ["1"], "arrows": "a"},
     {"vertices": ["1"], "arrows": [["a", "1", "1"]]}, {"vertices": ["1"], "arrows": ["a"]},
+    {"vertices": ["1", "1"]},
+    {"vertices": ["1"], "arrows": [{"label": "a", "from": "1", "to": "1"},
+                                   {"label": "a", "from": "1", "to": "1"}]},
+    {"vertices": ["1"], "arrows": [{"label": "a", "from": "1", "to": "2"}]},
 ])
 def test_a_malformed_block_reads_the_same_through_both_readers(block):
-    # a block that is no JSON object, or whose vertices or arrows are the
-    # wrong kind of value, raises one TypeError in both readers; each names
+    # a block that is no JSON object, whose vertices or arrows are the wrong
+    # kind of value, or that is no quiver (a duplicate vertex or arrow label,
+    # an undeclared endpoint) raises one message in both readers; each names
     # it after its own prefix
     with pytest.raises(QuiverError) as q:
         quiver_from_json(json.dumps(block))
@@ -203,5 +208,5 @@ def test_a_malformed_block_reads_the_same_through_both_readers(block):
 def test_a_missing_key_is_named_by_both_readers(block, key):
     with pytest.raises(QuiverError, match=f"^malformed quiver file: missing '{key}'$"):
         quiver_from_json(json.dumps(block))
-    with pytest.raises(AlgebraError, match=f"^malformed algebra file: '{key}'$"):
+    with pytest.raises(AlgebraError, match=f"^malformed algebra file: missing '{key}'$"):
         algebra_from_json(json.dumps(block))
