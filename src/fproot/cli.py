@@ -1,4 +1,5 @@
-"""Command-line surface.
+"""Command-line surface: parse the arguments, call the library, emit the
+report; no module arithmetic (fp-scan's brick scan is repmod.scan_candidates).
 
 Subcommands: spectral, quiver, fp-scan, resolve, tables.  All machine output
 is JSON (or CSV/DOT where stated), deterministic for a fixed seed: rationals
@@ -14,22 +15,17 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
-import random
 import sys
-from collections import Counter
-from itertools import combinations_with_replacement, takewhile
+from itertools import takewhile
 
 from . import __version__
-from .exactlin import InputError, InvariantViolation, RatMatrix, dump_json
+from .exactlin import InputError, InvariantViolation, dump_json
 from .spectral import matrix_from_json, rho_extended
 from .quiver import (classify_underlying_graph, cycle_number, quiver_from_json,
                      quiver_fpdim, quiver_to_dot)
 from .algebra import algebra_from_json
-from . import repmod
-from .repmod import (Representation, RepresentationError, ext_to_simples,
-                     is_brick, minimal_resolution, module_from_json, simple,
-                     simples)
+from .repmod import (RepresentationError, ext_to_simples, minimal_resolution,
+                     module_from_json, scan_candidates, simple)
 from .fpcore import FpBudgets, complexity_estimate, ext_assignment, fp_report
 from .tables import surface_grid_csv
 
@@ -84,120 +80,6 @@ def cmd_quiver(args) -> int:
     elif args.action == "dot":
         _emit(quiver_to_dot(q), args.out)
     return EXIT_OK
-
-
-def _random_maps(alg, dimvec, rng):
-    """One random draw at a dimension vector (zeros may be left out),
-    hashable: per arrow None for a zero map (often the only way to satisfy
-    the relations), otherwise the integer rows of a small random matrix.
-    Each entry is k - 2 for the first k = rng.getrandbits(3) below 5, the
-    draw rng.randint(-2, 2) makes."""
-    draw, bits = [], rng.getrandbits
-    for a in alg.quiver.arrows:
-        r, c = dimvec.get(a.target, 0), dimvec.get(a.source, 0)
-        if rng.random() < 0.4:
-            draw.append(None)
-        else:  # r rows of c entries, grouped from one flat list
-            flat = []
-            for _ in range(r * c):
-                k = bits(3)
-                while k > 4:
-                    k = bits(3)
-                flat.append(k - 2)
-            draw.append(tuple(zip(*[iter(flat)] * c)) if c else ((),) * r)
-    return tuple(draw)
-
-
-def _dimension_vectors(vertices, budget):
-    """Every dimension vector of total 1..budget as its support (the nonzero
-    counts, in the order of vertices), in scan order: by total, then by the
-    counts in sorted-label order, which orders supports of one total as their
-    (-position, count) pairs listed by sorted-label position do."""
-    position = {v: i for i, v in enumerate(sorted(vertices))}
-    dvs = [dict(Counter(picked)) for total in range(1, budget + 1)
-           for picked in combinations_with_replacement(vertices, total)]
-    return sorted(dvs, key=lambda d: (sum(d.values()), [(-i, k) for i, k in sorted(
-        (position[v], k) for v, k in d.items())]))
-
-
-def _brick_bound(alg, support):
-    """The most bricks, up to isomorphism, that a support (a dimension vector
-    as its nonzero counts) can hold, read off the support and the arrows
-    inside it: 0 if those arrows leave it disconnected (every module there
-    is a direct sum).  On a relation-free algebra, which is hereditary,
-    dim End(X) - dim Ext^1(X, X) is the Tits form q(d) = sum_v d_v^2 -
-    sum_{a: s->t} d_s d_t (Ringel), so there is none if q(d) > 1, and at
-    most one if q(d) = 1: over the algebraic closure a brick stays a brick,
-    the real root d has a unique indecomposable there (Kac), and
-    Noether-Deuring brings the isomorphism back.  Else math.inf."""
-    inner = [a for a in alg.quiver.arrows if a.source in support and a.target in support]
-    reached = {next(iter(support))}
-    for _ in support:
-        reached.update(v for a in inner if a.source in reached or a.target in reached
-                       for v in (a.source, a.target))
-    if len(reached) < len(support):
-        return 0
-    if alg.relations:
-        return math.inf
-    tits = repmod.euler_form(alg, support, support)
-    return 0 if tits > 1 else 1 if tits == 1 else math.inf
-
-
-def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
-                    max_candidates=64):
-    """Deterministic brick-candidate generation for an arbitrary algebra.
-
-    Simples and projectives come first, then seeded random draws at every
-    dimension vector within the budget.  A draw repeated at one dimension
-    vector is examined once, on its integer rows (None for a zero map): its
-    relations (failing_relation), its End nullity (row_hom_dim) and, by one
-    Hom system each, whether it is isomorphic to a candidate of its support
-    (row_isomorphic_to_brick, exact since every candidate is a brick).  Only
-    a brick new up to isomorphism meets the cap and is built as a module.
-    The draws at a dimension vector stop being examined once its candidates
-    reach _brick_bound, which certifies that no further brick there is new;
-    all of them are still drawn, so the rng stream, the names and the output
-    are those of the scan that examines every draw.
-    Returns (candidates, truncated): capped at N, the scan lists the first N
-    candidates of the uncapped scan, truncated iff that lists more than N.
-    """
-    rng, arrows = random.Random(seed), alg.quiver.arrows
-    cands, rows_by_support = [], {}
-
-    def admit(rows, module):  # False iff the cap refuses a new brick
-        same = rows_by_support.setdefault(frozenset(rows[0].items()), [])
-        if any(repmod.row_isomorphic_to_brick(arrows, rows, c) for c in same):
-            return True
-        if len(cands) >= max_candidates:
-            return False
-        cands.append(module())
-        same.append(rows)
-        return True
-
-    projectives = (repmod.projective(alg, v) for v in alg.quiver.vertices)
-    if not all(admit(m.rows, lambda: m) for m in simples(alg) + [
-            p for p in projectives if is_brick(p)]):
-        return cands, True
-    vertices = alg.quiver.vertices
-    for support in _dimension_vectors(vertices, dim_budget):
-        # a repeated draw is, or matches, a candidate, or is no brick
-        draws = dict.fromkeys(_random_maps(alg, support, rng)
-                              for _ in range(samples_per_dimvec))
-        most = _brick_bound(alg, support)
-        same = rows_by_support.setdefault(frozenset(support.items()), [])
-        for draw in draws:
-            if len(same) >= most:
-                break  # every brick left here is isomorphic to a candidate
-            rows = (support, draw)
-            if repmod.failing_relation(alg, rows) is None \
-                    and repmod.row_hom_dim(arrows, rows, rows) == 1 \
-                    and not admit(rows, lambda: Representation(
-                        alg, support, {a.label: RatMatrix(r, support.get(a.source, 0))
-                                       for a, r in zip(arrows, draw) if r is not None},
-                        name=f"B({','.join(str(support.get(v, 0)) for v in vertices)})"
-                             f"#{len(cands)}", check=False)):
-                return cands, True
-    return cands, False
 
 
 def cmd_fp_scan(args) -> int:

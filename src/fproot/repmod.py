@@ -1,8 +1,11 @@
 """Representations of bound quiver algebras.
 
 Hom spaces (exact intertwiner systems), brick tests, minimal projective
-resolutions, Ext groups, the hereditary Euler-form shortcut, and the
-indecomposables of Dynkin path algebras by BGP reflection functors.
+resolutions, Ext groups, the hereditary Euler-form shortcut, the
+indecomposables of Dynkin path algebras by BGP reflection functors, and the
+seeded brick scan behind `fproot fp-scan` (scan_candidates).  The scan's
+row-level form of a module (see _hom_system) is never read outside this
+module.
 
 Convention: an arrow a: s -> t acts as a matrix V_s -> V_t, stored with
 shape dim_t x dim_s; a morphism f satisfies f_t M_a = N_a f_s for every
@@ -13,9 +16,10 @@ stacked/slit identities) are transcribed under this convention.
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import combinations_with_replacement, count
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exactlin import (InputError, InvariantViolation, RatMatrix, dump_json,
@@ -35,7 +39,8 @@ class Representation:
     form, the row-level module _hom_system reads: the nonzero dimensions in
     vertex order and, per quiver arrow, the given map's rows as entered (a
     RatMatrix's entries kept), None where no map was given; dimvec and maps
-    are views of it."""
+    are views of it.  A dimension must be an int; the slots are filled by
+    _module, which the scan and dynkin_indecomposables call on rows alone."""
 
     __slots__ = ("algebra", "name", "rows")
 
@@ -43,12 +48,16 @@ class Representation:
                  maps: Dict[str, RatMatrix], name: str = "", check: bool = True):
         q, rows = algebra.quiver, [None] * len(algebra.quiver.arrows)
         try:
-            dims = {str(v): int(dimvec[v]) for v in sorted(dimvec, key=q.vertex_index)}
+            order = sorted(dimvec, key=q.vertex_index)
         except KeyError as e:
             raise RepresentationError(f"dimvec names unknown vertex {e.args[0]!r}") from None
-        if any(d < 0 for d in dims.values()):
-            raise RepresentationError("negative dimension")
-        support = {v: d for v, d in dims.items() if d}
+        for v in order:
+            if type(dimvec[v]) is not int:  # not a float, a bool or a string
+                raise RepresentationError(
+                    f"dimension at vertex {v!r} is not an integer: {dimvec[v]!r}")
+            if dimvec[v] < 0:
+                raise RepresentationError("negative dimension")
+        support = {str(v): dimvec[v] for v in order if dimvec[v]}
         for label, m in maps.items():
             try:
                 i = q.arrow_index(label)
@@ -61,13 +70,9 @@ class Representation:
                     raise RepresentationError(f"map for arrow {label} has shape "
                                               f"{m.shape}, expected {shape}")
                 rows[i] = m.data
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "rows", (support, tuple(rows)))
-        object.__setattr__(self, "name", name or f"M{tuple(self.dimvec.values())}")
-        if check:
-            rel = failing_relation(algebra, self.rows)
-            if rel is not None:
-                raise RepresentationError(f"relation {rel} does not vanish on {self.name}")
+        _module(algebra, (support, tuple(rows)), name, self)
+        if check and (rel := failing_relation(algebra, self.rows)) is not None:
+            raise RepresentationError(f"relation {rel} does not vanish on {self.name}")
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Representation is immutable")
@@ -109,6 +114,17 @@ class Representation:
 
     def __repr__(self):
         return f"Representation({self.name}, dimvec={self.dimvec})"
+
+
+def _module(algebra: BoundAlgebra, rows, name: str = "", m=None) -> Representation:
+    """The module of the row-level form rows (see _hom_system), unchecked:
+    the one constructor every Representation ends in.  It fills the slots of
+    m, a new Representation by default; an empty name becomes M(dims)."""
+    m = object.__new__(Representation) if m is None else m
+    object.__setattr__(m, "algebra", algebra)
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "name", name or f"M{tuple(m.dimvec.values())}")
+    return m
 
 
 def _path_column(mats, j: int) -> list:
@@ -300,15 +316,11 @@ def hom(m: Representation, n: Representation) -> HomSpace:
                                  for v, d in dm.items()} for f in fs), len(fs))
 
 
-def row_hom_dim(arrows, m, n) -> int:
-    """dim Hom(m, n) of row-level modules: the nullity of _hom_system, by rank alone."""
-    rows, total, _ = _hom_system(arrows, m, n)
-    return total - rank_of_rows(rows)
-
-
 def hom_dim(m: Representation, n: Representation) -> int:
-    """dim Hom(m, n), on integers where the maps are (see row_hom_dim)."""
-    return row_hom_dim(*_rows_of(m, n))
+    """dim Hom(m, n): the nullity of the intertwiner system, by rank alone, on
+    integers where the maps are."""
+    rows, total, _ = _hom_system(*_rows_of(m, n))
+    return total - rank_of_rows(rows)
 
 
 def is_brick(m: Representation) -> bool:
@@ -318,23 +330,19 @@ def is_brick(m: Representation) -> bool:
     return hom_dim(m, m) == 1
 
 
-def row_isomorphic_to_brick(arrows, m, brick) -> bool:
-    """Whether the row-level module m is isomorphic to brick, from one Hom
-    system; m need not be a brick.  An isomorphism spans Hom(m, brick) =
-    End(brick) = k, so the two are isomorphic iff their supports match,
-    dim Hom(m, brick) = 1 and its generator has full rank at every vertex."""
-    if m[0] != brick[0]:
-        return False
-    rows, total, offsets = _hom_system(arrows, m, brick)
-    kernel, _ = nullspace(rows, total)
-    return len(kernel) == 1 and all(rank_of_rows(f) == len(f) for f in _vertex_maps(
-        kernel[0], offsets, m[0], brick[0]).values())
-
-
 def is_isomorphic_brick(m: Representation, n: Representation) -> bool:
     """Whether m is isomorphic to n and n is a brick, so for a brick n exactly
-    whether m is isomorphic to it (see row_isomorphic_to_brick)."""
-    return row_isomorphic_to_brick(*_rows_of(m, n))
+    whether m is isomorphic to it, from one Hom system; m need not be a
+    brick.  An isomorphism spans Hom(m, n) = End(n) = k, so the two are
+    isomorphic iff their supports match, dim Hom(m, n) = 1 and its generator
+    has full rank at every vertex."""
+    arrows, mr, nr = _rows_of(m, n)
+    if mr[0] != nr[0]:
+        return False
+    rows, total, offsets = _hom_system(arrows, mr, nr)
+    kernel, _ = nullspace(rows, total)
+    return len(kernel) == 1 and all(rank_of_rows(f) == len(f) for f in _vertex_maps(
+        kernel[0], offsets, mr[0], nr[0]).values())
 
 
 def direct_sum(ms: Sequence[Representation]) -> Representation:
@@ -631,8 +639,7 @@ def dynkin_indecomposables(alg: BoundAlgebra) -> List[Representation]:
     found.sort(key=lambda dm: (sum(dm[0]), dm[0]))
     if [d for d, _ in found] != sorted(roots, key=lambda r: (sum(r), r)):
         raise InvariantViolation("the tau^- orbits miss or repeat a positive root")
-    return [Representation(alg, m.dimvec, m.maps, name="M(" + ",".join(map(str, d)) + ")",
-                           check=False) for d, m in found]
+    return [_module(alg, m.rows, "M(" + ",".join(map(str, d)) + ")") for d, m in found]
 
 
 # ---------------------------------------------------------------------------
@@ -722,6 +729,116 @@ def kronecker_brick_catalogue(alg: BoundAlgebra, max_total_dim: int = 6,
         out.append(preinjective_brick(alg, n))
         n += 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# the brick scan
+# ---------------------------------------------------------------------------
+
+def _random_maps(alg, dimvec, rng):
+    """One random draw at a dimension vector (zeros may be left out),
+    hashable: per arrow None for a zero map (often the only way to satisfy
+    the relations), otherwise the integer rows of a small random matrix.
+    Each entry is k - 2 for the first k = rng.getrandbits(3) below 5, the
+    draw rng.randint(-2, 2) makes."""
+    draw, bits = [], rng.getrandbits
+    for a in alg.quiver.arrows:
+        r, c = dimvec.get(a.target, 0), dimvec.get(a.source, 0)
+        if rng.random() < 0.4:
+            draw.append(None)
+        else:  # r rows of c entries, grouped from one flat list
+            flat = []
+            for _ in range(r * c):
+                k = bits(3)
+                while k > 4:
+                    k = bits(3)
+                flat.append(k - 2)
+            draw.append(tuple(zip(*[iter(flat)] * c)) if c else ((),) * r)
+    return tuple(draw)
+
+
+def _dimension_vectors(vertices, budget):
+    """Every dimension vector of total 1..budget as its support (the nonzero
+    counts, in the order of vertices), in scan order: by total, then by the
+    counts in sorted-label order, which orders supports of one total as their
+    (-position, count) pairs listed by sorted-label position do."""
+    position = {v: i for i, v in enumerate(sorted(vertices))}
+    dvs = [dict(Counter(picked)) for total in range(1, budget + 1)
+           for picked in combinations_with_replacement(vertices, total)]
+    return sorted(dvs, key=lambda d: (sum(d.values()), [(-i, k) for i, k in sorted(
+        (position[v], k) for v, k in d.items())]))
+
+
+def _brick_bound(alg, support):
+    """The most bricks, up to isomorphism, that a support (a dimension vector
+    as its nonzero counts) can hold, read off the support and the arrows
+    inside it: 0 if those arrows leave it disconnected (every module there
+    is a direct sum).  On a relation-free algebra, which is hereditary,
+    dim End(X) - dim Ext^1(X, X) is the Tits form q(d) = sum_v d_v^2 -
+    sum_{a: s->t} d_s d_t (Ringel), so there is none if q(d) > 1, and at
+    most one if q(d) = 1: over the algebraic closure a brick stays a brick,
+    the real root d has a unique indecomposable there (Kac), and
+    Noether-Deuring brings the isomorphism back.  Else math.inf."""
+    inner = [a for a in alg.quiver.arrows if a.source in support and a.target in support]
+    reached = {next(iter(support))}
+    for _ in support:
+        reached.update(v for a in inner if a.source in reached or a.target in reached
+                       for v in (a.source, a.target))
+    if len(reached) < len(support):
+        return 0
+    if alg.relations:
+        return math.inf
+    tits = euler_form(alg, support, support)
+    return 0 if tits > 1 else 1 if tits == 1 else math.inf
+
+
+def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
+                    max_candidates=64):
+    """Deterministic brick-candidate generation for an arbitrary algebra.
+
+    Simples and projectives come first, then seeded random draws at every
+    dimension vector within the budget.  A draw repeated at one dimension
+    vector is examined once: if its relations hold (failing_relation, on its
+    integer rows), it is built as a module, unchecked, and admitted like the
+    simples and projectives, by is_brick and by is_isomorphic_brick against
+    each candidate of its support (exact, since every candidate is a brick).
+    Only a brick new up to isomorphism meets the cap.  The draws at a
+    dimension vector stop being examined once its candidates reach
+    _brick_bound, which certifies that no further brick there is new; all of
+    them are still drawn, so the rng stream, the names and the output are
+    those of the scan that examines every draw.
+    Returns (candidates, truncated): capped at N, the scan lists the first N
+    candidates of the uncapped scan, truncated iff that lists more than N.
+    """
+    rng, vertices = random.Random(seed), alg.quiver.vertices
+    cands, by_support = [], {}
+
+    def admit(m):  # False iff the cap refuses a new brick
+        same = by_support.setdefault(frozenset(m.rows[0].items()), [])
+        if not is_brick(m) or any(is_isomorphic_brick(m, c) for c in same):
+            return True
+        if len(cands) >= max_candidates:
+            return False
+        cands.append(m)
+        same.append(m)
+        return True
+
+    if not all(map(admit, simples(alg) + [projective(alg, v) for v in vertices])):
+        return cands, True
+    for support in _dimension_vectors(vertices, dim_budget):
+        # a repeated draw is, or matches, a candidate, or is no brick
+        draws = dict.fromkeys(_random_maps(alg, support, rng)
+                              for _ in range(samples_per_dimvec))
+        most = _brick_bound(alg, support)
+        same = by_support.setdefault(frozenset(support.items()), [])
+        dims = "B(" + ",".join(str(support.get(v, 0)) for v in vertices) + ")"
+        for draw in draws:
+            if len(same) >= most:
+                break  # every brick left here is isomorphic to a candidate
+            if failing_relation(alg, (support, draw)) is None and not admit(
+                    _module(alg, (support, draw), f"{dims}#{len(cands)}")):
+                return cands, True
+    return cands, False
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """A test-only reference for the brick scan: the sampling loop of
-`fproot.cli.scan_candidates` with every draw examined, repeats included,
+`fproot.repmod.scan_candidates` with every draw examined, repeats included,
 and every sampled entry a `Fraction`.  It makes the same rng calls in the
 same order, so for a seed it must find the same candidates, under the same
 names, and stop at the same point.  Its dedup is the composite test on Hom
@@ -38,7 +38,7 @@ def _isomorphic_bricks(m, n):
     if m.dimvec != n.dimvec:
         return False
     return any(not (g[v] @ f[v]).is_zero() for f in hom(m, n).basis
-               for g in hom(n, m).basis for v in m.rows[0])
+               for g in hom(n, m).basis for v in m.dimvec)
 
 
 def _dimension_vectors(vertices, budget):

@@ -38,3 +38,12 @@ def test_the_tracers_other_two_contracts_hold():
     assert list(params) == ["self", "algebra", "dimvec", "maps", "name", "check"]
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
     assert callable(getattr(BoundAlgebra, "left_multiply", None))
+
+
+def test_the_scan_has_one_name_in_both_namespaces():
+    """The tracer patches a function in every namespace that binds it, so the
+    one cli.scan_candidates span also covers cmd_fp_scan's call only while
+    cli binds the very function repmod defines."""
+    import fproot.cli
+    import fproot.repmod
+    assert fproot.cli.scan_candidates is fproot.repmod.scan_candidates

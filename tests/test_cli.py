@@ -469,7 +469,7 @@ def test_boolean_entries_exit_2(tmp_path, fmt):
 
 def test_dimension_vectors_match_a_product_reference():
     from itertools import product
-    from fproot.cli import _dimension_vectors
+    from fproot.repmod import _dimension_vectors
     for n in range(1, 5):
         vertices = [str(v) for v in range(n)]
         for budget in range(4):
@@ -482,7 +482,7 @@ def test_dimension_vectors_match_a_product_reference():
 
 
 def test_dimension_vectors_of_many_vertices():
-    from fproot.cli import _dimension_vectors
+    from fproot.repmod import _dimension_vectors
     vertices = [f"v{i}" for i in range(2000)]
     seen = []
     for dv in _dimension_vectors(vertices, 1):  # each a support of one vertex

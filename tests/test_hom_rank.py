@@ -6,9 +6,9 @@ fraction-free elimination, while `hom` builds the kernel basis with
 goes for `rank` against the pivots of `rref`, for the relation check against
 the sum of path matrices, for `is_isomorphic_brick` (m is isomorphic to the
 brick n) against the Schur rule and, on two bricks, the composite test on Hom
-bases, and for the scan's verdicts on a draw's integer rows (`row_hom_dim`,
-`row_isomorphic_to_brick`) against the same verdicts on the module built
-from them.
+bases, and for the scan's verdicts on a draw, built from its integer rows
+by the scan's unchecked constructor (`repmod._module`), against the same
+verdicts on the module `Representation` builds from them.
 """
 
 import math
@@ -25,13 +25,11 @@ from fproot.algebra import (Path, build_algebra, dual_numbers_algebra,
 from fproot.exactlin import RatMatrix, rank, rank_of_rows, rref, solve
 from fproot.quiver import Quiver, path_quiver
 from fproot import repmod
-from fproot.cli import _random_maps
-from fproot.repmod import _hom_system, regular_brick
+from fproot.repmod import _hom_system, _module, _random_maps, regular_brick
 from fproot.repmod import (Representation, RepresentationError,
                            failing_relation, hom, hom_dim, is_brick,
                            is_isomorphic_brick, minimal_resolution, module_from_json,
-                           module_to_json, row_hom_dim,
-                           row_isomorphic_to_brick, simple)
+                           module_to_json, simple)
 from test_scan_reference import ALGEBRAS as SCAN_ALGEBRAS
 
 
@@ -496,7 +494,7 @@ def _built(alg, dimvec, draw):
 @st.composite
 def scan_draws(draw):
     """(algebra, dimension vector, draws): the distinct draws among eight
-    that fproot.cli._random_maps makes from a drawn seed at a nonzero
+    that fproot.repmod._random_maps makes from a drawn seed at a nonzero
     dimension vector, over every scan-reference algebra (loops, two parallel
     arrows, one- and two-term relations), kept when the relations hold."""
     alg = SCAN_ALGEBRAS[draw(st.sampled_from(sorted(SCAN_ALGEBRAS)))]
@@ -511,13 +509,14 @@ def scan_draws(draw):
 @settings(max_examples=150, deadline=None)
 @given(scan_draws())
 def test_row_end_nullity_matches_is_brick(case):
-    """The End nullity the scan computes on a draw's rows is dim End of the
-    module built from them, so it is 1 exactly when is_brick holds."""
+    """The End nullity the scan computes on a draw, built from its rows by
+    _module, is dim End of the module Representation builds from them, so
+    it is 1 exactly when is_brick holds."""
     alg, dimvec, draws = case
     support = {v: d for v, d in dimvec.items() if d}
     for d in draws:
-        m = _built(alg, dimvec, d)
-        nullity = row_hom_dim(alg.quiver.arrows, (support, d), (support, d))
+        m, scanned = _built(alg, dimvec, d), _module(alg, (support, d))
+        nullity = hom_dim(scanned, scanned)
         assert nullity == hom_dim(m, m) == hom(m, m).dim
         assert (nullity == 1) == is_brick(m)
 
@@ -525,23 +524,25 @@ def test_row_end_nullity_matches_is_brick(case):
 @settings(max_examples=100, deadline=None)
 @given(scan_draws(), st.data())
 def test_row_dedup_matches_schur_rule(case, data):
-    """The scan's dedup on rows against the Schur rule on the built modules,
-    with the second draw a brick as in the scan, and against the composite
-    test when the first is a brick too; a conjugate of a brick by rational
-    vertex maps, given as its rows, matches it."""
+    """The scan's dedup on draws built from their rows by _module against
+    the Schur rule on the modules Representation builds, with the second
+    draw a brick as in the scan, and against the composite test when the
+    first is a brick too; a conjugate of a brick by rational vertex maps
+    matches it."""
     alg, dimvec, draws = case
-    arrows, support = alg.quiver.arrows, {v: d for v, d in dimvec.items() if d}
+    support = {v: d for v, d in dimvec.items() if d}
     built = [_built(alg, dimvec, d) for d in draws]
-    for d2, n in zip(draws, built):
+    scanned = [_module(alg, (support, d)) for d in draws]
+    for s2, n in zip(scanned, built):
         if not is_brick(n):
             continue
-        for d1, m in zip(draws, built):
-            got = row_isomorphic_to_brick(arrows, (support, d1), (support, d2))
+        for s1, m in zip(scanned, built):
+            got = is_isomorphic_brick(s1, s2)
             assert got == _isomorphic_by_schur(m, n)
             if is_brick(m):
                 assert got == _isomorphic_by_bases(m, n)
         c = _conjugate(n, {v: data.draw(invertibles(k)) for v, k in dimvec.items()})
-        assert row_isomorphic_to_brick(arrows, c.rows, (support, d2))
+        assert is_isomorphic_brick(c, s2)
         assert is_isomorphic_brick(c, n)
 
 

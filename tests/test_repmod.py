@@ -74,6 +74,18 @@ def test_unknown_vertex_or_arrow_rejected(A):
             Representation(A, {"1": 1, "2": 1}, {"zz": m})
 
 
+@pytest.mark.parametrize("d", [2.5, 2.0, True, "3"])
+def test_a_dimension_that_is_no_int_is_rejected(K, d):
+    """A float, a bool or a string is refused in module_from_json's words,
+    not truncated or parsed by int(); the other vertex is a valid int."""
+    with pytest.raises(RepresentationError) as e:
+        Representation(K, {"1": d, "2": 1}, {})
+    assert str(e.value) == f"dimension at vertex '1' is not an integer: {d!r}"
+    with pytest.raises(RepresentationError, match="^dimension at vertex '2' is not"):
+        Representation(K, {"1": 2, "2": True}, {})
+    assert Representation(K, {"1": 2, "2": 1}, {}).name == "M(2, 1)"
+
+
 # -- hom ---------------------------------------------------------------------
 
 def test_hom_simples_vanish_between_vertices(A):

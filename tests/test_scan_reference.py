@@ -15,9 +15,9 @@ import pytest
 from fproot.algebra import (algebra_from_json, build_algebra,
                             dual_numbers_algebra, kronecker_algebra,
                             local_two_loop_algebra, path_algebra, sqrt2_algebra)
-from fproot.cli import _dimension_vectors, _random_maps, scan_candidates
 from fproot.exactlin import rat_str
 from fproot.quiver import Quiver, kronecker_quiver
+from fproot.repmod import _dimension_vectors, _random_maps, scan_candidates
 
 import scan_reference
 from scan_reference import reference_scan

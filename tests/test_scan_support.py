@@ -1,4 +1,4 @@
-"""The scan's support rule (`cli._brick_bound`), checked with no draws.
+"""The scan's support rule (`repmod._brick_bound`), checked with no draws.
 
 On a relation-free algebra a brick's dimension vector is a root of the
 quiver: connected, with Tits form q(d) <= 1.  So on a Dynkin quiver exactly
@@ -14,7 +14,7 @@ import pytest
 
 from fproot import repmod
 from fproot.algebra import build_algebra, path_algebra
-from fproot.cli import _brick_bound, _dimension_vectors, scan_candidates
+from fproot.repmod import _brick_bound, _dimension_vectors, scan_candidates
 from fproot.quiver import (Quiver, _is_connected, dynkin_quiver,
                            extended_dynkin_quiver, positive_roots)
 
@@ -86,15 +86,16 @@ def test_the_scan_examines_only_draws_that_may_be_new_bricks(monkeypatch):
     draws are examined up to the first brick only; the imaginary root of
     ~D4 still has every distinct draw examined."""
     alg = path_algebra(extended_dynkin_quiver("D", 4))
-    verdicts, row_hom_dim = {}, repmod.row_hom_dim
+    verdicts, hom_dim = {}, repmod.hom_dim
 
-    def spy(arrows, m, n):  # End nullities, by support
-        dim = row_hom_dim(arrows, m, n)
-        if m is n:
-            verdicts.setdefault(frozenset(m[0].items()), []).append(dim)
+    def spy(m, n):  # End nullities of the draws (named B(...)#k), by support
+        dim = hom_dim(m, n)
+        if m is n and m.name.startswith("B("):
+            support = frozenset((v, d) for v, d in m.dimvec.items() if d)
+            verdicts.setdefault(support, []).append(dim)
         return dim
 
-    monkeypatch.setattr(repmod, "row_hom_dim", spy)
+    monkeypatch.setattr(repmod, "hom_dim", spy)
     scan_candidates(alg, 6, 0)
     bounds = {frozenset(d.items()): _brick_bound(alg, d)
               for d in _dimension_vectors(alg.quiver.vertices, 6)}
