@@ -1,11 +1,13 @@
 """Spectral radii of square matrices, including entries of +/- infinity.
 
-Two computation paths coexist:
+At every entry point, the Perron root of a nonnegative matrix is the largest
+root of its diagonal blocks, one per strongly connected component (SCC) of
+its support digraph.  Two computation paths coexist, chosen per block:
 
 * a numeric path (LAPACK eigenvalues on doubles, i.e. balancing + Hessenberg
-  + QR iteration) for strongly connected n > 6, with a declared, unproven
+  + QR iteration) for a block of size n > 6, with a declared, unproven
   absolute tolerance of 1e-9; numpy is imported on its first use, and
-* an exact path for small matrices (n <= 6): the characteristic polynomial p
+* an exact path for small blocks (n <= 6): the characteristic polynomial p
   is computed in integers by Faddeev-LeVerrier, and its largest real root
   found by a binary search over the doubles, each step a Sturm count with
   the chain of p's squarefree part (one integer remainder sequence; p need
@@ -14,14 +16,14 @@ Two computation paths coexist:
   produced this way are flagged ``certified`` and carry tolerance 0: the
   reported double is the one nearest the exact root.
 
-Matrices with infinite entries are handled by reducing over the strongly
-connected components of the support digraph: for a matrix whose finite
-entries are all nonnegative, the radius only depends on entries whose
-endpoints lie in a common component, a +inf entry inside a component forces
-the radius to +inf, and every off-component entry (finite or infinite) can be
-zeroed out.  When the matrix mixes signs with infinities there is no exact
-reduction; a substitution grid produces an uncertified estimate.  An
-integral entry stays an int throughout; only a fractional one is a Fraction.
+Matrices with infinite entries are handled by the same reduction: for a
+matrix whose finite entries are all nonnegative, the radius only depends on
+entries whose endpoints lie in a common component, a +inf entry inside a
+component forces the radius to +inf, and every off-component entry (finite
+or infinite) can be zeroed out.  When the matrix mixes signs with
+infinities there is no exact reduction; a substitution grid produces an
+uncertified estimate.  An integral entry stays an int throughout; only a
+fractional one is a Fraction.
 """
 
 from __future__ import annotations
@@ -372,12 +374,12 @@ def _within_double_range(f):
 def rho(m) -> SpectralValue:
     """Perron root of a square matrix with finite nonnegative entries.
 
-    Accepts a RatMatrix, a finite ExtendedMatrix, or nested sequences.  For
-    sizes up to 6 the value is certified through the exact characteristic
-    polynomial.  A larger matrix whose support is not strongly connected is
-    split into its SCC blocks (rho of each, so the 7x7 nilpotent shift gets a
-    certified 0); a larger strongly connected one is numeric with tolerance
-    1e-9.  An entry or radius beyond the double range raises SpectralError.
+    Accepts a RatMatrix, a finite ExtendedMatrix, or nested sequences.  The
+    radius is the max over the diagonal blocks of the SCC decomposition
+    (_fold_components): a block up to size 6 is certified through its exact
+    characteristic polynomial (so the 7x7 nilpotent shift gets a certified
+    0), a larger one is numeric with tolerance 1e-9.  An entry or radius
+    beyond the double range raises SpectralError.
     """
     rm = _as_ratmatrix(m)
     if not rm.is_square():
@@ -385,9 +387,7 @@ def rho(m) -> SpectralValue:
     if any(x < 0 for row in rm.data for x in row):
         raise SpectralError("rho is defined for nonnegative matrices; "
                             "use spectral_radius for general ones")
-    if rm.rows > EXACT_SIZE_LIMIT and len(_components(rm.data)[1]) > 1:
-        return _fold_components(rm.data)
-    return _rho_exact(rm) or SpectralValue(_rho_numeric(rm.to_floats()), False, NUMERIC_TOL)
+    return _fold_components(rm.data)
 
 
 @_within_double_range
@@ -444,35 +444,38 @@ def strongly_connected_components(n: int, edges) -> List[List[int]]:
     return comps
 
 
-def _components(rows):
-    """(support edges, SCCs of the support digraph) of a square matrix."""
-    edges = [(i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
-    return edges, strongly_connected_components(len(rows), edges)
+def _max_radius(radii) -> SpectralValue:
+    """The radius of a block triangular matrix from its diagonal blocks'
+    radii: their max, certified when all are, at the largest tolerance."""
+    best = SpectralValue(0.0, True, 0.0)
+    for r in radii:
+        best = SpectralValue(max(best.value, r.value),
+                             best.certified and r.certified,
+                             max(best.tolerance, r.tolerance))
+    return best
 
 
 def _fold_components(rows) -> Optional[SpectralValue]:
     """Radius of a square matrix with finite nonnegative and +/-inf entries,
-    from the diagonal blocks of its SCC decomposition.  The first infinite
-    entry inside a component (row-major) decides alone: +inf gives a
-    certified +inf, -inf gives None (no exact reduction)."""
-    edges, comps = _components(rows)
+    from the diagonal blocks of its SCC decomposition, each exact up to size
+    6 and numeric above.  The first infinite entry inside a component
+    (row-major) decides alone: +inf gives a certified +inf, -inf gives None
+    (no exact reduction)."""
+    edges = [(i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+    comps = strongly_connected_components(len(rows), edges)
     comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     for i, j in edges:
         if isinstance(rows[i][j], float) and comp_of[i] == comp_of[j]:
             return SpectralValue(INF, True, 0.0) if rows[i][j] > 0 else None
-    return rho_block_lower_triangular(
-        [RatMatrix([[rows[i][j] for j in comp] for i in comp], len(comp))
-         for comp in comps])
+    blocks = (RatMatrix([[rows[i][j] for j in comp] for i in comp], len(comp))
+              for comp in comps)
+    return _max_radius(_rho_exact(b) or spectral_radius(b) for b in blocks)
 
 
 def rho_nonnegative_via_scc(m: RatMatrix) -> SpectralValue:
-    """Perron root of a nonnegative matrix via its SCC block structure.
-
-    The radius equals the max over diagonal SCC blocks, which keeps small
-    certified blocks exact even when the whole matrix is large (and returns
-    a certified 0 for any nilpotent support pattern).
-    """
-    return _fold_components(m.data)
+    """Perron root of a nonnegative matrix: rho, the max over its diagonal
+    SCC blocks (a certified 0 for any nilpotent support pattern)."""
+    return rho(m)
 
 
 # ---------------------------------------------------------------------------
@@ -517,13 +520,7 @@ def rho_extended(m: ExtendedMatrix) -> SpectralValue:
 
 def rho_block_lower_triangular(blocks: Sequence) -> SpectralValue:
     """Radius of a block lower-triangular matrix: max over diagonal blocks."""
-    best = SpectralValue(0.0, True, 0.0)
-    for b in blocks:
-        r = rho(b)
-        best = SpectralValue(max(best.value, r.value),
-                             best.certified and r.certified,
-                             max(best.tolerance, r.tolerance))
-    return best
+    return _max_radius(rho(b) for b in blocks)
 
 
 def zplus_fpdim(mult_matrix) -> SpectralValue:

@@ -50,6 +50,19 @@ def test_rho_rejects_nonsquare_and_negative():
         rho([[-1]])
 
 
+def test_input_errors_name_the_fault():
+    with pytest.raises(SpectralError, match="use rho_extended"):
+        rho(ExtendedMatrix([[1, "inf"], [0, 1]]))
+    with pytest.raises(SpectralError, match="spectral radius needs a square matrix"):
+        spectral_radius([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(SpectralError, match="needs a square matrix"):
+        characteristic_polynomial(RatMatrix([[1, 2, 3], [4, 5, 6]]))
+    # the -1 lies outside every component, so no block sees it; the name
+    # promises a nonnegative matrix and rho checks it
+    with pytest.raises(SpectralError, match="nonnegative"):
+        rho_nonnegative_via_scc(RatMatrix([[1, 0], [-1, 1]]))
+
+
 def test_rho_empty_matrix():
     r = rho(RatMatrix([], cols=0))
     assert r.value == 0.0 and r.certified
@@ -257,7 +270,8 @@ def test_certified_rho_matches_mpmath_oracle():
             assert abs(r.value - ref) <= 1e-14 * max(1, ref), (rows, r.value)
 
 
-@pytest.mark.parametrize("radius", [rho, spectral_radius])
+@pytest.mark.parametrize("radius", [rho, spectral_radius, rho_nonnegative_via_scc,
+                                    zplus_fpdim])
 def test_entries_beyond_the_double_range(radius):
     with pytest.raises(SpectralError, match="out of the double range"):
         radius([[0, 10 ** 400], [10 ** 400, 0]])

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fproot import spectral
 from fproot.exactlin import RatMatrix
 from fproot.spectral import (ExtendedMatrix, SpectralError, SpectralValue,
-                             _components, matrix_from_json, rho, rho_extended,
-                             rho_nonnegative_via_scc, spectral_radius)
+                             matrix_from_json, rho, rho_block_lower_triangular,
+                             rho_extended, rho_nonnegative_via_scc,
+                             spectral_radius)
 
 ENTRIES = st.sampled_from([0, 0, 0, 0, 1, 1, 2, 3, 7, 10**12])
 
@@ -44,14 +46,7 @@ def test_int_and_fraction_rows_give_the_same_radius(rows):
     as_fractions = rho_nonnegative_via_scc(RatMatrix([[Fraction(x) for x in r] for r in rows]))
     assert isinstance(as_ints, SpectralValue)
     assert as_ints == as_fractions
-    r = rho(rows)
-    assert r == rho(RatMatrix(rows, n))
-    assert r.certified == as_ints.certified
-    # rho splits above size 6 as the fold does; a strongly connected matrix
-    # goes to numpy whole, in its own vertex order and not the fold's, and
-    # the two uncertified values may differ beyond the declared tolerance
-    if r.certified or len(_components(rows)[1]) > 1:
-        assert r == as_ints
+    assert rho(rows) == rho(RatMatrix(rows, n)) == as_ints
 
 
 def _as_strings(rows, times):
@@ -131,3 +126,63 @@ def test_rho_keeps_a_strongly_connected_7x7_matrix_whole():
     cycle = [[int(j == (i + 1) % 7) * 2 for j in range(7)] for i in range(7)]
     r = rho(cycle)
     assert not r.certified and abs(r.value - 2) <= 1e-9
+
+
+T = 10**12
+# strongly connected, root about 10^12 + 10^-6; numpy's value depends on the
+# vertex order it is handed (1000000007579.2383 in this one, 1000000000000.0005
+# in Tarjan's), so every entry point must hand it the block in one order
+STRONGLY_CONNECTED_8x8 = [
+    [T, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, T, 0],
+    [0, 0, 0, 0, 0, 0, 0, T], [0, 0, 0, T, 0, 0, 0, 0], [T, 1, 0, 0, T, T, 0, 0],
+    [0, 0, 0, 0, 0, 1, 1, 0], [0, 0, 1, 0, 0, 0, 0, 0]]
+
+
+def test_every_entry_point_gives_one_radius_on_a_strongly_connected_8x8():
+    m = STRONGLY_CONNECTED_8x8
+    r = rho(m)
+    assert not r.certified
+    assert r == rho_nonnegative_via_scc(RatMatrix(m))
+    assert r == rho_extended(ExtendedMatrix(m))
+    assert r == rho_block_lower_triangular([m])
+
+
+SMALL_ENTRIES = st.sampled_from([0, 0, 1, 2, 3, 10**12, Fraction(1, 2), Fraction(7, 3)])
+
+
+@st.composite
+def small_matrices(draw):
+    """Nonnegative int and Fraction rows, n <= 6: block lower triangular up
+    to a permutation, each diagonal block new, zero, or a repeat of an earlier
+    block of its size (one block: a dense matrix)."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6)
+                 .filter(lambda s: sum(s) <= 6))
+    blocks = []
+    for k in sizes:
+        same = [b for b in blocks if len(b) == k]
+        kind = draw(st.sampled_from(["new", "zero", "repeat"] if same else ["new", "zero"]))
+        if kind == "repeat":
+            blocks.append(draw(st.sampled_from(same)))
+        elif kind == "zero":
+            blocks.append([[0] * k for _ in range(k)])
+        else:
+            blocks.append([[draw(SMALL_ENTRIES) for _ in range(k)] for _ in range(k)])
+    n = sum(sizes)
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    rows = [[0] * n for _ in range(n)]
+    for s, b in zip(starts, blocks):
+        for i, row in enumerate(b):
+            rows[s + i][s:s + len(b)] = row
+        for i in range(s + len(b), n):      # below the block: anything
+            for j in range(s, s + len(b)):
+                rows[i][j] = draw(SMALL_ENTRIES)
+    p = draw(st.permutations(range(n)))
+    return [[rows[p[i]][p[j]] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices())
+def test_small_matrices_keep_the_whole_matrix_root(rows):
+    # rounding to nearest is monotone, so the max of the blocks' nearest
+    # doubles is the double nearest the whole matrix's root
+    assert rho(rows) == spectral._rho_exact(RatMatrix(rows))
