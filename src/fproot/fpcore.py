@@ -24,10 +24,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactlin import RatMatrix
 from .spectral import NUMERIC_TOL, SpectralValue, rho_nonnegative_via_scc
-from .quiver import Quiver, quiver_fpdim
+from .quiver import Quiver, _arrow_counts, quiver_fpdim
 from .algebra import BoundAlgebra
 from . import repmod
-from .repmod import Representation, Resolution, ext_from_resolution
+from .repmod import Representation, RepresentationError, Resolution, ext_from_resolution
 
 
 # ---------------------------------------------------------------------------
@@ -56,37 +56,61 @@ class Assignment:
 
 
 class ExtCalculator:
-    """Memoized Ext dimensions over one algebra.
+    """Memoized Ext dimensions over one algebra; writes must stay single-threaded.
 
-    Each module is resolved once, to depth m for Ext^m: its resolution is
-    cached per module identity and extended in place (Resolution.extend).
-    Ext^m(X, Y) = hom(Ω^m X, Y) - Σ_{v in gens P_{m-1}} dim Y_v + hom(Ω^{m-1}
-    X, Y) (ext_from_resolution), each hom the power-0 entry of its syzygy
-    here, shared by powers m and m + 1.  Writes must stay single-threaded.
+    Over kQ/J² (no basis path of length 2) ΩM is semisimple: with t = dim
+    top M, s = dim soc N, A_Q the arrow counts, ω = t A_Q - dim M + t = dim ΩM
+    and e = A_Q s - dim N + s, Ext^1 = ω·s - t·dim N + hom(M, N) and Ext^m =
+    ω A_Q^{m-2} e for m >= 2 (Koszul duality; Beilinson, Ginzburg & Soergel,
+    J. AMS 9 (1996); Green & Martínez-Villa, CMS Conf. Proc. 18 (1996)).
+    Otherwise Ext^m is a dimension shift along one resolution per module,
+    extended in place (ext_from_resolution).  A foreign module raises.
     """
 
     def __init__(self, algebra: BoundAlgebra):
         self.algebra = algebra
-        # keyed by the module objects (identity hash); the dict keeps them
+        # keyed by the module objects (identity hash); the dicts keep them
         # alive, so keys are never recycled
         self._res: Dict[Representation, Resolution] = {}
+        self._vecs: Dict[Representation, tuple] = {}  # (t, dim, ω, s, e)
         self._dims: Dict[tuple, int] = {}
+        self._arrows = (None if any(len(p) > 1 for p in algebra.basis)
+                        else _arrow_counts(algebra.quiver))  # A_Q iff J² = 0
 
     def resolution(self, m: Representation, depth: int) -> Resolution:
         if m not in self._res:
             self._res[m] = Resolution(m)
         return self._res[m].extend(depth)
 
+    def _vectors(self, m: Representation) -> tuple:
+        if m not in self._vecs:
+            a, vs, d = self._arrows, self.algebra.quiver.vertices, list(m.dimvec.values())
+            t, s = [len(repmod._top(m, v)) for v in vs], [repmod._socle(m, v) for v in vs]
+            self._vecs[m] = (t, d, [_dot(t, c) - x + y for c, x, y in zip(zip(*a), d, t)],
+                             s, [_dot(r, s) - x + y for r, x, y in zip(a, d, s)])
+        return self._vecs[m]
+
     def ext(self, power: int, m: Representation, n: Representation) -> int:
         key = (power, m, n)
         if key not in self._dims:
+            if m.algebra is not self.algebra or n.algebra is not self.algebra:
+                raise RepresentationError("ext needs modules over the calculator's algebra")
             if power == 0:
                 self._dims[key] = repmod.hom_dim(m, n)
+            elif self._arrows is not None:
+                (t, _, omega, _, _), (_, d, _, s, e) = self._vectors(m), self._vectors(n)
+                for _ in range(power - 2):
+                    e = [_dot(r, e) for r in self._arrows]
+                self._dims[key] = (_dot(omega, e) if power > 1 else
+                                   _dot(omega, s) - _dot(t, d) + self.ext(0, m, n))
             else:
                 res = self.resolution(m, power)
-                self._dims[key] = ext_from_resolution(res, n, power,
-                                                      partial(self.ext, 0))
+                self._dims[key] = ext_from_resolution(res, n, power, partial(self.ext, 0))
         return self._dims[key]
+
+
+def _dot(x, y) -> int:
+    return sum(map(int.__mul__, x, y))
 
 
 def ext_assignment(algebra: BoundAlgebra) -> Assignment:

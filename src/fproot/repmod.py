@@ -236,6 +236,12 @@ def _top(m: Representation, w: str) -> List[int]:
     return [j for j in range(m.rows[0].get(w, 0)) if j not in covered]
 
 
+def _socle(m: Representation, w: str) -> int:
+    """dim soc m at w: the common kernel of the maps out of w (see _top)."""
+    return m.rows[0].get(w, 0) - rank_of_rows([row for a, r in zip(
+        m.algebra.quiver.arrows, m.rows[1]) if a.source == w and r for row in r])
+
+
 def projective_cover_multiplicities(m: Representation) -> Dict[str, int]:
     """Multiplicity of each P_v in the projective cover, i.e. dim of the top
     at each vertex."""

@@ -18,7 +18,7 @@ from fproot.algebra import (algebra_from_json, build_algebra,
                             dual_numbers_algebra, kronecker_algebra,
                             local_two_loop_algebra, sqrt2_algebra)
 from fproot.cli import scan_candidates
-from fproot import repmod
+from fproot import fpcore, repmod
 from fproot.fpcore import ExtCalculator
 from fproot.quiver import Quiver
 from fproot.repmod import (Representation, direct_sum, ext, ext_from_resolution,
@@ -160,9 +160,10 @@ def test_projectives_have_no_higher_ext(name):
 def test_ext_calculator_solves_each_syzygy_hom_once(monkeypatch):
     """Powers 1..TOP of Ext(X, Y) need hom(Ω^k X, Y) for k <= TOP, each
     solved once through the calculator's power-0 entries; the values match
-    the Hom complex."""
-    alg = FIXTURES["sqrt2"]
-    x, y = simple(alg, "1"), simple(alg, "2")
+    the Hom complex.  The two-loop algebra has J^2 != 0, so its Ext goes
+    through the resolution, which never ends."""
+    alg = FIXTURES["two_loop_2_3"]
+    x = y = simple(alg, "1")
     calls = []
     original = repmod.hom_dim
     monkeypatch.setattr(repmod, "hom_dim", lambda m, n: calls.append((m, n)) or original(m, n))
@@ -172,3 +173,21 @@ def test_ext_calculator_solves_each_syzygy_hom_once(monkeypatch):
     assert got == [ext_by_hom_complex(res, y, p) for p in range(TOP + 1)]
     assert len(calls) == len(set(calls)) == TOP + 1
     assert [m for m, _ in calls] == [step.module for step in res.steps[:TOP + 1]]
+
+
+def test_ext_calculator_reads_radical_square_zero_ext_off_vectors(monkeypatch):
+    """Over √2 (J^2 = 0) the calculator builds no Resolution and solves Hom
+    only at power 0, once per pair; the values still match the Hom complex."""
+    alg = FIXTURES["sqrt2"]
+    calls = []
+    original = repmod.hom_dim
+    monkeypatch.setattr(repmod, "hom_dim", lambda m, n: calls.append((m, n)) or original(m, n))
+    monkeypatch.setattr(fpcore, "Resolution", None)  # building one would raise
+    family = simples(alg) + [projective(alg, "1")]
+    calc = ExtCalculator(alg)
+    got = {(x, y): [calc.ext(p, x, y) for p in range(TOP + 1)] for x in family for y in family}
+    monkeypatch.undo()
+    assert set(calls) == set(got) and len(calls) == len(got)
+    for (x, y), values in got.items():
+        deep = minimal_resolution(x, TOP + 1)
+        assert values == [ext_by_hom_complex(deep, y, p) for p in range(TOP + 1)]

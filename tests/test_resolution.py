@@ -20,12 +20,13 @@ from hypothesis import strategies as st
 
 from fproot.algebra import (algebra_to_json, build_algebra,
                             dual_numbers_algebra, kronecker_algebra,
-                            local_two_loop_algebra, sqrt2_algebra)
+                            local_two_loop_algebra, path_algebra,
+                            sqrt2_algebra)
 from fproot.cli import run, scan_candidates
 from fproot import repmod
 from fproot.exactlin import InvariantViolation, RatMatrix, rank_of_rows
 from fproot.fpcore import ExtCalculator
-from fproot.quiver import Quiver
+from fproot.quiver import Quiver, path_quiver
 from fproot.repmod import (Representation, RepresentationError, direct_sum,
                            ext, minimal_resolution, module_to_json,
                            projective, simple)
@@ -42,16 +43,21 @@ ALGEBRAS = {
 
 # -- ExtCalculator extends one resolution --------------------------------------
 
-@pytest.mark.parametrize("name, top", [("sqrt2", 6), ("kronecker", 4)])
+# These pin the resolution mechanism, so they run on algebras with J^2 != 0:
+# over kQ/J^2 the calculator reads Ext off dimension vectors instead.
+A3 = path_algebra(path_quiver(3))  # 1 -> 2 -> 3, with the path a2 a1
+
+
+@pytest.mark.parametrize("name, top", [("two_loop", 6), ("a3", 4)])
 def test_extended_resolution_equals_fresh_one(name, top):
-    """√2 S1 resolves forever, Kronecker S1 has length 1."""
-    alg = ALGEBRAS[name]
-    m = simple(alg, "1")
+    """The two-loop algebra's S1 resolves forever, A3's S1 has length 1."""
+    alg = A3 if name == "a3" else ALGEBRAS[name]
+    m, target = simple(alg, "1"), simple(alg, alg.quiver.vertices[-1])
     calc = ExtCalculator(alg)
     first = calc.resolution(m, 0)
     step0 = first.steps[0]
     for power in range(1, top + 1):
-        calc.ext(power, m, simple(alg, "2"))
+        calc.ext(power, m, target)
     res = calc.resolution(m, 0)  # the cached resolution, not extended again
     fresh = minimal_resolution(m, top)
     assert res is first and res.steps[0] is step0  # extended, never rebuilt
@@ -63,21 +69,20 @@ def test_extended_resolution_equals_fresh_one(name, top):
 
 def test_ext_resolves_to_its_own_degree():
     """Ext^m reads steps <= m only, so ExtCalculator builds no step past m:
-    Ext^2 out of √2 S1, which resolves forever, leaves 3 steps.  Kronecker
-    S1 still learns its length 1 at Ext^2, where step 2 is asked for and
-    found missing."""
-    alg = ALGEBRAS["sqrt2"]
+    Ext^2 out of the two-loop algebra's S1, which resolves forever, leaves 3
+    steps.  A3's S1 still learns its length 1 at Ext^2, where step 2 is
+    asked for and found missing."""
+    alg = ALGEBRAS["two_loop"]
     calc = ExtCalculator(alg)
     s1 = simple(alg, "1")
-    assert calc.ext(2, s1, s1) == ext(2, s1, s1) == 2
+    assert calc.ext(2, s1, s1) == ext(2, s1, s1) == 3
     res = calc.resolution(s1, 0)
     assert (len(res.steps), res.length) == (3, None)
-    alg = ALGEBRAS["kronecker"]
-    calc = ExtCalculator(alg)
-    s1 = simple(alg, "1")
-    assert calc.ext(1, s1, simple(alg, "2")) == 2
+    calc = ExtCalculator(A3)
+    s1 = simple(A3, "1")
+    assert calc.ext(1, s1, simple(A3, "2")) == ext(1, s1, simple(A3, "2")) == 1
     assert calc.resolution(s1, 0).length is None
-    assert calc.ext(2, s1, simple(alg, "2")) == 0
+    assert calc.ext(2, s1, simple(A3, "2")) == 0
     res = calc.resolution(s1, 0)
     assert (len(res.steps), res.length) == (2, 1)
 
