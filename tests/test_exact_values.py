@@ -39,10 +39,10 @@ def check_module(m):
             assert_rule(m.path_column(p, j))
 
 
-def check_resolution(m, depth=3):
+def check_resolution(m):
     """Each step's module (the module itself, then its syzygies) and each
-    generator's image under the differential, to depth 3 by default."""
-    for step in minimal_resolution(m, depth).steps:
+    generator's image under the differential, to depth 3."""
+    for step in minimal_resolution(m, 3).steps:
         check_module(step.module)
         assert_rule(x for image in step.differential for v in image.values()
                     for x in (v if isinstance(v, tuple) else (v,)))
@@ -105,12 +105,7 @@ def test_normal_forms_projectives_and_simple_resolutions(alg):
                 assert_rule(alg.left_multiply(a.label, p).values())
     for v in alg.quiver.vertices:
         check_module(projective(alg, v))
-        # check_module's sweep is quadratic in a module's dimension: with three
-        # loops at v, Omega^3 S_v (inside P_2) reaches dimension 2,400 and one
-        # draw takes minutes, so a simple whose P_2 passes 400 stops at depth 2
-        steps = minimal_resolution(simple(alg, v), 2).steps
-        big = len(steps) > 2 and sum(map(len, steps[2].basis.values())) > 400
-        check_resolution(simple(alg, v), 2 if big else 3)
+        check_resolution(simple(alg, v))
 
 
 @settings(max_examples=60, deadline=None)
