@@ -58,13 +58,12 @@ class Assignment:
 class ExtCalculator:
     """Memoized Ext dimensions over one algebra; writes must stay single-threaded.
 
-    Over kQ/J² (no basis path of length 2) ΩM is semisimple: with t = dim
-    top M, s = dim soc N, A_Q the arrow counts, ω = t A_Q - dim M + t = dim ΩM
-    and e = A_Q s - dim N + s, Ext^1 = ω·s - t·dim N + hom(M, N) and Ext^m =
-    ω A_Q^{m-2} e for m >= 2 (Koszul duality; Beilinson, Ginzburg & Soergel,
-    J. AMS 9 (1996); Green & Martínez-Villa, CMS Conf. Proc. 18 (1996)).
-    Otherwise Ext^m is a dimension shift along one resolution per module,
-    extended in place (ext_from_resolution).  A foreign module raises.
+    Over kQ/J² ΩM is semisimple: with t = dim top M, s = dim soc N, A_Q the
+    arrow counts, ω = t A_Q - dim M + t (= dim ΩM) and e = A_Q s - dim N + s,
+    Ext^1 = ω·s - t·dim N + hom(M, N) and Ext^m = ω A_Q^{m-2} e for m >= 2
+    (Koszul duality; Beilinson, Ginzburg & Soergel, J. AMS 9 (1996); Green &
+    Martínez-Villa, CMS Conf. Proc. 18 (1996)).  Otherwise a dimension shift
+    along each module's resolution, extended in place; foreign modules raise.
     """
 
     def __init__(self, algebra: BoundAlgebra):
@@ -84,10 +83,11 @@ class ExtCalculator:
 
     def _vectors(self, m: Representation) -> tuple:
         if m not in self._vecs:
-            a, vs, d = self._arrows, self.algebra.quiver.vertices, list(m.dimvec.values())
-            t, s = [len(repmod._top(m, v)) for v in vs], [repmod._socle(m, v) for v in vs]
-            self._vecs[m] = (t, d, [_dot(t, c) - x + y for c, x, y in zip(zip(*a), d, t)],
-                             s, [_dot(r, s) - x + y for r, x, y in zip(a, d, s)])
+            t = list(repmod.projective_cover_multiplicities(m).values())
+            s = [repmod._socle(m, v) for v in self.algebra.quiver.vertices]
+            d, a = list(m.dimvec.values()), self._arrows
+            omega = [_dot(t, c) - x + y for c, x, y in zip(zip(*a), d, t)]
+            self._vecs[m] = (t, d, omega, s, [_dot(r, s) - x + y for r, x, y in zip(a, d, s)])
         return self._vecs[m]
 
     def ext(self, power: int, m: Representation, n: Representation) -> int:
