@@ -20,6 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, count, product
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactlin import RatMatrix
@@ -365,7 +366,10 @@ def fp_report(candidates: Sequence, assignment: Assignment,
                      for m in range(1, budgets.max_power + 1)]
 
     def matrix(idx, m):
-        return tuple(tuple(mats[m][i][j] for j in idx) for i in idx)
+        if len(idx) == 1:  # itemgetter of one index returns the item itself
+            return ((mats[m][idx[0]][idx[0]],),)
+        pick = itemgetter(*idx)
+        return tuple(map(pick, pick(mats[m])))
 
     names = [getattr(c, "name", str(c)) for c in candidates]
     return _fill_grid(subsets, matrix, lambda idx: tuple(names[i] for i in idx),

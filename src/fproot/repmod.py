@@ -586,7 +586,10 @@ def ext_to_simples(pattern: List[Dict[str, int]], vertices, depth: int):
 
 
 def euler_form(alg: BoundAlgebra, d: Dict[str, int], e: Dict[str, int]) -> int:
-    """<d, e> = sum_v d_v e_v - sum_{a: s->t} d_s e_t (hereditary algebras)."""
+    """<d, e> = sum_v d_v e_v - sum_{a: s->t} d_s e_t, the quiver's Euler form.
+    dim End(X) >= <d, d> for X of dimension vector d over any algebra: the
+    End system has sum_v d_v^2 unknowns, sum_a d_s d_t equations, and a
+    relation adds none."""
     val = sum(x * e.get(v, 0) for v, x in d.items())
     val -= sum(d.get(a.source, 0) * e.get(a.target, 0) for a in alg.quiver.arrows)
     return val
@@ -746,7 +749,7 @@ def _random_maps(alg, dimvec, rng):
     hashable: per arrow None for a zero map (often the only way to satisfy
     the relations), otherwise the integer rows of a small random matrix.
     Each entry is k - 2 for the first k = rng.getrandbits(3) below 5, the
-    draw rng.randint(-2, 2) makes."""
+    draw rng.randint(-2, 2) makes.  _skip_maps makes the same rng calls."""
     draw, bits = [], rng.getrandbits
     for a in alg.quiver.arrows:
         r, c = dimvec.get(a.target, 0), dimvec.get(a.source, 0)
@@ -761,6 +764,20 @@ def _random_maps(alg, dimvec, rng):
                 flat.append(k - 2)
             draw.append(tuple(zip(*[iter(flat)] * c)) if c else ((),) * r)
     return tuple(draw)
+
+
+def _skip_maps(alg, dimvec, rng, count):
+    """Advance rng past count draws of _random_maps at dimvec: the same
+    calls (one random() per arrow, then getrandbits(3) with rejection per
+    entry of a nonzero map), with nothing built."""
+    sizes = [dimvec.get(a.target, 0) * dimvec.get(a.source, 0) for a in alg.quiver.arrows]
+    random, bits = rng.random, rng.getrandbits
+    for _ in range(count):
+        for n in sizes:
+            if random() >= 0.4:
+                for _ in range(n):
+                    while bits(3) > 4:
+                        pass
 
 
 def _dimension_vectors(vertices, budget):
@@ -779,23 +796,21 @@ def _brick_bound(alg, support):
     """The most bricks, up to isomorphism, that a support (a dimension vector
     as its nonzero counts) can hold, read off the support and the arrows
     inside it: 0 if those arrows leave it disconnected (every module there
-    is a direct sum).  On a relation-free algebra, which is hereditary,
-    dim End(X) - dim Ext^1(X, X) is the Tits form q(d) = sum_v d_v^2 -
-    sum_{a: s->t} d_s d_t (Ringel), so there is none if q(d) > 1, and at
-    most one if q(d) = 1: over the algebraic closure a brick stays a brick,
-    the real root d has a unique indecomposable there (Kac), and
+    is a direct sum) or if the Tits form q(d) = euler_form(d, d) > 1, since
+    dim End(X) >= q(d) on any algebra.  On a relation-free algebra, which is
+    hereditary, dim End(X) - dim Ext^1(X, X) = q(d) (Ringel), and there is
+    at most one if q(d) = 1: over the algebraic closure a brick stays a
+    brick, the real root d has a unique indecomposable there (Kac), and
     Noether-Deuring brings the isomorphism back.  Else math.inf."""
     inner = [a for a in alg.quiver.arrows if a.source in support and a.target in support]
     reached = {next(iter(support))}
     for _ in support:
         reached.update(v for a in inner if a.source in reached or a.target in reached
                        for v in (a.source, a.target))
-    if len(reached) < len(support):
-        return 0
-    if alg.relations:
-        return math.inf
     tits = euler_form(alg, support, support)
-    return 0 if tits > 1 else 1 if tits == 1 else math.inf
+    if len(reached) < len(support) or tits > 1:
+        return 0
+    return 1 if tits == 1 and not alg.relations else math.inf
 
 
 def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
@@ -809,10 +824,11 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
     simples and projectives, by is_brick and by is_isomorphic_brick against
     each candidate of its support (exact, since every candidate is a brick).
     Only a brick new up to isomorphism meets the cap.  The draws at a
-    dimension vector stop being examined once its candidates reach
-    _brick_bound, which certifies that no further brick there is new; all of
-    them are still drawn, so the rng stream, the names and the output are
-    those of the scan that examines every draw.
+    dimension vector stop being built once its candidates reach _brick_bound
+    (before the first draw where that is 0), which certifies that no further
+    brick there is new; _skip_maps advances the rng past the rest, so the
+    rng stream, the names and the output are those of the scan that
+    examines every draw.
     Returns (candidates, truncated): capped at N, the scan lists the first N
     candidates of the uncapped scan, truncated iff that lists more than N.
     """
@@ -832,15 +848,18 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
     if not all(map(admit, simples(alg) + [projective(alg, v) for v in vertices])):
         return cands, True
     for support in _dimension_vectors(vertices, dim_budget):
-        # a repeated draw is, or matches, a candidate, or is no brick
-        draws = dict.fromkeys(_random_maps(alg, support, rng)
-                              for _ in range(samples_per_dimvec))
         most = _brick_bound(alg, support)
         same = by_support.setdefault(frozenset(support.items()), [])
         dims = "B(" + ",".join(str(support.get(v, 0)) for v in vertices) + ")"
-        for draw in draws:
-            if len(same) >= most:
-                break  # every brick left here is isomorphic to a candidate
+        seen = set()
+        for k in range(samples_per_dimvec):
+            if len(same) >= most:  # every brick left here is isomorphic to a candidate
+                _skip_maps(alg, support, rng, samples_per_dimvec - k)
+                break
+            draw = _random_maps(alg, support, rng)
+            if draw in seen:
+                continue  # it is, or matches, a candidate, or is no brick
+            seen.add(draw)
             if failing_relation(alg, (support, draw)) is None and not admit(
                     _module(alg, (support, draw), f"{dims}#{len(cands)}")):
                 return cands, True
