@@ -30,16 +30,16 @@ from .algebra import (BoundAlgebra, algebra_from_json, algebra_to_json,
                       build_algebra, dual_numbers_algebra, kronecker_algebra,
                       local_two_loop_algebra, opposite, path_algebra,
                       sqrt2_algebra, sqrt2_quiver)
-from .repmod import (HomSpace, Representation, Resolution, direct_sum,
-                     dual_representation, dynkin_indecomposables, euler_ext1,
-                     euler_form, ext, ext_simple_table, hom, hom_dim, is_brick,
-                     is_isomorphic_brick, kronecker_brick_catalogue,
+from .repmod import (ExtCalculator, HomSpace, Representation, Resolution,
+                     direct_sum, dual_representation, dynkin_indecomposables,
+                     euler_ext1, euler_form, ext, ext_simple_table, hom, hom_dim,
+                     is_brick, is_isomorphic_brick, kronecker_brick_catalogue,
                      lambda_sample, minimal_resolution, module_from_json,
                      module_to_json, preinjective_brick, preprojective_brick,
                      projective, regular_brick, simple, simples,
                      sqrt2_brick_catalogue)
-from .fpcore import (Assignment, BrickSet, BrickSetViolation, ExtCalculator,
-                     FpBudgets, FpReport, HomTableCategory, adjacency_of,
+from .fpcore import (Assignment, BrickSet, BrickSetViolation, FpBudgets,
+                     FpReport, HomTableCategory, adjacency_of,
                      complexity_estimate, dual_numbers_shift_table,
                      ext1_quiver, ext_assignment, fp_report, fpc_vs_cx_check,
                      fpdim_n, genus_matrix, growth_analyze, homtable_fp,

@@ -24,8 +24,8 @@ from .spectral import matrix_from_json, rho_extended
 from .quiver import (classify_underlying_graph, cycle_number, quiver_from_json,
                      quiver_fpdim, quiver_to_dot)
 from .algebra import algebra_from_json
-from .repmod import (RepresentationError, ext_to_simples, minimal_resolution,
-                     module_from_json, scan_candidates, simple)
+from .repmod import (ExtCalculator, RepresentationError, module_from_json,
+                     scan_candidates, simple, simples)
 from .fpcore import FpBudgets, complexity_estimate, ext_assignment, fp_report
 from .tables import surface_grid_csv
 
@@ -105,37 +105,38 @@ def cmd_fp_scan(args) -> int:
 def cmd_resolve(args) -> int:
     with open(args.algebra) as fh:
         alg = algebra_from_json(fh.read())
+    depth, verts = args.depth, alg.quiver.vertices
     if args.module:
         with open(args.module) as fh:
             m = module_from_json(alg, fh.read())
-        res = minimal_resolution(m, args.depth)
-        pattern, length = res.multiplicity_pattern(), res.length
+        calc = ExtCalculator(alg)
+        ext = {w: [calc.ext(n, m, s) for n in range(depth + 1)]
+               for w, s in zip(verts, simples(alg))}
     else:
         m = simple(alg, args.simple)
-    comp = complexity_estimate(alg, max(args.depth, 4))
+    comp = complexity_estimate(alg, max(depth, 4))
+    if not args.module:
+        ext = {w: comp.ext_table[(args.simple, w)][:depth + 1] for w in verts}
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if digits and max(map(max, comp.ext_table.values()), default=0) >= 10 ** digits:
-        raise RepresentationError(f"an Ext dimension within depth {args.depth} has "
+    counts = [*comp.ext_table.values(), *ext.values()]
+    if digits and max(map(max, counts), default=0) >= 10 ** digits:
+        raise RepresentationError(f"an Ext dimension within depth {depth} has "
                                   f"more than {digits} digits, the int-to-string "
                                   "limit of this Python; lower --depth")
-    if not args.module:
-        # step n of S_v's resolution holds P_w dim Ext^n(S_v, S_w) times; the
-        # resolution ends at its first empty step
-        row = [(w, comp.ext_table[(args.simple, w)]) for w in alg.quiver.vertices]
-        steps = ({w: dims[n] for w, dims in row if dims[n]} for n in range(args.depth + 1))
-        pattern = list(takewhile(bool, steps))
-        length = len(pattern) - 1 if len(pattern) <= args.depth else None
+    # step n of M's minimal resolution holds P_w dim Ext^n(M, S_w) times; the
+    # resolution ends at its first empty step
+    steps = ({w: dims[n] for w, dims in ext.items() if dims[n]} for n in range(depth + 1))
+    pattern = list(takewhile(bool, steps))
     payload = {
         "tool": {"name": "fproot", "version": __version__},
         "module": m.name,
-        "depth": args.depth,
+        "depth": depth,
         "resolution": {
             "multiplicities": pattern,
-            "finite_length": length,
+            "finite_length": len(pattern) - 1 if len(pattern) <= depth else None,
         },
-        "ext_module_to_simples": ext_to_simples(pattern, alg.quiver.vertices,
-                                                args.depth),
-        "ext_simple_pairs": {f"{i}->{j}": dims[:args.depth + 1]
+        "ext_module_to_simples": ext,
+        "ext_simple_pairs": {f"{i}->{j}": dims[:depth + 1]
                              for (i, j), dims in sorted(comp.ext_table.items())},
         "complexity": {"estimate": comp.cx_estimate,
                        "curvature": comp.fpv_estimate,

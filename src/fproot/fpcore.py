@@ -18,17 +18,16 @@ import io
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import accumulate, count, product
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactlin import RatMatrix
 from .spectral import NUMERIC_TOL, SpectralValue, rho_nonnegative_via_scc
-from .quiver import Quiver, _arrow_counts, quiver_fpdim
+from .quiver import Quiver, quiver_fpdim
 from .algebra import BoundAlgebra
 from . import repmod
-from .repmod import Representation, RepresentationError, Resolution, ext_from_resolution
+from .repmod import ExtCalculator
 
 
 # ---------------------------------------------------------------------------
@@ -54,64 +53,6 @@ class Assignment:
     def matrix(self, objects: Sequence, power: int) -> RatMatrix:
         return RatMatrix([[int(self.pair_dim(x, y, power)) for y in objects]
                           for x in objects], cols=len(objects))
-
-
-class ExtCalculator:
-    """Memoized Ext dimensions over one algebra; writes must stay single-threaded.
-
-    Over kQ/J² ΩM is semisimple: with t = dim top M, s = dim soc N, A_Q the
-    arrow counts, ω = t A_Q - dim M + t (= dim ΩM) and e = A_Q s - dim N + s,
-    Ext^1 = ω·s - t·dim N + hom(M, N) and Ext^m = ω A_Q^{m-2} e for m >= 2
-    (Koszul duality; Beilinson, Ginzburg & Soergel, J. AMS 9 (1996); Green &
-    Martínez-Villa, CMS Conf. Proc. 18 (1996)).  Otherwise a dimension shift
-    along each module's resolution, extended in place; foreign modules raise.
-    """
-
-    def __init__(self, algebra: BoundAlgebra):
-        self.algebra = algebra
-        # keyed by the module objects (identity hash); the dicts keep them
-        # alive, so keys are never recycled
-        self._res: Dict[Representation, Resolution] = {}
-        self._vecs: Dict[Representation, tuple] = {}  # (t, dim, ω, s, e)
-        self._dims: Dict[tuple, int] = {}
-        self._arrows = (None if any(len(p) > 1 for p in algebra.basis)
-                        else _arrow_counts(algebra.quiver))  # A_Q iff J² = 0
-
-    def resolution(self, m: Representation, depth: int) -> Resolution:
-        if m not in self._res:
-            self._res[m] = Resolution(m)
-        return self._res[m].extend(depth)
-
-    def _vectors(self, m: Representation) -> tuple:
-        if m not in self._vecs:
-            t = list(repmod.projective_cover_multiplicities(m).values())
-            s = [repmod._socle(m, v) for v in self.algebra.quiver.vertices]
-            d, a = list(m.dimvec.values()), self._arrows
-            omega = [_dot(t, c) - x + y for c, x, y in zip(zip(*a), d, t)]
-            self._vecs[m] = (t, d, omega, s, [_dot(r, s) - x + y for r, x, y in zip(a, d, s)])
-        return self._vecs[m]
-
-    def ext(self, power: int, m: Representation, n: Representation) -> int:
-        key = (power, m, n)
-        if key not in self._dims:
-            if m.algebra is not self.algebra or n.algebra is not self.algebra:
-                raise RepresentationError("ext needs modules over the calculator's algebra")
-            if power == 0:
-                self._dims[key] = repmod.hom_dim(m, n)
-            elif self._arrows is not None:
-                (t, _, omega, _, _), (_, d, _, s, e) = self._vectors(m), self._vectors(n)
-                for _ in range(power - 2):
-                    e = [_dot(r, e) for r in self._arrows]
-                self._dims[key] = (_dot(omega, e) if power > 1 else
-                                   _dot(omega, s) - _dot(t, d) + self.ext(0, m, n))
-            else:
-                res = self.resolution(m, power)
-                self._dims[key] = ext_from_resolution(res, n, power, partial(self.ext, 0))
-        return self._dims[key]
-
-
-def _dot(x, y) -> int:
-    return sum(map(int.__mul__, x, y))
 
 
 def ext_assignment(algebra: BoundAlgebra) -> Assignment:

@@ -1,11 +1,11 @@
 """Representations of bound quiver algebras.
 
 Hom spaces (exact intertwiner systems), brick tests, minimal projective
-resolutions, Ext groups, the hereditary Euler-form shortcut, the
-indecomposables of Dynkin path algebras by BGP reflection functors, and the
-seeded brick scan behind `fproot fp-scan` (scan_candidates).  The scan's
-row-level form of a module (see _hom_system) is never read outside this
-module.
+resolutions, Ext groups (ExtCalculator, the one Ext engine), the hereditary
+Euler-form shortcut, the indecomposables of Dynkin path algebras by BGP
+reflection functors, and the seeded brick scan behind `fproot fp-scan`
+(scan_candidates).  The scan's row-level form of a module (see _hom_system)
+is never read outside this module.
 
 Convention: an arrow a: s -> t acts as a matrix V_s -> V_t, stored with
 shape dim_t x dim_s; a morphism f satisfies f_t M_a = N_a f_s for every
@@ -19,6 +19,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations_with_replacement, count
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -26,7 +27,7 @@ from .exactlin import (InputError, InvariantViolation, RatMatrix, dump_json,
                        json_array, load_json, nullspace, pivot_columns,
                        primitive_row, rank_of_rows, rat, rat_str)
 from .algebra import DEFAULT_DIM_CAP, AlgebraError, BoundAlgebra, Path
-from .quiver import QuiverError, positive_roots
+from .quiver import QuiverError, _arrow_counts, positive_roots
 
 
 class RepresentationError(InputError):
@@ -487,12 +488,8 @@ def minimal_resolution(m: Representation, depth: int) -> Resolution:
 
 
 def ext(i: int, m: Representation, n: Representation) -> int:
-    """dim Ext^i(m, n), by dimension shift (see ext_from_resolution)."""
-    if i < 0:
-        raise RepresentationError("ext degree must be >= 0")
-    if m.algebra is not n.algebra:
-        raise RepresentationError("ext needs modules over the same algebra")
-    return ext_from_resolution(minimal_resolution(m, i), n, i)
+    """dim Ext^i(m, n), by a fresh ExtCalculator over m's algebra."""
+    return ExtCalculator(m.algebra).ext(i, m, n)
 
 
 def ext_from_resolution(res: Resolution, n: Representation, i: int, dim_hom=None) -> int:
@@ -507,6 +504,67 @@ def ext_from_resolution(res: Resolution, n: Representation, i: int, dim_hom=None
     shift = i and (dim_hom(steps[i - 1].module, n)
                    - sum(n.rows[0].get(v, 0) for v in steps[i - 1].generators))
     return dim_hom(steps[i].module, n) + shift
+
+
+class ExtCalculator:
+    """Memoized Ext dimensions over one algebra; writes must stay single-threaded.
+
+    Over kQ/J² ΩM is semisimple: with t = dim top M, s = dim soc N, A_Q the
+    arrow counts, ω = t A_Q - dim M + t (= dim ΩM) and e = A_Q s - dim N + s,
+    Ext^1 = ω·s - t·dim N + hom(M, N) and Ext^m = ω A_Q^{m-2} e for m >= 2
+    (Koszul duality; Beilinson, Ginzburg & Soergel, J. AMS 9 (1996); Green &
+    Martínez-Villa, CMS Conf. Proc. 18 (1996)).  Otherwise a dimension shift
+    along each module's resolution, extended in place; foreign modules raise.
+    """
+
+    def __init__(self, algebra: BoundAlgebra):
+        self.algebra = algebra
+        # keyed by module identity; holding the modules keeps ids from recycling
+        self._res: Dict[Representation, Resolution] = {}
+        self._vecs: Dict[Representation, tuple] = {}  # (t, dim, ω, s, e)
+        self._dims: Dict[tuple, int] = {}
+        self._arrows = (None if any(len(p) > 1 for p in algebra.basis)
+                        else _arrow_counts(algebra.quiver))  # A_Q iff J² = 0
+
+    def resolution(self, m: Representation, depth: int) -> Resolution:
+        if m not in self._res:
+            self._res[m] = Resolution(m)
+        return self._res[m].extend(depth)
+
+    def _vectors(self, m: Representation) -> tuple:
+        if m not in self._vecs:
+            t = list(projective_cover_multiplicities(m).values())
+            s = [_socle(m, v) for v in self.algebra.quiver.vertices]
+            d, a = list(m.dimvec.values()), self._arrows
+            omega = [_dot(t, c) - x + y for c, x, y in zip(zip(*a), d, t)]
+            if min(omega, default=0) < 0:  # ω = dim ΩM; no Euler sum checks it here
+                raise InvariantViolation(f"dim Ω({m.name}) = {omega} has a negative entry")
+            self._vecs[m] = (t, d, omega, s, [_dot(r, s) - x + y for r, x, y in zip(a, d, s)])
+        return self._vecs[m]
+
+    def ext(self, power: int, m: Representation, n: Representation) -> int:
+        key = (power, m, n)
+        if key not in self._dims:
+            if power < 0:
+                raise RepresentationError("ext degree must be >= 0")
+            if m.algebra is not self.algebra or n.algebra is not self.algebra:
+                raise RepresentationError("ext needs modules over the calculator's algebra")
+            if power == 0:
+                self._dims[key] = hom_dim(m, n)
+            elif self._arrows is not None:
+                (t, _, omega, _, _), (_, d, _, s, e) = self._vectors(m), self._vectors(n)
+                for _ in range(power - 2):
+                    e = [_dot(r, e) for r in self._arrows]
+                self._dims[key] = (_dot(omega, e) if power > 1 else
+                                   _dot(omega, s) - _dot(t, d) + self.ext(0, m, n))
+            else:
+                res = self.resolution(m, power)
+                self._dims[key] = ext_from_resolution(res, n, power, partial(self.ext, 0))
+        return self._dims[key]
+
+
+def _dot(x, y) -> int:
+    return sum(map(int.__mul__, x, y))
 
 
 def _obstructions(alg: BoundAlgebra) -> Optional[List[Tuple[str, ...]]]:

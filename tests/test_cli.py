@@ -9,11 +9,12 @@ import sys
 
 import pytest
 
-from fproot.algebra import (algebra_from_json, algebra_to_json, dual_numbers_algebra,
-                            local_two_loop_algebra, sqrt2_algebra)
+from fproot.algebra import (algebra_from_json, algebra_to_json, build_algebra,
+                            dual_numbers_algebra, local_two_loop_algebra,
+                            sqrt2_algebra)
 from fproot.cli import run, scan_candidates
-from fproot.quiver import cycle_quiver, kronecker_quiver, quiver_to_json
-from fproot.repmod import module_to_json, regular_brick, simple
+from fproot.quiver import Quiver, cycle_quiver, kronecker_quiver, quiver_to_json
+from fproot.repmod import direct_sum, module_to_json, regular_brick, simple
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -582,19 +583,33 @@ def test_resolve_sqrt2_at_depth_2200_is_strict_json(sqrt2_file):
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="this Python has no int-to-string limit")
-def test_resolve_past_the_int_string_limit_exit_2(sqrt2_file):
+def test_resolve_past_the_int_string_limit_exit_2(tmp_path, sqrt2_file):
     """An Ext count longer than Python's int-to-string limit (here lowered
-    to its minimum, 640 digits, reached near depth 4250) is refused."""
+    to its minimum, 640 digits) is refused: over the sqrt2 algebra the
+    simples' table reaches it near depth 4250.  Over kQ/J^2 with 10 loops
+    only the module's rows do: Ext^639(S1^10, S1) = 10^640, while the
+    simples' table peaks at 10^639, which --simple still prints."""
+    loops = [(f"x{i}", "1", "1") for i in range(10)]
+    alg = build_algebra(Quiver(["1"], loops),
+                        [[(1, (b, a))] for a, _, _ in loops for b, _, _ in loops])
+    alg_file, mod_file = tmp_path / "loops.json", tmp_path / "s1x10.json"
+    alg_file.write_text(algebra_to_json(alg))
+    mod_file.write_text(module_to_json(direct_sum([simple(alg, "1")] * 10)))
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(["resolve", sqrt2_file, "--simple", "1", "--depth", "4400"])
+        for argv in ([sqrt2_file, "--simple", "1", "--depth", "4400"],
+                     [str(alg_file), "--module", str(mod_file), "--depth", "639"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(["resolve", *argv])
+            assert code == 2 and out.getvalue() == ""
+            assert "more than 640 digits" in err.getvalue()
+        code, out = _run_captured(["resolve", str(alg_file), "--simple", "1", "--depth", "639"])
     finally:
         sys.set_int_max_str_digits(old)
-    assert code == 2 and out.getvalue() == ""
-    assert "more than 640 digits" in err.getvalue()
+    assert code == 0
+    assert json.loads(out)["ext_simple_pairs"]["1->1"][639] == 10 ** 639
 
 
 def _run_captured(argv):

@@ -18,7 +18,7 @@ from fproot.algebra import (algebra_from_json, build_algebra,
                             dual_numbers_algebra, kronecker_algebra,
                             local_two_loop_algebra, sqrt2_algebra)
 from fproot.cli import scan_candidates
-from fproot import fpcore, repmod
+from fproot import repmod
 from fproot.fpcore import ExtCalculator
 from fproot.quiver import Quiver
 from fproot.repmod import (Representation, direct_sum, ext, ext_from_resolution,
@@ -182,7 +182,7 @@ def test_ext_calculator_reads_radical_square_zero_ext_off_vectors(monkeypatch):
     calls = []
     original = repmod.hom_dim
     monkeypatch.setattr(repmod, "hom_dim", lambda m, n: calls.append((m, n)) or original(m, n))
-    monkeypatch.setattr(fpcore, "Resolution", None)  # building one would raise
+    monkeypatch.setattr(repmod, "Resolution", None)  # building one would raise
     family = simples(alg) + [projective(alg, "1")]
     calc = ExtCalculator(alg)
     got = {(x, y): [calc.ext(p, x, y) for p in range(TOP + 1)] for x in family for y in family}

@@ -3,9 +3,9 @@
 `minimal_resolution` slices the step builder `resolution_steps`, and
 `ExtCalculator` extends its cached resolution from the same builder; both
 must give the resolution a fresh call gives, with the same `length`.  The
-`resolve` subcommand reads Ext into the simples off the multiplicities of
-that one resolution, which must agree with the general Hom-complex engine
-`repmod.ext` on bricks and direct sums.
+`resolve --module` subcommand reads Ext into the simples from one
+`ExtCalculator` and the multiplicities off that table; on bricks and direct
+sums both must agree with `repmod.ext` and with `minimal_resolution`.
 """
 
 import functools
@@ -122,9 +122,10 @@ def _tamper_first_step(steps):
 
 def test_tampered_step_fails_the_dimension_check(monkeypatch, tmp_path):
     """A finite resolution satisfies sum_i (-1)^i dim P_i = dim M; for S1
-    over the Kronecker algebra that is 3 - 2 = 1.  With a path dropped from
-    P_0 the sum is 0, so learning the length raises InvariantViolation, and
-    resolve exits 4."""
+    over the Kronecker algebra that is 3 - 2 = 1, and over A3 too.  With a
+    path dropped from P_0 the sum is 0, so learning the length raises
+    InvariantViolation, and resolve exits 4.  resolve runs on A3, where
+    J^2 != 0 and Ext comes off the resolution."""
     alg = ALGEBRAS["kronecker"]
     res = minimal_resolution(simple(alg, "1"), 0)
     assert minimal_resolution(simple(alg, "1"), 2).length == 1
@@ -133,13 +134,28 @@ def test_tampered_step_fails_the_dimension_check(monkeypatch, tmp_path):
         res.extend(2)
     real = repmod.resolution_steps
     monkeypatch.setattr(repmod, "resolution_steps", lambda m: _tamper_first_step(real(m)))
-    (tmp_path / "a.json").write_text(algebra_to_json(alg))
-    (tmp_path / "m.json").write_text(module_to_json(simple(alg, "1")))
+    (tmp_path / "a.json").write_text(algebra_to_json(A3))
+    (tmp_path / "m.json").write_text(module_to_json(simple(A3, "1")))
     assert run(["resolve", str(tmp_path / "a.json"), "--module",
                 str(tmp_path / "m.json"), "--depth", "2"]) == 4
 
 
-# -- resolve reads Ext into the simples off the multiplicities -----------------
+def test_a_negative_syzygy_dimension_fails_on_radical_square_zero(monkeypatch, tmp_path, capsys):
+    """Over kQ/J^2 no resolution is built, so its dimension sum is never
+    checked; the closed form checks that dim ΩM = t A_Q - dim M + t has no
+    negative entry instead.  With every top dimension read as 0, resolve
+    --module on the Kronecker algebra exits 4."""
+    alg = ALGEBRAS["kronecker"]
+    monkeypatch.setattr(repmod, "projective_cover_multiplicities",
+                        lambda m: {v: 0 for v in m.algebra.quiver.vertices})
+    (tmp_path / "a.json").write_text(algebra_to_json(alg))
+    (tmp_path / "m.json").write_text(module_to_json(simple(alg, "1")))
+    assert run(["resolve", str(tmp_path / "a.json"), "--module",
+                str(tmp_path / "m.json"), "--depth", "2"]) == 4
+    assert "has a negative entry" in capsys.readouterr().err
+
+
+# -- resolve reads the multiplicities off Ext into the simples -----------------
 
 @functools.lru_cache(maxsize=None)
 def _bricks(name):
@@ -172,10 +188,13 @@ def test_resolve_ext_to_simples_matches_general_engine(case):
         assert run(["resolve", paths[0], "--module", paths[1],
                     "--depth", str(depth), "--out", paths[2]]) == 0
         with open(paths[2]) as fh:
-            got = json.load(fh)["ext_module_to_simples"]
+            payload = json.load(fh)
     want = {v: [ext(i, m, simple(alg, v)) for i in range(depth + 1)]
             for v in alg.quiver.vertices}
-    assert got == want
+    assert payload["ext_module_to_simples"] == want
+    res = minimal_resolution(m, depth)
+    assert payload["resolution"]["multiplicities"] == res.multiplicity_pattern()
+    assert payload["resolution"]["finite_length"] == res.length
 
 
 # -- d o d = 0 over algebras with multi-path normal forms ----------------------

@@ -5,7 +5,8 @@ dimension vectors of its two modules and powers of Q's arrow-count matrix,
 with no resolution.  Here it is compared with Ext by dimension shift along
 `minimal_resolution` (`ext_from_resolution`) on random J^2 = 0 algebras and
 modules at powers 0-5; an algebra with J^2 != 0 must still go through
-resolutions, and a module over another algebra is refused at every power.
+resolutions, and a module over another algebra is refused at every power,
+as is a negative power on either kind of algebra.
 """
 
 import random
@@ -133,3 +134,19 @@ def test_a_module_over_another_algebra_is_refused(power):
             calc.ext(power, m, n)
     assert not any(foreign in key for key in calc._dims)
     assert calc.ext(power, mine, mine) == ExtCalculator(other).ext(power, foreign, foreign)
+
+
+@pytest.mark.parametrize("name", ["sqrt2", "two_loop_2_3"])
+def test_a_negative_power_is_refused(name):
+    """The Ext^1 formula would read power -1 over kQ/J^2 (as 0), and a
+    resolution has no step before the first over J^2 != 0 (an IndexError);
+    the calculator refuses both, and repmod.ext goes through the same check."""
+    alg = sqrt2_algebra() if name == "sqrt2" else local_two_loop_algebra(2, 3)
+    s = simple(alg, "1")
+    calc = ExtCalculator(alg)
+    for power in (-1, -2):
+        with pytest.raises(RepresentationError, match="ext degree must be >= 0"):
+            calc.ext(power, s, s)
+        with pytest.raises(RepresentationError, match="ext degree must be >= 0"):
+            repmod.ext(power, s, s)
+    assert not calc._dims and not calc._res and not calc._vecs
