@@ -20,7 +20,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations_with_replacement, count
+from itertools import combinations, combinations_with_replacement, count
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exactlin import (InputError, InvariantViolation, RatMatrix, dump_json,
@@ -521,7 +521,7 @@ class ExtCalculator:
         self.algebra = algebra
         # keyed by module identity; holding the modules keeps ids from recycling
         self._res: Dict[Representation, Resolution] = {}
-        self._vecs: Dict[Representation, tuple] = {}  # (t, dim, ω, s, e)
+        self._vecs: Dict[Representation, tuple] = {}  # (t, dim, ω, s, [A_Q^k e])
         self._dims: Dict[tuple, int] = {}
         self._arrows = (None if any(len(p) > 1 for p in algebra.basis)
                         else _arrow_counts(algebra.quiver))  # A_Q iff J² = 0
@@ -539,7 +539,7 @@ class ExtCalculator:
             omega = [_dot(t, c) - x + y for c, x, y in zip(zip(*a), d, t)]
             if min(omega, default=0) < 0:  # ω = dim ΩM; no Euler sum checks it here
                 raise InvariantViolation(f"dim Ω({m.name}) = {omega} has a negative entry")
-            self._vecs[m] = (t, d, omega, s, [_dot(r, s) - x + y for r, x, y in zip(a, d, s)])
+            self._vecs[m] = (t, d, omega, s, [[_dot(r, s) - x + y for r, x, y in zip(a, d, s)]])
         return self._vecs[m]
 
     def ext(self, power: int, m: Representation, n: Representation) -> int:
@@ -553,9 +553,9 @@ class ExtCalculator:
                 self._dims[key] = hom_dim(m, n)
             elif self._arrows is not None:
                 (t, _, omega, _, _), (_, d, _, s, e) = self._vectors(m), self._vectors(n)
-                for _ in range(power - 2):
-                    e = [_dot(r, e) for r in self._arrows]
-                self._dims[key] = (_dot(omega, e) if power > 1 else
+                while len(e) < power - 1:  # e[k] = A_Q^k e, grown as far as asked
+                    e.append([_dot(r, e[-1]) for r in self._arrows])
+                self._dims[key] = (_dot(omega, e[power - 2]) if power > 1 else
                                    _dot(omega, s) - _dot(t, d) + self.ext(0, m, n))
             else:
                 res = self.resolution(m, power)
@@ -647,7 +647,7 @@ def euler_form(alg: BoundAlgebra, d: Dict[str, int], e: Dict[str, int]) -> int:
     """<d, e> = sum_v d_v e_v - sum_{a: s->t} d_s e_t, the quiver's Euler form.
     dim End(X) >= <d, d> for X of dimension vector d over any algebra: the
     End system has sum_v d_v^2 unknowns, sum_a d_s d_t equations, and a
-    relation adds none."""
+    relation adds none.  Over kQ, <d, d> = dim End - dim Ext^1 (_brick_bound)."""
     val = sum(x * e.get(v, 0) for v, x in d.items())
     val -= sum(d.get(a.source, 0) * e.get(a.target, 0) for a in alg.quiver.arrows)
     return val
@@ -851,24 +851,34 @@ def _dimension_vectors(vertices, budget):
 
 
 def _brick_bound(alg, support):
-    """The most bricks, up to isomorphism, that a support (a dimension vector
-    as its nonzero counts) can hold, read off the support and the arrows
-    inside it: 0 if those arrows leave it disconnected (every module there
-    is a direct sum) or if the Tits form q(d) = euler_form(d, d) > 1, since
-    dim End(X) >= q(d) on any algebra.  On a relation-free algebra, which is
-    hereditary, dim End(X) - dim Ext^1(X, X) = q(d) (Ringel), and there is
-    at most one if q(d) = 1: over the algebraic closure a brick stays a
-    brick, the real root d has a unique indecomposable there (Kac), and
-    Noether-Deuring brings the isomorphism back.  Else math.inf."""
+    """The most bricks, up to isomorphism, at a support (a dimension vector d
+    as its nonzero counts): over arrow sets Q' inside it that connect d, the
+    sum of 1 where q'(d) = sum_v d_v^2 - sum_{a in Q'} d_s d_t is 1 and of inf
+    where it is <= 0.  A brick over kQ/I is one over kQ' (mod kQ/I is full in
+    rep Q), where dim End - dim Ext^1 = q'(d): at q'(d) = 1 its orbit is open
+    in the irreducible Rep(Q', d) (Voigt), so unique (Kac; Noether-Deuring).
+    Q' is every arrow inside, unless J² = 0: a brick X not simple has top on
+    some T, socle off T (else X ->> S_v >-> X), so it lives on the arrows from
+    T out of T (separated quiver; Auslander-Reiten-Smalø X.2), T smaller than d."""
+    def connects(arrows):
+        reached = {next(iter(support))}
+        for _ in support:
+            reached.update(v for a in arrows if a.source in reached or a.target in reached
+                           for v in (a.source, a.target))
+        return len(reached) == len(support)
+
     inner = [a for a in alg.quiver.arrows if a.source in support and a.target in support]
-    reached = {next(iter(support))}
-    for _ in support:
-        reached.update(v for a in inner if a.source in reached or a.target in reached
-                       for v in (a.source, a.target))
-    tits = euler_form(alg, support, support)
-    if len(reached) < len(support) or tits > 1:
+    if not connects(inner):  # nor does any cut of them
         return 0
-    return 1 if tits == 1 and not alg.relations else math.inf
+    most = 0
+    for arrows in ([inner] if len(alg.basis[-1]) > 1 else [  # the basis is ordered by length
+            [a for a in inner if a.source in t and a.target not in t]
+            for k in range(len(support)) for t in combinations(support, k)]):
+        tits = sum(x * x for x in support.values()) - sum(
+            support[a.source] * support[a.target] for a in arrows)
+        if tits <= 1 and connects(arrows):
+            most += 1 if tits == 1 else math.inf
+    return most
 
 
 def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
@@ -884,9 +894,9 @@ def scan_candidates(alg, dim_budget, seed, samples_per_dimvec=40,
     Only a brick new up to isomorphism meets the cap.  The draws at a
     dimension vector stop being built once its candidates reach _brick_bound
     (before the first draw where that is 0), which certifies that no further
-    brick there is new; _skip_maps advances the rng past the rest, so the
-    rng stream, the names and the output are those of the scan that
-    examines every draw.
+    brick there is new (q = 1 inside, or on a cut over kQ/J²); _skip_maps
+    advances the rng past the rest, so the rng stream, the names and the
+    output are those of the scan that examines every draw.
     Returns (candidates, truncated): capped at N, the scan lists the first N
     candidates of the uncapped scan, truncated iff that lists more than N.
     """
