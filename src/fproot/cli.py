@@ -118,8 +118,8 @@ def cmd_resolve(args) -> int:
     if not args.module:
         ext = {w: comp.ext_table[(args.simple, w)][:depth + 1] for w in verts}
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    counts = [*comp.ext_table.values(), *ext.values()]
-    if digits and max(map(max, counts), default=0) >= 10 ** digits:
+    top = max(map(max, [*comp.ext_table.values(), *ext.values()]), default=0)
+    if digits and top.bit_length() > 3 * digits and top >= 10 ** digits:  # exact: 10**d > 8**d
         raise RepresentationError(f"an Ext dimension within depth {depth} has "
                                   f"more than {digits} digits, the int-to-string "
                                   "limit of this Python; lower --depth")
@@ -131,10 +131,8 @@ def cmd_resolve(args) -> int:
         "tool": {"name": "fproot", "version": __version__},
         "module": m.name,
         "depth": depth,
-        "resolution": {
-            "multiplicities": pattern,
-            "finite_length": len(pattern) - 1 if len(pattern) <= depth else None,
-        },
+        "resolution": {"multiplicities": pattern,
+                       "finite_length": len(pattern) - 1 if len(pattern) <= depth else None},
         "ext_module_to_simples": ext,
         "ext_simple_pairs": {f"{i}->{j}": dims[:depth + 1]
                              for (i, j), dims in sorted(comp.ext_table.items())},
@@ -168,10 +166,8 @@ def nonnegative(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; parse_args returns a fresh
     namespace on each call, so one call's options never reach the next."""
-    p = argparse.ArgumentParser(
-        prog="fproot",
-        description="Frobenius-Perron invariants of quivers, bound quiver "
-                    "algebras and their module categories")
+    p = argparse.ArgumentParser(prog="fproot", description="Frobenius-Perron invariants of "
+                                "quivers, bound quiver algebras and their module categories")
     p.add_argument("--version", action="version", version=f"fproot {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -183,8 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     qp.add_argument("quiver")
     qp.add_argument("action", choices=["fpdim", "cycles", "classify", "dot"])
 
-    fp = sub.add_parser("fp-scan", help="brick scan and fp report for an "
-                                        "algebra file")
+    fp = sub.add_parser("fp-scan", help="brick scan and fp report for an algebra file")
     fp.add_argument("algebra")
     fp.add_argument("--budget-dim", type=nonnegative, default=5,
                     help="max total dimension for candidate generation")
@@ -202,11 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--depth", type=nonnegative, default=8)
 
     tp = sub.add_parser("tables", help="closed-form fp tables as CSV")
-    tp.add_argument("surface",
-                    choices=["p1-twist", "p1-serre", "a2", "polyring"])
+    tp.add_argument("surface", choices=["p1-twist", "p1-serre", "a2", "polyring"])
     tp.add_argument("--range", type=nonnegative, default=6)
     tp.add_argument("--genus", type=nonnegative, default=3)
-    for command in sub.choices.values():
+    p.commands = sub.choices  # name -> sub-parser; run parses through the one named
+    for command in p.commands.values():
         command.add_argument("--out")
     return p
 
@@ -223,9 +218,14 @@ def dispatch(args) -> int:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # looked up per call, not bound into the parser, so that a wrapper
-    # installed later (a tracer, a test's monkeypatch) is the one called
+    # argv goes through the sub-parser it names, as the full parser passes it on; the
+    # full parser sees only an unknown name or left-over arguments.  cmd_* is looked up
+    # per call, so that a wrapper installed later (a tracer, a monkeypatch) is called
+    argv, parser = sys.argv[1:] if argv is None else argv, build_parser()
+    sub = argv and parser.commands.get(argv[0])
+    args, extras = (sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+                    if sub else (None, True))
+    args = parser.parse_args(argv) if extras else args
     args.func = globals()["cmd_" + args.command.replace("-", "_")]
     return dispatch(args)
 

@@ -79,7 +79,8 @@ def dump_json(x, gap="\n"):
         items = [encode_basestring_ascii(k) + ": " + dump_json(v, inner)
                  for k, v in sorted(x.items())]
     elif isinstance(x, (list, tuple)):
-        items = [dump_json(v, inner) for v in x]
+        items = (list(map(int.__repr__, x)) if _INT_ONLY.issuperset(map(type, x))
+                 else [dump_json(v, inner) for v in x])
     else:
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
     ends = "{}" if isinstance(x, dict) else "[]"
@@ -99,7 +100,7 @@ def rat(x):
         return x
     if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
         raise TypeError(f"cannot interpret {x!r} as a rational number")
-    x = Fraction(x)
+    x = int(x) if type(x) is str and x.isascii() and x.isdigit() else Fraction(x)
     return quotient(x.numerator, x.denominator)
 
 

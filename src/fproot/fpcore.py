@@ -18,8 +18,8 @@ import io
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import accumulate, count, product
-from operator import itemgetter
+from itertools import accumulate, chain, count, cycle, product
+from operator import gt, itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactlin import RatMatrix
@@ -503,9 +503,8 @@ class ComplexityReport:
 
 
 def complexity_estimate(alg: BoundAlgebra, depth: int) -> ComplexityReport:
-    """Complexity of the algebra from the Ext window of its simples, read from
-    repmod.ext_simple_table: Anick chain counts, exact at any depth, on a
-    monomial algebra, and linear minimal resolutions otherwise.
+    """Complexity of the algebra from the Ext window of its simples, whose
+    rows repmod.ext_simple_table gives (Anick chains or linear resolutions).
 
     cx = limsup log_n dim Ext^n(T, T) + 1 with T the direct sum of the
     simples; the limsup is proxied on the last half window, an exponential
@@ -516,18 +515,18 @@ def complexity_estimate(alg: BoundAlgebra, depth: int) -> ComplexityReport:
     if depth < 4:
         raise ValueError("complexity estimation needs depth >= 4")
     table = repmod.ext_simple_table(alg, depth)
-    verts = list(alg.quiver.vertices)
-    seq = [sum(table[(i, j)][n] for i in verts for j in verts)
-           for n in range(depth + 1)]
+    verts, zeros = list(alg.quiver.vertices), [0] * (depth + 1)
+    seq = [sum(column) for column in zip(*table.values())] or zeros
     cx, fpv = _capped_growth_summary(seq[1:])
 
-    # averaging growth condition over the window; no vertices, no Ext
-    pmax = [max((min(table[(i, j)][n], table[(j, i)][n])
-                 for a, i in enumerate(verts) for j in verts[a:]), default=0)
-            for n in range(depth + 1)]
+    # averaging growth condition, read off the rows of depth + 1 entries (no
+    # vertices, no Ext); the (n, i, j) order is walked only past a bound
+    pmax = [max(column) for column in zip(*(map(min, row, table[(j, i)])
+                                            for (i, j), row in table.items()))] or zeros
     bound = [2 * max(pmax[max(0, n - 2):n + 3]) for n in range(depth + 1)]
+    over = any(map(gt, chain.from_iterable(table.values()), cycle(bound)))
     violation = next(((n, i, j) for n in range(depth + 1) for i in verts for j in verts
-                      if table[(i, j)][n] > bound[n]), None)
+                      if table[(i, j)][n] > bound[n]), None) if over else None
     return ComplexityReport(table, seq, cx, fpv, AGCResult(violation is None, violation))
 
 

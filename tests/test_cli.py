@@ -672,3 +672,66 @@ def test_resolve_module_of_a_simple_matches_resolve_simple(tmp_path, name):
             by_simple = _run_captured(["resolve", str(alg_file), "--simple", v,
                                        "--depth", depth])
             assert by_module == by_simple, (name, v, depth)
+
+
+def _full_parser_run(argv=None):
+    """run as it was before the one-pass parse: every argv through a freshly
+    built full parser, cmd_* looked up per call."""
+    import fproot.cli as cli
+    args = cli.build_parser.__wrapped__().parse_args(argv)
+    args.func = getattr(cli, "cmd_" + args.command.replace("-", "_"))
+    return cli.dispatch(args)
+
+
+PARSE_CORPUS = [
+    [], ["--version"], ["-h"], ["--help"], ["resolve", "-h"], ["fp-scan", "--help"],
+    ["bogus"], ["bogus", "a.json"], ["resol", "a.json", "--simple", "1"],
+    ["resolve", "a.json", "--simple", "1", "--bogus"],
+    ["resolve", "a.json", "--simple", "1", "--version"],
+    ["resolve", "a.json", "extra", "--simple", "1"],
+    ["resolve", "a.json", "--simple", "1", "--depth", "x"],
+    ["resolve", "a.json", "--simple", "1", "--depth", "-1"],
+    ["resolve", "a.json", "--module", "m.json", "--simple", "1"],
+    ["resolve", "a.json"], ["resolve"],
+    ["resolve", "a.json", "--simple", "1", "--dep", "3"],
+    ["resolve", "a.json", "--simple=1", "--depth=0"],
+    ["resolve", "a.json", "--module", "m.json", "--depth", "5"],
+    ["--", "resolve", "a.json", "--simple", "1"],
+    ["resolve", "--", "a.json", "--simple", "1"],
+    ["resolve", "--simple", "1", "--", "a.json"],
+    ["spectral", "m.json"], ["spectral", "m.json", "--out", "o.json"],
+    ["quiver", "q.json", "cycles"], ["quiver", "q.json", "fpdim", "--out", "o.json"],
+    ["quiver", "q.json", "nope"],
+    ["fp-scan", "a.json", "--out", "o.json"],
+    ["fp-scan", "a.json", "--budget-dim", "2", "--seed", "-3", "--format", "csv"],
+    ["fp-scan", "a.json", "--format", "xml"],
+    ["resolve", "a.json", "--simple", "1", "--out", "o.json"],
+    ["tables", "a2", "--out", "o.csv"], ["tables", "a2", "--range", "2", "--genus", "4"],
+    ["tables", "p1-twist", "--out"],
+]
+
+
+def _parse_outcome(run_fn, argv, monkeypatch):
+    """(exit code, stdout, stderr, namespace items) of run_fn(argv), with every
+    cmd_* replaced by one that records its namespace and returns 0."""
+    import fproot.cli as cli
+    seen = []
+    for name in ["spectral", "quiver", "fp_scan", "resolve", "tables"]:
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: seen.append(
+            [(k, v) for k, v in vars(args).items() if k != "func"]) or 0)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run_fn(list(argv))
+        except SystemExit as e:
+            code = ("exit", e.code)
+    return code, out.getvalue(), err.getvalue(), seen
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_one_pass_parse_matches_the_full_parser(argv, monkeypatch):
+    """run parses through the sub-parser argv[0] names and falls back to the
+    full parser on an unknown name or left-over arguments: exit code, stdout,
+    stderr and the namespace handed to cmd_* are the full parser's."""
+    want = _parse_outcome(_full_parser_run, argv, monkeypatch)
+    assert _parse_outcome(run, argv, monkeypatch) == want

@@ -1,12 +1,15 @@
 import itertools
+import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fproot.exactlin import RatMatrix, nullspace_basis, rank, rat, rat_str, rref, solve
+from fproot.exactlin import (RatMatrix, nullspace_basis, quotient, rank, rat, rat_str,
+                             rref, solve)
 
 
 # -- oracles ----------------------------------------------------------------
@@ -118,6 +121,49 @@ def test_rat_str_roundtrip():
     assert rat_str(Fraction(3, 4)) == "3/4"
     assert rat_str(Fraction(5)) == "5"
     assert rat("3/4") == Fraction(3, 4)
+
+
+def _fraction_rat(x):
+    """rat of a string before its digit-string path: through Fraction alone."""
+    x = Fraction(x)
+    return quotient(x.numerator, x.denominator)
+
+
+def _outcome(f, x):
+    try:
+        value = f(x)
+    except Exception as e:
+        return type(e), str(e)
+    return type(value), value
+
+
+@pytest.mark.parametrize("text", ["0", "007", "4/2", "+1", "-1", " 1", "1_0", "",
+                                  "\u0661\u0662", "\u00b2", "9" * 5000],
+                         ids=lambda t: repr(t)[:12])
+def test_rat_reads_a_digit_string_as_fraction_did(text):
+    """An ASCII digit string is read by int(); the value, its type, and the
+    class and message of a refusal (the int-to-string limit included) are
+    those of the Fraction reading."""
+    assert _outcome(rat, text) == _outcome(_fraction_rat, text)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int-to-string limit")
+def test_an_over_long_coefficient_is_reported_as_before(monkeypatch):
+    """The malformed-relation message for a 5,000-digit coefficient is the
+    one the Fraction reading gives, byte for byte."""
+    from fproot import algebra
+    doc = json.dumps({"vertices": ["1"], "arrows": [{"label": "x", "from": "1", "to": "1"}],
+                      "relations": [[{"coeff": "9" * 5000, "path": ["x", "x"]}]]})
+
+    def message():
+        try:
+            algebra.algebra_from_json(doc)
+        except algebra.AlgebraError as e:
+            return str(e)
+    got = message()
+    monkeypatch.setattr(algebra, "rat", _fraction_rat)
+    assert got == message() and got.startswith("malformed relation")
 
 
 # -- invariants -------------------------------------------------------------

@@ -11,7 +11,7 @@ from fproot.algebra import (dual_numbers_algebra, kronecker_algebra,
 from fproot.exactlin import RatMatrix
 from fproot.cli import scan_candidates
 from fproot.fpcore import (Assignment, BrickSet, BrickSetViolation, FpBudgets,
-                           FpCell, _brick_subsets, _fill_grid,
+                           FpCell, _brick_subsets, _capped_growth_summary, _fill_grid,
                            HomTableCategory, adjacency_of, complexity_estimate,
                            dual_numbers_shift_table, ext1_quiver,
                            ext_assignment, fp_report, fpc_vs_cx_check,
@@ -480,6 +480,20 @@ def test_agc_is_the_per_triple_rule(case):
     violation = _first_agc_violation(table, verts, depth)
     assert comp.agc.first_violation == violation
     assert comp.agc.holds is (violation is None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ext_tables())
+def test_complexity_sequence_is_the_per_degree_sum(case):
+    """sequence[n] is dim Ext^n(T, T), the sum of the table's entries in
+    degree n, and the complexity and curvature estimates are read off it."""
+    verts, depth, table = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repmod, "ext_simple_table", lambda alg, d: table)
+        comp = complexity_estimate(path_algebra(Quiver(verts, [])), depth)
+    seq = [sum(table[(i, j)][n] for i in verts for j in verts) for n in range(depth + 1)]
+    assert comp.sequence == seq and all(type(x) is int for x in comp.sequence)
+    assert (comp.cx_estimate, comp.fpv_estimate) == _capped_growth_summary(seq[1:])
 
 
 def test_fpc_vs_cx(A):

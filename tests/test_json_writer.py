@@ -6,6 +6,7 @@ vertices/arrows block, read and written the same way by both."""
 
 import json
 import math
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -60,6 +61,23 @@ payloads = st.recursive(leaves, lambda inner: st.lists(inner, max_size=4)
 @given(payloads)
 def test_writer_matches_json_dumps(x):
     assert dump_json(x) == reference_json(x)
+
+
+class Level(IntEnum):
+    ONE = 1
+
+
+INT_LISTS = [[True, 1], [1, False], (3, 4), [2 ** 70, -5], [1, 1.0], [[1], 2], [],
+             [Level.ONE, 2], [0, -0, 10 ** 40], (Level.ONE,)]
+
+
+@pytest.mark.parametrize("x", INT_LISTS, ids=range(len(INT_LISTS)))
+def test_the_int_list_path_matches_json_dumps(x):
+    """A list or tuple of exact ints is written by one map; a bool, a float,
+    a nested list or an IntEnum member in it takes the general path.  Either
+    way the bytes are json.dumps's, alone and nested in an object."""
+    assert dump_json(x) == reference_json(x)
+    assert dump_json({"k": [x, {"l": x}]}) == reference_json({"k": [x, {"l": x}]})
 
 
 @pytest.mark.parametrize("bad", [Fraction(1, 2), {1, 2}, frozenset(), b"x", object(),
